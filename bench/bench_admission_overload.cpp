@@ -73,6 +73,7 @@ RunReport run(const KernelLibrary& library, std::vector<StreamJob>& jobs, bool a
 }  // namespace
 
 int main() {
+  BenchJson json("admission_overload");
   const KernelLibrary library;
   const FabricPool probe_pool(1, library);
   const AdmissionController probe(library, probe_pool, me::SystolicParams{});
@@ -148,7 +149,6 @@ int main() {
 
   bench_common::write_metrics_artifact("admission_overload", metrics);
 
-  BenchJson json("admission_overload");
   bench_common::stamp_reproducibility(
       json, 9000, "streams=12;frames=4;frame=64x64;me_range=4;demand=3x");
   json.metric("demand_over_capacity", demand_ratio);

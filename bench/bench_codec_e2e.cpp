@@ -13,6 +13,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("codec_e2e");
 
   video::SyntheticConfig scfg;
   scfg.width = 96;
@@ -36,7 +37,6 @@ int main() {
     dct_table.add_row({"double-precision reference", format_double(psnr / ref_stats.size(), 2),
                        format_double(bits, 0), "-", "-", "-"});
   }
-  BenchJson json("codec_e2e");
   for (const auto& impl : dct::all_implementations()) {
     const video::ToyEncoder enc(impl.get(), me::systolic_search_fn(), ccfg);
     const auto stats = enc.encode_sequence(frames);

@@ -45,6 +45,7 @@ double throughput_kcycles(const RunReport& r) {
 }  // namespace
 
 int main() {
+  BenchJson json("dynamic_conditions");
   std::printf("compiling the kernel library (6 DCT implementations + ME context)...\n");
   const KernelLibrary library;
 
@@ -99,7 +100,6 @@ int main() {
   std::printf("frozen is cheap but wrong; per-frame is right but thrashes the port; "
               "hysteresis is right where it matters and keeps the port quiet.\n");
 
-  BenchJson json("dynamic_conditions");
   bench_common::stamp_reproducibility(
       json, 2004,
       "streams=8;frames=24;frame=16x16;me_range=4;trajectories=1;seed_stride=31");

@@ -67,9 +67,9 @@ void bm_pe_module_cycle(benchmark::State& state) {
 BENCHMARK(bm_pe_module_cycle)->Arg(4)->Arg(8)->Arg(16);
 
 int main(int argc, char** argv) {
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   report();
 
-  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   {
     me::SystolicParams params;
     params.block = 4;

@@ -15,6 +15,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("fig11_me_systolic");
 
   video::SyntheticConfig cfg;
   cfg.width = 96;
@@ -24,7 +25,6 @@ int main() {
 
   const me::SystolicParams params;  // the paper's 4 x 16
 
-  BenchJson json("fig11_me_systolic");
   ReportTable sweep("4x16 systolic array vs search range (16x16 macroblock)");
   sweep.set_header({"range", "candidates", "cycles/MB", "cycles/candidate", "PE util",
                     "ref px fetched", "naive", "saving"});

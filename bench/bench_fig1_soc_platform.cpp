@@ -9,6 +9,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("fig1_soc_platform");
 
   soc::Platform platform;
   const int mapped = platform.build_dct_library();
@@ -65,7 +66,6 @@ int main() {
               "paper's motivation for dedicated ME fabrics expects)\n",
               total / 100e3, 100e6 / total);
 
-  BenchJson json("fig1_soc_platform");
   json.metric("dct_implementations", mapped);
   for (const auto& name : platform.reconfig().names())
     json.metric("switch_cycles_" + name,

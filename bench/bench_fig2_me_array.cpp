@@ -12,6 +12,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("fig2_me_array");
 
   // --- fabric composition (the figure itself) ----------------------------
   const ArrayArch arch = ArrayArch::motion_estimation(6, 4, ChannelSpec{6, 12});
@@ -64,7 +65,6 @@ int main() {
   std::printf("%s\n", paper_vs_measured("timing improvement", 23.0,
                                         cmp.timing_improvement() * 100.0, "%").c_str());
 
-  BenchJson json("fig2_me_array");
   json.metric("power_reduction_pct", cmp.power_reduction() * 100.0);
   json.metric("area_reduction_pct", cmp.area_reduction() * 100.0);
   json.metric("timing_improvement_pct", cmp.timing_improvement() * 100.0);

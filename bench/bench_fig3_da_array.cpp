@@ -12,6 +12,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("fig3_da_array");
 
   const ArrayArch arch = ArrayArch::distributed_arithmetic(12, 8);
   ReportTable comp("Fig 3 fabric: " + arch.name());
@@ -62,7 +63,6 @@ int main() {
   std::printf("\n(the DA array trades clock rate for power: its wide shared ROMs are slower\n"
               " than the FPGA's distributed LUT-RAM, exactly the mechanism behind [2])\n");
 
-  BenchJson json("fig3_da_array");
   json.metric("power_reduction_pct", cmp.power_reduction() * 100.0);
   json.metric("area_reduction_pct", cmp.area_reduction() * 100.0);
   json.metric("fmax_change_pct", cmp.timing_improvement() * 100.0);

@@ -7,6 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace dsra;
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   {
     auto exact_labels = dct::make_da_basic_fig4_exact();
     const bench::AccuracyStats acc = bench::measure_accuracy(*exact_labels, 200, 99);
@@ -18,5 +19,5 @@ int main(int argc, char** argv) {
     std::printf("(error is dominated by the 8-bit ROM quantisation; the truncating\n"
                 " accumulator itself adds at most ~2 output ulps - see test_da_trunc)\n\n");
   }
-  return bench::run_dct_fig_bench(argc, argv, dct::make_da_basic());
+  return bench::run_dct_fig_bench(json, argc, argv, dct::make_da_basic());
 }

@@ -3,5 +3,6 @@
 #include "dct_bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return dsra::bench::run_dct_fig_bench(argc, argv, dsra::dct::make_mixed_rom());
+  dsra::BenchJson json(dsra::BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
+  return dsra::bench::run_dct_fig_bench(json, argc, argv, dsra::dct::make_mixed_rom());
 }

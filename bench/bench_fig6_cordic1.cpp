@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace dsra;
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   auto impl = dct::make_cordic1();
 
   // Rotator/ROM correspondence: iterative CORDIC vs ROM-based DA rotator.
@@ -22,5 +23,5 @@ int main(int argc, char** argv) {
   rot.print();
   std::printf("\n");
 
-  return bench::run_dct_fig_bench(argc, argv, std::move(impl));
+  return bench::run_dct_fig_bench(json, argc, argv, std::move(impl));
 }

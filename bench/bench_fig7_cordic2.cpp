@@ -8,6 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace dsra;
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   auto impl = dct::make_cordic2();
 
   // Scale-folding demonstration.
@@ -42,5 +43,5 @@ int main(int argc, char** argv) {
   std::printf("scale folding: %d / %d quantised levels identical to exact DCT + base matrix\n\n",
               matches, total);
 
-  return bench::run_dct_fig_bench(argc, argv, std::move(impl));
+  return bench::run_dct_fig_bench(json, argc, argv, std::move(impl));
 }

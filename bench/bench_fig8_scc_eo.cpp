@@ -6,6 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace dsra;
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   const dct::Scc4Tables& t = dct::scc4_tables();
 
   ReportTable map("length-4 skew-circular index mapping (odd outputs)");
@@ -22,5 +23,5 @@ int main(int argc, char** argv) {
   map.print();
   std::printf("skew wrap: h_(b+4) = -h_b since 3^(b+4) = 3^b + 16 (mod 32)\n\n");
 
-  return bench::run_dct_fig_bench(argc, argv, dct::make_scc_even_odd());
+  return bench::run_dct_fig_bench(json, argc, argv, dct::make_scc_even_odd());
 }

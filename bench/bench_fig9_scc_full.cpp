@@ -6,6 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace dsra;
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   const dct::Scc8Tables& t = dct::scc8_tables();
 
   ReportTable kernel("length-8 circulant kernel C_b = cos(3^b pi/16)");
@@ -36,5 +37,5 @@ int main(int argc, char** argv) {
               distinct.size());
   std::printf("(1 = perfect rotation sharing; the paper instantiates 8 Mem clusters anyway)\n\n");
 
-  return bench::run_dct_fig_bench(argc, argv, std::move(impl));
+  return bench::run_dct_fig_bench(json, argc, argv, std::move(impl));
 }

@@ -47,7 +47,7 @@ std::vector<StreamJob> mixed_workload() {
     cfg.height = 32;
     // Long enough (~100 ms host) that min-of-N wall-clock jitter sits
     // well under the 2% overhead bar instead of dominating it.
-    cfg.frame_budget = 20;
+    cfg.frame_budget = 200;
     cfg.condition = conditions[k];
     cfg.codec.me_range = 4;
     cfg.seed = 7100 + static_cast<std::uint64_t>(k);
@@ -78,7 +78,7 @@ health::HealthMonitorConfig monitor_config() {
 int main() {
   BenchJson json("health_overhead");
   bench_common::stamp_reproducibility(
-      json, 7100, "streams=9;frames=20;frame=32x32;me_range=4;rounds=7");
+      json, 7100, "streams=9;frames=200;frame=32x32;me_range=4;rounds=7");
   std::printf("compiling the kernel library for geometries 12x8 and 8x4...\n");
   const KernelLibrary library(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
 

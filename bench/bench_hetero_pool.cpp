@@ -89,6 +89,7 @@ double per_area_throughput(const RunReport& report) {
 }  // namespace
 
 int main() {
+  BenchJson json("hetero_pool");
   std::printf("compiling the kernel library for geometries 12x8 and 8x4...\n");
   const KernelLibrary library(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
 
@@ -152,7 +153,6 @@ int main() {
               static_cast<unsigned long long>(delta.cache.delta_fetches),
               static_cast<unsigned long long>(delta.cache.bytes_saved), delta_mismatches);
 
-  BenchJson json("hetero_pool");
   bench_common::stamp_reproducibility(
       json, 7100, "streams=9;frames=6;frame=32x32;me_range=4;mix=3cordic+6scc");
   json.metric("frames", static_cast<double>(hetero.total_frames));

@@ -66,9 +66,9 @@ void bm_compile(benchmark::State& state) {
 BENCHMARK(bm_compile)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
+  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   ablation_report();
 
-  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   {
     const Netlist nl = dct::make_cordic1()->build_netlist();
     const ArrayArch arch = ArrayArch::distributed_arithmetic(12, 8);

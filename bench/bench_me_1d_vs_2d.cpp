@@ -13,6 +13,7 @@
 
 int main() {
   using namespace dsra;
+  BenchJson json("me_1d_vs_2d");
 
   struct Format {
     const char* name;
@@ -64,7 +65,6 @@ int main() {
               "choice of 4 modules balances PE count against the 17-candidate rows of a\n"
               "+/-8 search window.\n");
 
-  BenchJson json("me_1d_vs_2d");
   for (const int modules : {1, 2, 4, 8}) {
     me::SystolicParams p;
     p.modules = modules;

@@ -40,6 +40,7 @@ constexpr double kNarrowBand = 0.02;
 }  // namespace
 
 int main() {
+  BenchJson json("partial_reconfig");
   std::printf("compiling the kernel library (6 DCT implementations + ME context)...\n");
   const KernelLibrary library;
 
@@ -109,7 +110,6 @@ int main() {
   std::printf("cheap switches change the policy trade: hysteresis no longer has to hold "
               "a stale implementation just to keep the port quiet.\n");
 
-  BenchJson json("partial_reconfig");
   bench_common::stamp_reproducibility(
       json, 2004,
       "streams=8;frames=24;frame=16x16;me_range=4;trajectories=1;seed_stride=31");

@@ -75,6 +75,7 @@ FabricConfig fabric_with(unsigned capabilities, std::size_t capacity) {
 }  // namespace
 
 int main() {
+  BenchJson json("pipeline_overlap");
   std::printf("compiling the kernel library (6 DCT implementations + ME context)...\n");
   const KernelLibrary library;
   const std::size_t capacity = library.total_bytes() / 2;
@@ -104,7 +105,6 @@ int main() {
               speedup);
   std::printf("the same silicon, the paper's kernel split: the ME array stops idling.\n");
 
-  BenchJson json("pipeline_overlap");
   bench_common::stamp_reproducibility(
       json, 2004,
       "streams=6;frames=10;sizes=4x64+2x48;me_range=8;seed_stride=31");

@@ -63,6 +63,7 @@ RunReport run_policy(const KernelLibrary& library, SchedulingPolicy policy, int 
 }  // namespace
 
 int main() {
+  BenchJson json("runtime_throughput");
   std::printf("compiling the kernel library (6 DCT implementations + ME context)...\n");
   const KernelLibrary library;
   std::printf("library ready: %zu DCT bitstreams + the ME context, %zu bytes total\n\n",
@@ -87,7 +88,6 @@ int main() {
                         static_cast<double>(rr.total_reconfig_cycles)
                   : 0.0);
 
-  BenchJson json("runtime_throughput");
   bench_common::stamp_reproducibility(
       json, 2004,
       "streams=6;frames=8;sizes=4x64+2x48;me_range=4;seed_stride=31");

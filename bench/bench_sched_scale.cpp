@@ -175,6 +175,7 @@ DriveCost measure(int streams_n, const JobQueueConfig& qcfg) {
 }  // namespace
 
 int main() {
+  BenchJson json("sched_scale");
   // ---- phase A: overhead scale sweep ---------------------------------------
   JobQueueConfig sharded_cfg;
   sharded_cfg.shards = 4;
@@ -272,7 +273,6 @@ int main() {
               mono.queue_shards, mono_mismatch, pipe_mismatch, adm_mismatch,
               static_cast<unsigned long long>(mono.queue_steals));
 
-  BenchJson json("sched_scale");
   bench_common::stamp_reproducibility(
       json, 7000, "total_jobs=20000;frame=16x16;sweep=stream_count;encode=4200");
   for (std::size_t k = 0; k < std::size(sweep); ++k) {

@@ -93,6 +93,7 @@ double per_site_throughput(const RunReport& report, int physical_tiles) {
 }  // namespace
 
 int main() {
+  BenchJson json("spatial_tenancy");
   std::printf("compiling the kernel library for geometries 12x8 and 8x4...\n");
   const KernelLibrary library(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
 
@@ -153,7 +154,6 @@ int main() {
   std::printf("encoded output mismatches vs the exclusive pool: %d (bar: 0 — "
               "a partition only moves jobs, never changes the encode)\n", mismatches);
 
-  BenchJson json("spatial_tenancy");
   const std::string config_text =
       "streams=" + std::to_string(kStreams) + ";frames=" +
       std::to_string(kFramesPerStream) + ";frame=32x32;me_range=4;pool=2x" +

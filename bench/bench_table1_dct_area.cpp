@@ -27,6 +27,7 @@ constexpr PaperColumn kPaper[] = {
 
 int main() {
   using namespace dsra;
+  BenchJson json("table1_dct_area");
   std::printf("=== Table 1: Area usage of the DCT implementations ===\n");
   std::printf("(paper value / measured from generated netlist)\n\n");
 
@@ -97,7 +98,6 @@ int main() {
   }
   std::printf("\nresult: %d/5 Table 1 columns reproduced exactly\n", 5 - mismatches);
 
-  BenchJson json("table1_dct_area");
   for (int c = 0; c < 5; ++c)
     json.metric(std::string("total_clusters_") + order[c], census[order[c]].total());
   json.bar("table1_columns_mismatched", mismatches, "<=", 0.0);

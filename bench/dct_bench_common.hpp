@@ -159,13 +159,14 @@ inline void register_dct_benchmarks(const std::string& name,
       });
 }
 
-inline int run_dct_fig_bench(int argc, char** argv,
+/// @p json is the bench main's result, constructed first thing in main so
+/// its host_wall_seconds covers the figure tables printed before this.
+inline int run_dct_fig_bench(BenchJson& json, int argc, char** argv,
                              std::unique_ptr<dct::DctImplementation> impl) {
   const map::CompiledDesign design = print_impl_report(*impl);
 
   // Machine-readable result next to the tables (BENCH_<binary>.json).
   const AccuracyStats acc = measure_accuracy(*impl, 200, 99);
-  BenchJson json(BenchJson::name_from_argv0(argc > 0 ? argv[0] : nullptr));
   json.metric("cycles_per_transform", impl->cycles_per_transform());
   json.metric("clusters", impl->build_netlist().census().total());
   json.metric("bitstream_bits", static_cast<double>(design.bitstream_size_bits()));

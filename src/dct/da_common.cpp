@@ -7,27 +7,55 @@
 
 namespace dsra::dct {
 
-std::vector<std::int64_t> build_da_lut(std::span<const std::int64_t> qcoeffs, int rom_width) {
+namespace {
+
+/// Sum of the terms whose bit is set in @p s.
+std::int64_t selected_sum(std::span<const std::int64_t> terms, std::size_t s) {
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < terms.size(); ++i)
+    if (s & (1ull << i)) sum += terms[i];
+  return sum;
+}
+
+}  // namespace
+
+DaLut build_da_lut(std::span<const std::int64_t> qcoeffs, int rom_width) {
   if (qcoeffs.size() > 8) throw std::invalid_argument("DA LUT supports at most 8 inputs");
-  const std::size_t words = 1ull << qcoeffs.size();
-  std::vector<std::int64_t> lut(words, 0);
-  for (std::size_t s = 0; s < words; ++s) {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i < qcoeffs.size(); ++i)
-      if (s & (1ull << i)) sum += qcoeffs[i];
-    lut[s] = saturate_to_width(sum, rom_width);
-  }
+  DaLut lut;
+  lut.words.resize(1ull << qcoeffs.size());
+  for (std::size_t s = 0; s < lut.words.size(); ++s)
+    lut.words[s] = saturate_to_width(selected_sum(qcoeffs, s), rom_width);
+  for (std::size_t i = 0; i < qcoeffs.size(); ++i) lut.weights.push_back(lut.words[1ull << i]);
+  lut.linear = true;
+  for (std::size_t s = 0; s < lut.words.size(); ++s)
+    lut.linear = lut.linear && lut.words[s] == selected_sum(lut.weights, s);
   return lut;
 }
 
-std::int64_t da_eval(const std::vector<std::int64_t>& lut, std::span<const std::int64_t> values,
-                     int serial_width, int acc_bits) {
+std::int64_t da_eval(const DaLut& lut, std::span<const std::int64_t> values, int serial_width,
+                     int acc_bits) {
+  if (!lut.linear) return da_eval_serial(lut.words, values, serial_width, acc_bits);
+  // The serial loop weights bit k of every value by 2^k, and the MSB by
+  // -2^k, so each value enters at its sign-extended serial_width-bit
+  // value. Wrapping each step commutes with the sum modulo 2^acc_bits;
+  // unsigned arithmetic keeps the intermediate sums defined.
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < values.size(); ++i)
+    acc += static_cast<std::uint64_t>(lut.weights[i]) *
+           static_cast<std::uint64_t>(
+               sign_extend(static_cast<std::uint64_t>(values[i]), serial_width));
+  return sign_extend(acc, acc_bits);
+}
+
+std::int64_t da_eval_serial(std::span<const std::int64_t> words,
+                            std::span<const std::int64_t> values, int serial_width,
+                            int acc_bits) {
   std::int64_t acc = 0;
   for (int k = serial_width - 1; k >= 0; --k) {
     std::size_t addr = 0;
     for (std::size_t i = 0; i < values.size(); ++i)
       if ((static_cast<std::uint64_t>(values[i]) >> k) & 1ull) addr |= 1ull << i;
-    const std::int64_t entry = lut[addr];
+    const std::int64_t entry = words[addr];
     // MSB cycle subtracts (two's-complement sign weight).
     acc = wrap_to_width((acc << 1) + (k == serial_width - 1 ? -entry : entry), acc_bits);
   }
@@ -57,14 +85,14 @@ std::vector<std::int64_t> quantize_row(std::span<const double> coeffs, int frac_
 }
 
 NetId add_da_unit(Netlist& nl, const std::string& name, const std::vector<NetId>& serial_bits,
-                  const std::vector<std::int64_t>& lut, int rom_width, int acc_bits, NetId clr,
-                  NetId en, NetId sub) {
+                  const DaLut& lut, int rom_width, int acc_bits, NetId clr, NetId en,
+                  NetId sub) {
   MemCfg mem;
-  mem.words = static_cast<int>(lut.size());
+  mem.words = static_cast<int>(lut.words.size());
   mem.width = rom_width;
   mem.mode = MemMode::kRom;
   mem.addr_mode = MemAddrMode::kBit;
-  mem.contents = lut;
+  mem.contents = lut.words;
   const NodeId rom = nl.add_node(name + "_rom", mem);
   for (std::size_t i = 0; i < serial_bits.size(); ++i)
     nl.connect_input(rom, "a" + std::to_string(i), serial_bits[i]);

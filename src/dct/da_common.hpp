@@ -37,18 +37,35 @@ struct DaPrecision {
   [[nodiscard]] static DaPrecision paper() { return {12, 5, 8, 32}; }
 };
 
-/// LUT for one DA unit: entry[s] = sum of quantised coefficients selected
-/// by the bits of s, saturated to rom_width (saturation only engages in
-/// reduced-precision modes).
-[[nodiscard]] std::vector<std::int64_t> build_da_lut(std::span<const std::int64_t> qcoeffs,
-                                                     int rom_width);
+/// ROM of one DA unit. words[s] is the sum of the quantised coefficients
+/// selected by the bits of s, saturated to rom_width (saturation only
+/// engages in reduced-precision modes).
+struct DaLut {
+  std::vector<std::int64_t> words;    ///< ROM contents, 2^inputs words
+  std::vector<std::int64_t> weights;  ///< words[1 << i]: input i's coefficient
+  /// True when every word is the unsaturated sum of the weights its
+  /// address selects, so the unit computes a plain dot product. Holds for
+  /// every DaPrecision::wide() LUT.
+  bool linear = false;
+};
 
-/// Exact bit-serial DA evaluation, mirroring the AddShift kShiftAcc
-/// cluster: MSB-first over @p serial_width bits of each value in
-/// @p values (LSB of values[i] supplies address bit i).
-[[nodiscard]] std::int64_t da_eval(const std::vector<std::int64_t>& lut,
-                                   std::span<const std::int64_t> values, int serial_width,
-                                   int acc_bits);
+[[nodiscard]] DaLut build_da_lut(std::span<const std::int64_t> qcoeffs, int rom_width);
+
+/// Exact DA evaluation: the value the AddShift kShiftAcc cluster holds
+/// after @p serial_width MSB-first cycles over @p values (LSB of
+/// values[i] supplies address bit i). A linear LUT is evaluated as
+/// wrap_to_width(sum_i weights[i] * sign_extend(values[i], serial_width),
+/// acc_bits), which equals the bit-serial loop; other LUTs run
+/// da_eval_serial.
+[[nodiscard]] std::int64_t da_eval(const DaLut& lut, std::span<const std::int64_t> values,
+                                   int serial_width, int acc_bits);
+
+/// The bit-serial loop itself, cycle by cycle: acc <- 2*acc +/- words[addr]
+/// wrapped to @p acc_bits, subtracting on the MSB cycle. The reference
+/// da_eval is tested against.
+[[nodiscard]] std::int64_t da_eval_serial(std::span<const std::int64_t> words,
+                                          std::span<const std::int64_t> values,
+                                          int serial_width, int acc_bits);
 
 /// Truncating LSB-first DA evaluation, mirroring kShiftAccTrunc +
 /// kShiftRegLsb - the form a real 16-bit shift-accumulator implements
@@ -70,9 +87,8 @@ struct DaPrecision {
 /// serial nets form the ROM address LSB..MSB); this adds the ROM and the
 /// shift-accumulator and returns the accumulator output net.
 NetId add_da_unit(Netlist& nl, const std::string& name,
-                  const std::vector<NetId>& serial_bits,
-                  const std::vector<std::int64_t>& lut, int rom_width, int acc_bits,
-                  NetId clr, NetId en, NetId sub);
+                  const std::vector<NetId>& serial_bits, const DaLut& lut, int rom_width,
+                  int acc_bits, NetId clr, NetId en, NetId sub);
 
 /// Parallel-to-serial shift register; returns its 1-bit serial output net.
 NetId add_shift_reg(Netlist& nl, const std::string& name, NetId parallel_in, int width,

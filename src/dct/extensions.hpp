@@ -36,7 +36,7 @@ class DaIdct {
 
  private:
   DaPrecision prec_;
-  std::array<std::vector<std::int64_t>, kN> luts_;
+  std::array<DaLut, kN> luts_;
 };
 
 /// N-tap DA FIR filter: y[n] = sum_k h[k] x[n-k].
@@ -61,7 +61,7 @@ class DaFirFilter {
  private:
   DaPrecision prec_;
   std::vector<std::int64_t> qtaps_;
-  std::vector<std::int64_t> lut_;
+  DaLut lut_;
 };
 
 /// One Haar analysis stage over a pair (a, b): approximation s = (a+b)>>1,

@@ -183,7 +183,7 @@ class Cordic1Impl final : public DctImplementation {
         build_da_lut(quantize_row(c, prec_.coeff_frac_bits), prec_.rom_width);
   }
 
-  std::array<std::vector<std::int64_t>, kUnitCount> luts_;
+  std::array<DaLut, kUnitCount> luts_;
   std::array<int, kUnitCount> pair_of_{};
 };
 

@@ -190,12 +190,12 @@ class Cordic2Impl final : public DctImplementation {
     return prec_.coeff_frac_bits > 0 ? (1ll << (prec_.coeff_frac_bits - 1)) : 0;
   }
 
-  [[nodiscard]] std::vector<std::int64_t> make_lut(std::vector<double> coeffs) const {
+  [[nodiscard]] DaLut make_lut(std::vector<double> coeffs) const {
     return build_da_lut(quantize_row(coeffs, prec_.coeff_frac_bits), prec_.rom_width);
   }
 
-  std::array<std::vector<std::int64_t>, 2> even_luts_;
-  std::array<std::vector<std::int64_t>, 4> odd_luts_;
+  std::array<DaLut, 2> even_luts_;
+  std::array<DaLut, 4> odd_luts_;
 };
 
 }  // namespace

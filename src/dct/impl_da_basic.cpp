@@ -62,7 +62,7 @@ class DaBasicImpl final : public DctImplementation {
   }
 
  private:
-  std::array<std::vector<std::int64_t>, kN> luts_;
+  std::array<DaLut, kN> luts_;
 };
 
 /// Fig 4 with the paper's exact widths: the LSB-first datapath with 16-bit
@@ -76,7 +76,7 @@ class Fig4ExactImpl final : public DctImplementation {
     for (int u = 0; u < kN; ++u) {
       std::vector<double> row(m[u].begin(), m[u].end());
       luts_[static_cast<std::size_t>(u)] =
-          build_da_lut(quantize_row(row, prec_.coeff_frac_bits), prec_.rom_width);
+          build_da_lut(quantize_row(row, prec_.coeff_frac_bits), prec_.rom_width).words;
     }
   }
 

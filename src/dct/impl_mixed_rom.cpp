@@ -101,8 +101,8 @@ class MixedRomImpl final : public DctImplementation {
   }
 
  private:
-  std::array<std::vector<std::int64_t>, 4> even_luts_;
-  std::array<std::vector<std::int64_t>, 4> odd_luts_;
+  std::array<DaLut, 4> even_luts_;
+  std::array<DaLut, 4> odd_luts_;
 };
 
 }  // namespace

@@ -127,12 +127,12 @@ class SccEvenOddImpl final : public DctImplementation {
   }
 
  private:
-  [[nodiscard]] std::vector<std::int64_t> make_lut(std::vector<double> coeffs) const {
+  [[nodiscard]] DaLut make_lut(std::vector<double> coeffs) const {
     return build_da_lut(quantize_row(coeffs, prec_.coeff_frac_bits), prec_.rom_width);
   }
 
-  std::array<std::vector<std::int64_t>, 4> even_luts_;
-  std::array<std::vector<std::int64_t>, 4> odd_luts_;
+  std::array<DaLut, 4> even_luts_;
+  std::array<DaLut, 4> odd_luts_;
 };
 
 class SccFullImpl final : public DctImplementation {
@@ -196,11 +196,11 @@ class SccFullImpl final : public DctImplementation {
   }
 
  private:
-  [[nodiscard]] std::vector<std::int64_t> make_lut(std::vector<double> coeffs) const {
+  [[nodiscard]] DaLut make_lut(std::vector<double> coeffs) const {
     return build_da_lut(quantize_row(coeffs, prec_.coeff_frac_bits), prec_.rom_width);
   }
 
-  std::array<std::vector<std::int64_t>, kN> luts_;
+  std::array<DaLut, kN> luts_;
 };
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
+#include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/ints.hpp"
-#include "video/metrics.hpp"
 
 namespace dsra::me {
 
@@ -32,6 +37,70 @@ int tree_depth(int block) {
   while ((1 << d) < block) ++d;
   return d;
 }
+
+/// Copies the w x h rectangle of @p f at (x0, y0) into @p dst (row-major,
+/// stride w) with the edge clamping of Frame::clamped_at.
+void load_clamped(const Frame& f, int x0, int y0, int w, int h, std::uint8_t* dst) {
+  const int fw = f.width();
+  const int lo = std::clamp(-x0, 0, w);       // first column inside the frame
+  const int hi = std::clamp(fw - x0, lo, w);  // first column right of it
+  for (int r = 0; r < h; ++r, dst += w) {
+    const std::uint8_t* row =
+        f.data().data() +
+        static_cast<std::size_t>(std::clamp(y0 + r, 0, f.height() - 1)) *
+            static_cast<std::size_t>(fw);
+    std::fill(dst, dst + lo, row[0]);
+    if (hi > lo) std::copy(row + x0 + lo, row + x0 + hi, dst + lo);
+    std::fill(dst + hi, dst + w, row[fw - 1]);
+  }
+}
+
+/// The array's search-area memory: the n x n current block and the
+/// edge-clamped (n + 2 range)^2 reference window around it, loaded once
+/// per macroblock. Candidate (dx, dy) then reads n contiguous rows of the
+/// window, and its SAD equals video::block_sad on the frames.
+class SearchArea {
+ public:
+  SearchArea(const Frame& cur, const Frame& ref, int bx, int by, int n, int range)
+      : n_(n), range_(range), stride_(n + 2 * range),
+        cur_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
+        window_(static_cast<std::size_t>(stride_) * static_cast<std::size_t>(stride_)) {
+    load_clamped(cur, bx, by, n, n, cur_.data());
+    load_clamped(ref, bx - range, by - range, stride_, stride_, window_.data());
+  }
+
+  [[nodiscard]] std::int64_t sad(int dx, int dy) const {
+    const std::uint8_t* c = cur_.data();
+    const std::uint8_t* w = window_.data() + (dy + range_) * stride_ + (dx + range_);
+#if defined(__SSE2__)
+    // psadbw sums |a - b| over each 8-byte half; a row's last 16-byte
+    // load ends at column dx + range + n - 1 < stride, inside the window.
+    if (n_ % 16 == 0) {
+      __m128i acc = _mm_setzero_si128();
+      for (int y = 0; y < n_; ++y, c += n_, w += stride_)
+        for (int x = 0; x < n_; x += 16)
+          acc = _mm_add_epi64(
+              acc, _mm_sad_epu8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(c + x)),
+                                _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + x))));
+      alignas(16) std::uint64_t lanes[2];
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
+      return static_cast<std::int64_t>(lanes[0] + lanes[1]);
+    }
+#endif
+    std::int64_t sad = 0;
+    for (int y = 0; y < n_; ++y, c += n_, w += stride_)
+      for (int x = 0; x < n_; ++x)
+        sad += std::abs(static_cast<int>(c[x]) - static_cast<int>(w[x]));
+    return sad;
+  }
+
+ private:
+  int n_;
+  int range_;
+  int stride_;
+  std::vector<std::uint8_t> cur_;
+  std::vector<std::uint8_t> window_;
+};
 
 }  // namespace
 
@@ -60,6 +129,7 @@ SystolicRun systolic_search(const Frame& cur, const Frame& ref, int bx, int by, 
     MotionVector mv;
   };
   std::vector<ModuleBest> best(static_cast<std::size_t>(params.modules));
+  const SearchArea area(cur, ref, bx, by, n, range);
 
   for (int band = 0; band < plan.bands(); ++band) {
     for (int dx = -range; dx <= range; ++dx) {
@@ -74,7 +144,7 @@ SystolicRun systolic_search(const Frame& cur, const Frame& ref, int bx, int by, 
 
       for (int m = 0; m < active_modules; ++m) {
         const int dy = -range + band * params.modules + m;
-        const std::int64_t sad = video::block_sad(cur, ref, bx, by, n, dx, dy);
+        const std::int64_t sad = area.sad(dx, dy);
         run.all_sads[static_cast<std::size_t>(plan.order_index(dx, dy))] = sad;
         ModuleBest& mb = best[static_cast<std::size_t>(m)];
         if (mb.sad < 0 || sad < mb.sad) {

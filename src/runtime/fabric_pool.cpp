@@ -1,7 +1,10 @@
 #include "runtime/fabric_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 #include <stdexcept>
+#include <thread>
 
 #include "core/arch.hpp"
 #include "mapper/flow.hpp"
@@ -43,60 +46,94 @@ KernelLibrary::KernelLibrary(KernelLibraryConfig config)
     throw std::invalid_argument("kernel library needs at least one array geometry");
   impls_ = dct::all_implementations(config.precision);
 
+  std::vector<Netlist> dct_netlists;
+  for (const auto& impl : impls_) dct_netlists.push_back(impl->build_netlist());
   me::SystolicParams me_params;
   me_params.block = 4;
   me_params.modules = 2;
   const Netlist me_netlist = me::build_systolic_netlist(me_params);
 
+  // One place-and-route run per (geometry, context). The DA/CORDIC
+  // contexts target a distributed-arithmetic grid of the geometry's size;
+  // whether an implementation fits is decided by actually running
+  // place/route, not by a side table that could drift from the mapper.
+  // The systolic ME array's context is compiled onto the ME instance the
+  // geometry can carve out (a scaled instance keeps library construction
+  // cheap; the scheduler's cycle model is parameterised independently).
+  struct CompileJob {
+    ArrayGeometry geometry;
+    std::string name;
+    const Netlist* netlist;
+    ArrayArch arch;
+    std::uint64_t place_seed;
+  };
+  struct CompileOutcome {
+    bool fits = false;
+    std::vector<std::uint8_t> bitstream;
+    ConfigFrameImage image;
+    std::string unfit_reason;
+  };
+  std::vector<CompileJob> jobs;
   for (const ArrayGeometry& geometry : geometries_) {
     if (entries_.count(geometry) != 0) continue;  // duplicates compile once
-    GeometryEntry& entry = entries_[geometry];
-
-    // The DA/CORDIC contexts target a distributed-arithmetic grid of the
-    // geometry's size; whether an implementation fits is decided by
-    // actually running place/route, not by a side table that could drift
-    // from the mapper.
+    entries_[geometry];
     const ArrayArch array =
         ArrayArch::distributed_arithmetic(geometry.width, geometry.height);
-    for (const auto& impl : impls_) {
-      const Netlist netlist = impl->build_netlist();
+    for (std::size_t i = 0; i < impls_.size(); ++i)
+      jobs.push_back({geometry, impls_[i]->name(), &dct_netlists[i], array, 17});
+    jobs.push_back({geometry, kMeContextName, &me_netlist, me_arch_for(geometry), 11});
+  }
+
+  // The runs share no mutable state (each placement is seeded), so they
+  // go to concurrent tasks; each task writes only the outcomes of the
+  // jobs it claims.
+  std::vector<CompileOutcome> outcomes(jobs.size());
+  std::atomic<std::size_t> next_job{0};
+  const auto compile_jobs = [&] {
+    for (std::size_t k = next_job++; k < jobs.size(); k = next_job++) {
+      const CompileJob& job = jobs[k];
+      CompileOutcome& out = outcomes[k];
       map::FlowParams params;
-      params.place.seed = 17;
+      params.place.seed = job.place_seed;
       try {
-        map::CompiledDesign design = map::compile(netlist, array, params);
-        entry.frame_images.emplace(impl->name(),
-                                   image_of_design(netlist, design.placement, array));
-        entry.bitstreams.emplace(impl->name(), std::move(design.bitstream));
+        map::CompiledDesign design = map::compile(*job.netlist, job.arch, params);
+        out.image = image_of_design(*job.netlist, design.placement, job.arch);
+        out.bitstream = std::move(design.bitstream);
+        out.fits = true;
       } catch (const std::runtime_error& e) {
         // The mapper signals infeasibility (site shortage, routing
         // non-convergence) as std::runtime_error; anything else — a
-        // logic error, allocation failure — must stay loud.
-        entry.unfit_reasons.emplace(impl->name(), e.what());
+        // logic error, allocation failure — must stay loud, and get()
+        // below rethrows it.
+        out.unfit_reason = e.what();
       }
     }
+  };
+  const std::size_t task_count =
+      std::min<std::size_t>(jobs.size(), std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::future<void>> tasks;
+  for (std::size_t t = 0; t < task_count; ++t)
+    tasks.push_back(std::async(std::launch::async, compile_jobs));
+  for (std::future<void>& task : tasks) task.get();
 
-    // The systolic ME array's configuration context, compiled onto the
-    // ME instance this geometry can carve out (a scaled instance keeps
-    // library construction cheap; the scheduler's cycle model is
-    // parameterised independently).
-    const ArrayArch me_array = me_arch_for(geometry);
-    map::FlowParams me_flow;
-    me_flow.place.seed = 11;
-    try {
-      map::CompiledDesign me_design = map::compile(me_netlist, me_array, me_flow);
-      entry.frame_images.emplace(kMeContextName,
-                                 image_of_design(me_netlist, me_design.placement, me_array));
-      entry.bitstreams.emplace(kMeContextName, std::move(me_design.bitstream));
-    } catch (const std::runtime_error& e) {
-      entry.unfit_reasons.emplace(kMeContextName, e.what());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    GeometryEntry& entry = entries_.at(jobs[k].geometry);
+    CompileOutcome& out = outcomes[k];
+    if (out.fits) {
+      entry.frame_images.emplace(jobs[k].name, std::move(out.image));
+      entry.bitstreams.emplace(jobs[k].name, std::move(out.bitstream));
+    } else {
+      entry.unfit_reasons.emplace(jobs[k].name, std::move(out.unfit_reason));
     }
+  }
 
-    // Precompute the pairwise delta table over every context pair of
-    // this geometry sharing an array grid (the DCT variants; the ME
-    // context lives on its own grid, so a DCT <-> ME pair correctly has
-    // no entry and falls back to a full reload). Each entry is verified
-    // on the spot: base + delta must reproduce the target image
-    // bit-exactly or the library refuses to advertise the partial path.
+  // Precompute the pairwise delta table over every context pair of each
+  // geometry sharing an array grid (the DCT variants; the ME context
+  // lives on its own grid, so a DCT <-> ME pair correctly has no entry
+  // and falls back to a full reload). Each entry is verified on the spot:
+  // base + delta must reproduce the target image bit-exactly or the
+  // library refuses to advertise the partial path.
+  for (auto& [geometry, entry] : entries_) {
     for (const auto& [base_name, base_image] : entry.frame_images) {
       for (const auto& [target_name, target_image] : entry.frame_images) {
         if (base_name == target_name) continue;

@@ -54,7 +54,7 @@ TEST(ShiftAccTrunc, TracksExactDaWithinTwoUlps) {
     for (auto& v : in) v = rng.next_range(-2048, 2047);
     const int ws = 12, s = 10;
     const std::int64_t exact = da_eval(lut, in, ws, 32);
-    const std::int64_t trunc = da_eval_trunc(lut, in, ws, 32, s);
+    const std::int64_t trunc = da_eval_trunc(lut.words, in, ws, 32, s);
     const double scale = std::ldexp(1.0, s - ws + 1);
     EXPECT_NEAR(static_cast<double>(trunc), static_cast<double>(exact) * scale, 2.0);
   }
@@ -73,7 +73,7 @@ TEST(ShiftAccTrunc, SixteenBitAccumulatorMatchesFig4Labels) {
     IVec8 x{};
     for (auto& v : x) v = rng.next_range(-2048, 2047);
     const std::int64_t exact = da_eval(lut, x, 12, 32);
-    const std::int64_t t16 = da_eval_trunc(lut, x, 12, 16, 7);
+    const std::int64_t t16 = da_eval_trunc(lut.words, x, 12, 16, 7);
     const double scale = std::ldexp(1.0, 7 - 12 + 1);  // 2^-4
     worst = std::max(worst,
                      std::abs(static_cast<double>(t16) - static_cast<double>(exact) * scale));
@@ -106,7 +106,7 @@ TEST(ShiftAccTrunc, NetlistMatchesFunctionalMirrorBitExactly) {
   mem.words = 4;
   mem.width = 8;
   mem.addr_mode = MemAddrMode::kBit;
-  mem.contents = lut;
+  mem.contents = lut.words;
   const NodeId rom = nl.add_node("rom", mem);
   nl.connect_input(rom, "a0", bits[0]);
   nl.connect_input(rom, "a1", bits[1]);
@@ -136,7 +136,7 @@ TEST(ShiftAccTrunc, NetlistMatchesFunctionalMirrorBitExactly) {
       sim.set_input("sub", k == ws - 1 ? 1 : 0);
       sim.step();
     }
-    EXPECT_EQ(sim.output("y"), da_eval_trunc(lut, x, ws, acc_bits, s)) << trial;
+    EXPECT_EQ(sim.output("y"), da_eval_trunc(lut.words, x, ws, acc_bits, s)) << trial;
   }
 }
 

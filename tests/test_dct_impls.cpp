@@ -3,7 +3,10 @@
 // DA machinery, scaling metadata, and Table 1 resource counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dct/impl.hpp"
@@ -98,6 +101,99 @@ std::string impl_name_of(const ::testing::TestParamInfo<int>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSix, DctImplTest, ::testing::Range(0, 6), impl_name_of);
+
+// --- DA look-up tables: the linear form and the bit-serial loop ----------
+
+TEST(DaLut, EveryWideRomIsLinear) {
+  // Each ROM the six wide implementations map is the unsaturated LUT of
+  // its own single-input words, so their transforms take the dot-product
+  // form of da_eval.
+  for (const auto& impl : all_implementations(DaPrecision::wide())) {
+    int roms = 0;
+    const Netlist nl = impl->build_netlist();
+    for (const auto& node : nl.nodes()) {
+      const auto* mem = std::get_if<MemCfg>(&node.config);
+      if (mem == nullptr) continue;
+      ++roms;
+      std::vector<std::int64_t> weights;
+      for (std::size_t bit = 1; bit < mem->contents.size(); bit <<= 1)
+        weights.push_back(mem->contents[bit]);
+      const DaLut lut = build_da_lut(weights, mem->width);
+      EXPECT_TRUE(lut.linear) << impl->name() << " " << node.name;
+      EXPECT_EQ(lut.words, mem->contents) << impl->name() << " " << node.name;
+    }
+    EXPECT_GT(roms, 0) << impl->name();
+  }
+}
+
+TEST(DaLut, DotProductFormEqualsTheSerialLoop) {
+  // Random coefficient sets, some of which saturate their ROM words:
+  // da_eval must equal the cycle-by-cycle loop either way, including at
+  // the extremes of the serial width, with bits above it (which the loop
+  // never shifts out) and with a narrow accumulator that wraps.
+  Rng rng(21);
+  int linear = 0, saturating = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int inputs = static_cast<int>(rng.next_range(1, 8));
+    const int rom_width = static_cast<int>(rng.next_range(2, 5)) * 4;
+    std::vector<std::int64_t> coeffs(static_cast<std::size_t>(inputs));
+    for (auto& c : coeffs) c = rng.next_range(-300, 300);
+    const DaLut lut = build_da_lut(coeffs, rom_width);
+    (lut.linear ? linear : saturating) += 1;
+    const int ws = static_cast<int>(rng.next_range(1, 4)) * 4;
+    const int acc_bits = trial % 2 == 0 ? 32 : 16;
+    const std::int64_t hi = (1ll << (ws - 1)) - 1;
+    std::vector<std::int64_t> x(static_cast<std::size_t>(inputs));
+    const std::int64_t span = trial % 5 == 2 ? 1ll << 20 : hi + 1;
+    for (auto& v : x)
+      v = trial % 5 == 0 ? hi : trial % 5 == 1 ? -hi - 1 : rng.next_range(-span, span - 1);
+    ASSERT_EQ(da_eval(lut, x, ws, acc_bits), da_eval_serial(lut.words, x, ws, acc_bits))
+        << "trial " << trial << " linear " << lut.linear;
+  }
+  EXPECT_GT(linear, 0);
+  EXPECT_GT(saturating, 0);
+}
+
+TEST(DaLut, SaturatingRomTakesTheSerialLoopAndMatchesItsNetlist) {
+  // 100 + 100 = 200 does not fit an 8-bit word: the ROM saturates, so it
+  // is not the sum of its single-input words.
+  const std::vector<std::int64_t> coeffs = {100, 100, 100};
+  const DaLut lut = build_da_lut(coeffs, 8);
+  EXPECT_FALSE(lut.linear);
+  EXPECT_EQ(lut.words[3], 127);
+  EXPECT_EQ(lut.words[7], 127);
+
+  const int ws = 12, acc_bits = 32;
+  Netlist nl("saturating_da");
+  const DaControls ctl = add_da_controls(nl);
+  std::vector<NetId> bits;
+  for (int i = 0; i < 3; ++i) {
+    const NetId x = nl.add_input("x" + std::to_string(i), ws);
+    bits.push_back(add_shift_reg(nl, "sr" + std::to_string(i), x, ws, ctl.load, ctl.en));
+  }
+  nl.add_output("y", add_da_unit(nl, "u", bits, lut, 8, acc_bits, ctl.load, ctl.en, ctl.sub));
+  ASSERT_EQ(nl.validate(), "");
+
+  Simulator sim(nl);
+  Rng rng(22);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::array<std::int64_t, 3> x{};
+    for (auto& v : x) v = trial == 0 ? 2047 : trial == 1 ? -2048 : rng.next_range(-2048, 2047);
+    for (int i = 0; i < 3; ++i)
+      sim.set_input("x" + std::to_string(i), x[static_cast<std::size_t>(i)]);
+    sim.set_input("load", 1);
+    sim.set_input("en", 0);
+    sim.set_input("sub", 0);
+    sim.step();
+    sim.set_input("load", 0);
+    sim.set_input("en", 1);
+    for (int k = 0; k < ws; ++k) {
+      sim.set_input("sub", k == 0 ? 1 : 0);  // MSB first: the sign cycle leads
+      sim.step();
+    }
+    ASSERT_EQ(sim.output("y"), da_eval(lut, x, ws, acc_bits)) << "trial " << trial;
+  }
+}
 
 // --- Table 1 (the paper's area-usage table) ------------------------------
 

@@ -4,6 +4,8 @@
 // extracted design must still do so.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "cost/area.hpp"
 #include "dct/impl.hpp"
@@ -21,25 +23,36 @@ IVec8 random_block(Rng& rng, int bits) {
 
 class DctArrayTest : public ::testing::TestWithParam<int> {
  protected:
-  std::unique_ptr<DctImplementation> make() const {
-    auto impls = all_implementations(DaPrecision::wide());
+  std::unique_ptr<DctImplementation> make(DaPrecision precision = DaPrecision::wide()) const {
+    auto impls = all_implementations(precision);
     return std::move(impls[static_cast<std::size_t>(GetParam())]);
   }
 };
 
 TEST_P(DctArrayTest, SimulatorMatchesFunctionalModelBitExactly) {
-  auto impl = make();
-  const Netlist nl = impl->build_netlist();
-  Simulator sim(nl);
-  impl->drive_constants(sim);
-  Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
-  for (int trial = 0; trial < 25; ++trial) {
-    const IVec8 x = random_block(rng, impl->precision().input_bits);
-    const IVec8 want = impl->transform(x);
-    const IVec8 got = run_da_transform(sim, x, impl->serial_width());
-    for (int u = 0; u < kN; ++u)
-      ASSERT_EQ(got[static_cast<std::size_t>(u)], want[static_cast<std::size_t>(u)])
-          << impl->name() << " X" << u << " trial " << trial;
+  // Both precisions: the paper's 8-bit ROMs as well as the wide ones.
+  for (const DaPrecision precision : {DaPrecision::wide(), DaPrecision::paper()}) {
+    auto impl = make(precision);
+    const Netlist nl = impl->build_netlist();
+    Simulator sim(nl);
+    impl->drive_constants(sim);
+    // The extremes of input_bits first (all +max, all -max-1), then
+    // random blocks.
+    const std::int64_t hi = (1ll << (impl->precision().input_bits - 1)) - 1;
+    std::vector<IVec8> inputs(2);
+    inputs[0].fill(hi);
+    inputs[1].fill(-hi - 1);
+    Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
+    for (int trial = 0; trial < 25; ++trial)
+      inputs.push_back(random_block(rng, impl->precision().input_bits));
+    for (std::size_t trial = 0; trial < inputs.size(); ++trial) {
+      const IVec8 want = impl->transform(inputs[trial]);
+      const IVec8 got = run_da_transform(sim, inputs[trial], impl->serial_width());
+      for (int u = 0; u < kN; ++u)
+        ASSERT_EQ(got[static_cast<std::size_t>(u)], want[static_cast<std::size_t>(u)])
+            << impl->name() << " rom_width " << precision.rom_width << " X" << u
+            << " input " << trial;
+    }
   }
 }
 

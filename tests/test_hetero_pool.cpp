@@ -146,6 +146,41 @@ TEST(FeasibilityMatrix, DeltaTablesAreScopedPerGeometry) {
   EXPECT_EQ(library().delta(kDefaultGeometry, "scc_full", kMeContextName), nullptr);
 }
 
+TEST(FeasibilityMatrix, ConcurrentLibraryBuildsAreByteIdentical) {
+  // The library compiles its (geometry, context) pairs on concurrent
+  // tasks: two builds must agree on every bitstream, frame image, unfit
+  // reason and delta entry, whichever task compiled what.
+  const KernelLibraryConfig config{{kDefaultGeometry, kSmallSccGeometry}};
+  const KernelLibrary a(config);
+  const KernelLibrary b(config);
+  int deltas = 0;
+  for (const ArrayGeometry& geometry : a.geometries()) {
+    for (const std::string& name : a.context_names()) {
+      SCOPED_TRACE(name + " on " + to_string(geometry));
+      ASSERT_EQ(a.fits(name, geometry), b.fits(name, geometry));
+      EXPECT_EQ(a.unfit_reason(name, geometry), b.unfit_reason(name, geometry));
+      if (!a.fits(name, geometry)) continue;
+      EXPECT_EQ(a.bitstream(name, geometry), b.bitstream(name, geometry));
+      EXPECT_EQ(a.frame_image(name, geometry), b.frame_image(name, geometry));
+      for (const std::string& target : a.context_names()) {
+        const ConfigDelta* da = a.delta(geometry, name, target);
+        const ConfigDelta* db = b.delta(geometry, name, target);
+        ASSERT_EQ(da == nullptr, db == nullptr) << "-> " << target;
+        if (da == nullptr) continue;
+        ++deltas;
+        EXPECT_EQ(*da, *db) << "-> " << target;
+        const auto ca = a.delta_cost(geometry, name, target);
+        const auto cb = b.delta_cost(geometry, name, target);
+        ASSERT_TRUE(ca.has_value() && cb.has_value()) << "-> " << target;
+        EXPECT_EQ(ca->delta_bits, cb->delta_bits);
+        EXPECT_EQ(ca->frames, cb->frames);
+        EXPECT_EQ(ca->delta_bytes, cb->delta_bytes);
+      }
+    }
+  }
+  EXPECT_GT(deltas, 0);
+}
+
 TEST(FabricPool, AtRejectsOutOfRangeIndicesWithExactDiagnostics) {
   FabricPool pool(2, library(), FabricConfig{});
   try {
@@ -304,10 +339,12 @@ TEST(HeteroDispatch, FeasibilityFilterRoutesEveryJobToAHostingFabric) {
       {0.1, 0.9},  // scc_full
       {0.9, 0.3},  // mixed_rom
   };
-  for (int k = 0; k < 6; ++k) jobs.push_back(job_with_condition(k, conditions[k % 6], 3));
+  // Enough frames (~10 ms of host encode) that the small fabrics' workers
+  // start while cordic frames are still queued.
+  for (int k = 0; k < 6; ++k) jobs.push_back(job_with_condition(k, conditions[k % 6], 30));
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
-  EXPECT_EQ(report.total_frames, 18u);
+  EXPECT_EQ(report.total_frames, 180u);
   // Feasibility routing: cordic frames only ever ran on fabric 0 (the
   // full-size array).
   for (const StreamJob& s : jobs) {

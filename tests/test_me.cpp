@@ -3,6 +3,8 @@
 // (early-abort) full search.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.hpp"
 #include "me/fast_search.hpp"
 #include "me/pipeline.hpp"
@@ -56,25 +58,41 @@ TEST(FullSearch, SadIsOptimalOverTheWindow) {
 class SystolicVsGolden : public ::testing::TestWithParam<int> {};
 
 TEST_P(SystolicVsGolden, IdenticalMotionVectorsAndSads) {
+  // Every block of each frame at every paper block size, which covers
+  // the right and bottom edge blocks, the partial blocks odd frame sizes
+  // leave and search windows reaching past every border.
   const int range = GetParam();
-  const auto frames = video::generate_sequence(small_config());
-  SystolicParams params;
-  for (int by = 0; by < 48; by += 16) {
-    for (int bx = 0; bx < 48; bx += 16) {
-      const MotionSearchResult golden = full_search(frames[1], frames[0], bx, by, 16, range);
-      const SystolicRun run = systolic_search(frames[1], frames[0], bx, by, range, params);
-      EXPECT_EQ(run.result.mv, golden.mv) << "block (" << bx << "," << by << ")";
-      EXPECT_EQ(run.result.sad, golden.sad);
-      // Every candidate SAD matches the direct computation.
-      const auto order = full_search_order(range);
-      for (std::size_t k = 0; k < order.size(); ++k)
-        ASSERT_EQ(run.all_sads[k], video::block_sad(frames[1], frames[0], bx, by, 16,
-                                                    order[k].dx, order[k].dy));
+  const auto order = full_search_order(range);
+  const std::pair<int, int> sizes[] = {{64, 64}, {17, 13}, {33, 31}};
+  for (const auto& [width, height] : sizes) {
+    auto cfg = small_config();
+    cfg.width = width;
+    cfg.height = height;
+    const auto frames = video::generate_sequence(cfg);
+    for (const int n : {8, 16, 32}) {
+      SystolicParams params;
+      params.block = n;
+      for (int by = 0; by < height; by += n) {
+        for (int bx = 0; bx < width; bx += n) {
+          SCOPED_TRACE(::testing::Message() << width << "x" << height << " n=" << n
+                                            << " block (" << bx << "," << by << ")");
+          const MotionSearchResult golden =
+              full_search(frames[1], frames[0], bx, by, n, range);
+          const SystolicRun run = systolic_search(frames[1], frames[0], bx, by, range, params);
+          EXPECT_EQ(run.result.mv, golden.mv);
+          EXPECT_EQ(run.result.sad, golden.sad);
+          // Every candidate SAD matches the direct computation.
+          ASSERT_EQ(run.all_sads.size(), order.size());
+          for (std::size_t k = 0; k < order.size(); ++k)
+            ASSERT_EQ(run.all_sads[k], video::block_sad(frames[1], frames[0], bx, by, n,
+                                                        order[k].dx, order[k].dy));
+        }
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ranges, SystolicVsGolden, ::testing::Values(2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Ranges, SystolicVsGolden, ::testing::Values(0, 1, 2, 4, 8));
 
 TEST(Systolic, SteadyStateCyclesMatchThePaper) {
   // Paper: "The first round of SAD calculations would take 16 clock

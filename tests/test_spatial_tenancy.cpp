@@ -307,7 +307,10 @@ RunReport run_scc(const std::vector<FabricConfig>& fabrics, std::vector<StreamJo
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 64;
   cfg.queue.aging_threshold = 96;
-  jobs = scc_workload(6, 3);
+  // Enough streams (~10 ms of host encode) that every slot's worker
+  // starts while first frames are still queued: each slot cold-loads at
+  // tick 0, which is what the contention check below relies on.
+  jobs = scc_workload(60, 3);
   return MultiStreamScheduler(shared_library(), cfg).run(jobs);
 }
 
