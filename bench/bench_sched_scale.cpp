@@ -1,23 +1,21 @@
 // Scheduling-core scale sweep: flat per-frame host overhead from 10 to
 // 10,000 streams.
 //
-// Phase A isolates the host-side cost the sharded refactor targets —
-// dispatch (queue pick + bookkeeping) plus the post-run simulated-time
-// replay — by driving the queue with no-op workers that complete jobs
-// without encoding: what remains is exactly the per-frame overhead the
-// scheduler adds around the real work. The sweep runs 10 -> 10,000
-// streams over four fabric ids served round-robin from one thread (the
-// deterministic single-core drive; the threaded steal paths are TSan-
-// covered by test_sharded_sched) and bars the per-frame overhead at 10k
-// streams at <= 1.5x the 10-stream figure. The single lock-guarded
-// JobQueue is measured alongside up to 1,000 streams — its whole-ready-
-// list rescans grow the per-frame cost superlinearly, which is the
-// regression the calendar-queue event core and sharded ready set remove.
+// Phase A isolates the host-side cost of scheduling — dispatch (queue
+// pick + bookkeeping) plus the post-run simulated-time replay — by
+// driving the queue with no-op workers that complete jobs without
+// encoding: what remains is exactly the per-frame overhead the scheduler
+// adds around the real work. The sweep runs 10 -> 10,000 streams over
+// four fabric ids served round-robin from one thread (the deterministic
+// single-core drive; the threaded steal paths are TSan-covered by
+// test_sharded_sched) and bars the 4-way queue's per-frame overhead at
+// 10k streams at <= 1.5x its 10-stream figure. The default one-way queue
+// (one sub-shard per context, max_batch 8) is measured alongside.
 //
-// Phase B holds the refactor's safety bar on real encodes: single-queue
-// vs sharded runs over the identical workload must produce bit-identical
+// Phase B holds the sub-shard count's safety bar on real encodes: one-way
+// vs 16-way runs over the identical workload must produce bit-identical
 // output in both dispatch modes and under admission control, and the
-// sharded run must actually exercise work-stealing.
+// 16-way run must actually exercise work-stealing.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -25,14 +23,12 @@
 #include <iterator>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/report.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/sim_schedule.hpp"
-#include "runtime/sharded_queue.hpp"
 
 using namespace dsra;
 using namespace dsra::runtime;
@@ -99,8 +95,7 @@ struct DriveCost {
 /// this thread, every acquired job completed immediately. Single-
 /// threaded on purpose — the measurement is dispatch bookkeeping, not
 /// thread-pool jitter, and one core serves the sweep deterministically.
-template <typename Queue>
-void drain_noop(Queue& queue, std::vector<StreamJob>& streams, int max_batch) {
+void drain_noop(JobQueue& queue, std::vector<StreamJob>& streams, int max_batch) {
   // Each fake fabric tracks the bitstream it "has active" so affinity
   // batching sees the switch costs it schedules around.
   std::vector<std::optional<std::string>> active(kDriveFabrics);
@@ -127,7 +122,6 @@ void drain_noop(Queue& queue, std::vector<StreamJob>& streams, int max_batch) {
   }
 }
 
-template <typename Queue>
 DriveCost measure_once(std::vector<StreamJob>& streams, const JobQueueConfig& qcfg) {
   // Rounds reuse one workload: rewind the dispatch cursor and drop the
   // no-op records (synthetic frame generation is setup, not overhead).
@@ -137,7 +131,7 @@ DriveCost measure_once(std::vector<StreamJob>& streams, const JobQueueConfig& qc
   }
   DriveCost cost;
   const auto t0 = std::chrono::steady_clock::now();
-  Queue queue(streams, qcfg);
+  JobQueue queue(streams, qcfg);
   const auto tc = std::chrono::steady_clock::now();
   drain_noop(queue, streams, qcfg.max_batch);
   const auto t1 = std::chrono::steady_clock::now();
@@ -148,25 +142,19 @@ DriveCost measure_once(std::vector<StreamJob>& streams, const JobQueueConfig& qc
   cost.dispatch_seconds = std::chrono::duration<double>(t1 - tc).count();
   cost.sim_seconds = std::chrono::duration<double>(t2 - t1).count();
   cost.jobs = queue.dispatches();
-  if constexpr (std::is_same_v<Queue, ShardedJobQueue>) {
-    cost.steals = queue.steals();
-    cost.batches = queue.dispatch_batches();
-  } else {
-    cost.batches = cost.jobs;
-  }
+  cost.steals = queue.steals();
+  cost.batches = queue.dispatch_batches();
   if (sim.makespan_cycles == 0) std::printf("warning: empty sim replay\n");
   return cost;
 }
 
 /// Min-of-rounds: every point times the same job count, so a fixed
 /// round count gives every point the same noise floor.
-template <typename Queue>
-DriveCost measure(int streams_n, const JobQueueConfig& qcfg) {
+DriveCost measure(std::vector<StreamJob>& streams, const JobQueueConfig& qcfg) {
   constexpr int kRounds = 5;
-  std::vector<StreamJob> streams = synthetic_streams(streams_n);
   DriveCost best;
   for (int r = 0; r < kRounds; ++r) {
-    const DriveCost c = measure_once<Queue>(streams, qcfg);
+    const DriveCost c = measure_once(streams, qcfg);
     if (r == 0 || c.per_frame_us() < best.per_frame_us()) best = c;
   }
   return best;
@@ -183,19 +171,22 @@ int main() {
   // shard holds hundreds of jobs, so one lock round can serve 32 without
   // starving the sibling shards (a batch never exceeds half a shard).
   sharded_cfg.max_batch = 32;
-  JobQueueConfig single_cfg;  // shards = 1: the legacy queue
+  const JobQueueConfig one_way_cfg;  // the default: one sub-shard per context
 
   const int sweep[] = {10, 100, 1000, 10000};
   std::vector<DriveCost> sharded_costs;
-  std::vector<DriveCost> single_costs;  // measured up to 1k: superlinear beyond
+  std::vector<DriveCost> one_way_costs;
   for (const int n : sweep) {
-    sharded_costs.push_back(measure<ShardedJobQueue>(n, sharded_cfg));
-    if (n <= 1000) single_costs.push_back(measure<JobQueue>(n, single_cfg));
+    // Frame generation dominates the bench's wall time; both queue
+    // configurations drive the same streams.
+    std::vector<StreamJob> streams = synthetic_streams(n);
+    sharded_costs.push_back(measure(streams, sharded_cfg));
+    one_way_costs.push_back(measure(streams, one_way_cfg));
   }
 
   ReportTable table("Host dispatch+sim overhead per frame (no-op workers, 4 fabrics)");
-  table.set_header({"streams", "jobs", "sharded us/frame", "ctor us", "dispatch us",
-                    "sim us", "single us/frame", "jobs/batch", "steals"});
+  table.set_header({"streams", "jobs", "4-way us/frame", "ctor us", "dispatch us",
+                    "sim us", "1-way us/frame", "jobs/batch", "steals"});
   for (std::size_t k = 0; k < std::size(sweep); ++k) {
     const DriveCost& s = sharded_costs[k];
     const double amortize =
@@ -206,8 +197,7 @@ int main() {
                    format_double(1e6 * s.ctor_seconds / jobs, 3),
                    format_double(1e6 * s.dispatch_seconds / jobs, 3),
                    format_double(1e6 * s.sim_seconds / jobs, 3),
-                   k < single_costs.size() ? format_double(single_costs[k].per_frame_us(), 3)
-                                           : "-",
+                   format_double(one_way_costs[k].per_frame_us(), 3),
                    format_double(amortize, 2),
                    format_i64(static_cast<std::int64_t>(s.steals))});
   }
@@ -216,16 +206,17 @@ int main() {
   const double base_us = sharded_costs.front().per_frame_us();
   const double top_us = sharded_costs.back().per_frame_us();
   const double flatness = base_us > 0.0 ? top_us / base_us : 0.0;
-  const double single_ratio_1k =
-      single_costs.back().per_frame_us() > 0.0 && sharded_costs[2].per_frame_us() > 0.0
-          ? single_costs.back().per_frame_us() / sharded_costs[2].per_frame_us()
+  const double one_way_ratio_1k =
+      one_way_costs[2].per_frame_us() > 0.0 && sharded_costs[2].per_frame_us() > 0.0
+          ? one_way_costs[2].per_frame_us() / sharded_costs[2].per_frame_us()
           : 0.0;
   std::printf("\nper-frame overhead 10 -> 10,000 streams: %.3f -> %.3f us, %.2fx "
               "(bar: <= 1.50x flat)\n", base_us, top_us, flatness);
-  std::printf("single queue at 1,000 streams: %.2fx the sharded per-frame cost\n",
-              single_ratio_1k);
+  std::printf("1-way queue at 10 streams: %.3f us/frame; at 1,000 streams %.2fx the 4-way cost\n",
+              one_way_costs.front().per_frame_us(), one_way_ratio_1k);
 
   // ---- phase B: bit-exactness + stealing on real encodes -------------------
+  constexpr int kEncodeWays = 16;
   const KernelLibrary library;
   const auto encode_workload = [] {
     std::vector<StreamJob> jobs;
@@ -259,27 +250,27 @@ int main() {
   std::vector<StreamJob> mono_single, mono_sharded, pipe_single, pipe_sharded,
       adm_single, adm_sharded;
   run_encode(DispatchMode::kMonolithicFrames, 1, false, mono_single);
-  const RunReport mono = run_encode(DispatchMode::kMonolithicFrames, 4, false, mono_sharded);
+  const RunReport mono =
+      run_encode(DispatchMode::kMonolithicFrames, kEncodeWays, false, mono_sharded);
   run_encode(DispatchMode::kStagePipeline, 1, false, pipe_single);
-  run_encode(DispatchMode::kStagePipeline, 4, false, pipe_sharded);
+  run_encode(DispatchMode::kStagePipeline, kEncodeWays, false, pipe_sharded);
   run_encode(DispatchMode::kMonolithicFrames, 1, true, adm_single);
-  run_encode(DispatchMode::kMonolithicFrames, 4, true, adm_sharded);
+  run_encode(DispatchMode::kMonolithicFrames, kEncodeWays, true, adm_sharded);
 
   const int mono_mismatch = bench_common::count_output_mismatches(mono_single, mono_sharded);
   const int pipe_mismatch = bench_common::count_output_mismatches(pipe_single, pipe_sharded);
   const int adm_mismatch = bench_common::count_output_mismatches(adm_single, adm_sharded);
-  std::printf("\nreal encodes, single-queue vs %d-shard (both modes + admission): "
+  std::printf("\nreal encodes, 1-way vs %d-way (%d shards; both modes + admission): "
               "%d / %d / %d output mismatches (bar: 0), %llu steals (bar: > 0)\n",
-              mono.queue_shards, mono_mismatch, pipe_mismatch, adm_mismatch,
+              kEncodeWays, mono.queue_shards, mono_mismatch, pipe_mismatch, adm_mismatch,
               static_cast<unsigned long long>(mono.queue_steals));
 
   bench_common::stamp_reproducibility(
-      json, 7000, "total_jobs=20000;frame=16x16;sweep=stream_count;encode=4200");
+      json, 7000, "total_jobs=20000;frame=16x16;sweep=stream_count;encode=4200;encode_ways=16");
   for (std::size_t k = 0; k < std::size(sweep); ++k) {
     const std::string suffix = std::to_string(sweep[k]);
-    json.metric("sharded_us_per_frame_" + suffix, sharded_costs[k].per_frame_us());
-    if (k < single_costs.size())
-      json.metric("single_us_per_frame_" + suffix, single_costs[k].per_frame_us());
+    json.metric("ways4_us_per_frame_" + suffix, sharded_costs[k].per_frame_us());
+    json.metric("ways1_us_per_frame_" + suffix, one_way_costs[k].per_frame_us());
   }
   json.metric("jobs_at_10000", static_cast<double>(sharded_costs.back().jobs));
   json.metric("jobs_per_batch_at_10000",
@@ -287,7 +278,7 @@ int main() {
                   ? static_cast<double>(sharded_costs.back().jobs) /
                         static_cast<double>(sharded_costs.back().batches)
                   : 0.0);
-  json.metric("single_over_sharded_at_1000", single_ratio_1k);
+  json.metric("ways1_over_ways4_at_1000", one_way_ratio_1k);
   json.metric("drive_steals_at_10000", static_cast<double>(sharded_costs.back().steals));
   json.metric("encode_queue_steals", static_cast<double>(mono.queue_steals));
   json.bar("overhead_flatness_10_to_10000", flatness, "<=", 1.5);

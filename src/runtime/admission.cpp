@@ -173,14 +173,16 @@ AdmissionController::PilotOutcome AdmissionController::pilot(
   outcome.completion_cycles.assign(set.size(), 0);
   outcome.p99_cycles.assign(set.size(), 0);
 
-  // List-schedule the set in the queue's service order: earliest-ready
-  // frame first (the FIFO the dispatch sequence produces — streams
+  // List-schedule the set in the queue's service order, modeled as FIFO
+  // with EDF ties: earliest-ready frame first (each queue shard is a FIFO
+  // by readiness and the ageing valve serves the oldest head — streams
   // re-ready their next frame as the previous one completes, so the pool
-  // interleaves them), tightest deadline breaking ties (the queue's slack
-  // tie-break), onto the least-loaded eligible fabric. The resulting
-  // dispatch order and fabric assignment are handed to simulate_timeline,
-  // which is the timing authority — the greedy clocks below only order
-  // the events.
+  // interleaves them), tightest deadline breaking ties (the queue's EDF
+  // tie-break), onto the least-loaded eligible fabric. Affinity batching
+  // and the run cap reorder dispatch within that bound; the headroom
+  // absorbs the difference. The resulting dispatch order and fabric
+  // assignment are handed to simulate_timeline, which is the timing
+  // authority — the greedy clocks below only order the events.
   //
   // The pending-lane set lives in the calendar-queue event core keyed
   // (ready, deadline, lane index) — the exact comparison the old O(n)

@@ -13,10 +13,11 @@
 //     ME cycles are macroblocks x systolic_cycles_per_block, exactly
 //     what the encoder charges), placed onto the fabrics the
 //     feasibility matrix allows (FabricPool capacity probes), in the
-//     same earliest-ready / tightest-deadline service order the
-//     JobQueue uses. The pilot's timing authority is simulate_timeline
-//     itself: the controller only fixes assignment and order, the sim
-//     replay produces the predicted completion and per-frame latencies.
+//     earliest-ready / tightest-deadline order the JobQueue's shards and
+//     ageing valve serve (FIFO with EDF ties). The pilot's timing
+//     authority is simulate_timeline itself: the controller only fixes
+//     assignment and order, the sim replay produces the predicted
+//     completion and per-frame latencies.
 //  2. Test every SLA in the set (admitted streams must not be pushed
 //     over their own deadlines by the newcomer) with a configurable
 //     headroom for costs the pilot does not model (reconfiguration,

@@ -151,10 +151,6 @@ class KernelLibrary {
   std::map<ArrayGeometry, GeometryEntry> entries_;
 };
 
-/// Historical name from when the library knew one geometry and only DCT
-/// contexts; the runtime's call sites now say KernelLibrary.
-using DctLibrary = KernelLibrary;
-
 struct FabricConfig {
   soc::ReconfigPortConfig reconfig_port;
   soc::BusConfig bus;

@@ -34,7 +34,7 @@ namespace dsra::runtime::health {
 /// decisions a post-mortem reconstructs the last moments from.
 enum class EventKind : std::uint8_t {
   kDispatch = 1,   ///< a fabric acquired a stage job (value = StageKind)
-  kSteal,          ///< the sharded queue served a non-home shard (value = context id)
+  kSteal,          ///< the queue served a non-home shard (value = context id)
   kReconfig,       ///< a bitstream switch was paid (value = reconfig cycles)
   kShed,           ///< admission rejected the stream (value = rung)
   kRungTransition, ///< admission degraded the stream (value = rung)

@@ -19,17 +19,16 @@
 
 namespace dsra::runtime::health {
 
-/// One shard's live state. For the single JobQueue there is exactly one.
+/// One shard's live state: the JobQueue has one per context and way.
 struct ShardHealth {
   int shard = 0;
   std::uint64_t depth = 0;       ///< jobs currently queued
   std::uint64_t oldest_age = 0;  ///< dispatches since the oldest job arrived
 };
 
-/// Racy-but-consistent-enough sample a queue produces on demand.
-/// ShardedJobQueue assembles it entirely from atomics; the single
-/// JobQueue takes its one mutex briefly (the sampler runs off the hot
-/// path, once per epoch).
+/// Racy-but-consistent-enough sample a queue produces on demand. The
+/// JobQueue assembles it entirely from atomics, without taking a shard
+/// lock (the sampler runs off the hot path, once per epoch).
 struct QueueHealthSample {
   std::uint64_t depth = 0;        ///< total jobs queued across shards
   std::uint64_t oldest_age = 0;   ///< max shard oldest_age

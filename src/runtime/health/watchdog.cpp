@@ -55,8 +55,8 @@ std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
     trips.push_back({WatchdogKind::kQueueGrowth, snap.epoch, -1, os.str()});
   }
 
-  // Starvation: the ageing valve's hard bound is the promise that no
-  // job waits longer than this; an older job means the valve failed.
+  // Starvation: the ageing valve promises to serve a job soon after it
+  // reaches aging_threshold; a job past this bound means the valve failed.
   if (!starvation_latched_ &&
       snap.queue.oldest_age > config_.starvation_age_bound) {
     starvation_latched_ = true;

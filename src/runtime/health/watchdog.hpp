@@ -8,9 +8,11 @@
 //                 work suppresses the verdict);
 //   - queue growth: total depth grew strictly monotonically for N
 //                 epochs above a floor (arrival rate > service rate);
-//   - starvation: the oldest queued job's age exceeded the ageing
-//                 valve's hard bound (the valve is not keeping its
-//                 promise);
+//   - starvation: the oldest queued job's age exceeded a bound the
+//                 ageing valve should keep it under (the valve serves a
+//                 head the moment it ages, and a batch stops before
+//                 another context's head would — an older job means the
+//                 valve is not keeping its promise);
 //   - SLA burn:   a stream's projected completion overshoots its
 //                 deadline by the burn threshold after a warmup
 //                 fraction of the deadline has elapsed.
@@ -59,8 +61,9 @@ struct WatchdogConfig {
   /// are normal admission transients, not anomalies).
   std::uint64_t growth_min_depth = 16;
   /// Trip the starvation detector when the oldest queued job's age (in
-  /// dispatches) exceeds this. Matches the ageing valve's derived hard
-  /// bound (2x aging_threshold) by default.
+  /// dispatches) exceeds this. The default is twice the default
+  /// aging_threshold: one threshold of waiting before the valve serves
+  /// the job, and one more of service margin.
   std::uint64_t starvation_age_bound = 128;
   /// Trip the SLA burn detector when burn_rate exceeds this...
   double burn_threshold = 1.25;

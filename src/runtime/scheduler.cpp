@@ -5,10 +5,8 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 
 #include "runtime/health/monitor.hpp"
-#include "runtime/sharded_queue.hpp"
 #include "runtime/sim_schedule.hpp"
 #include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
@@ -202,12 +200,14 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // The worker loop and post-drain stats gathering are written once
-  // against the batched queue API both frontends share; `drive` is
-  // instantiated for the single lock-guarded JobQueue (shards == 1, the
-  // historical bit-exact scheduling order) or the ShardedJobQueue.
+  // The queue lives only through the drain: its per-fabric event buffers
+  // are copied into the report, and freeing them before the sim replay
+  // keeps them out of the run's peak footprint.
   std::vector<std::uint64_t> queue_skips;
-  const auto drive = [&](auto& queue) {
+  {
+    JobQueueConfig qcfg = config_.queue;
+    if (hm != nullptr) qcfg.flight = &hm->flight();
+    JobQueue queue(streams, qcfg);
     // The monitor's epoch sampler pulls live depth/age/steal state
     // through this callback for as long as the queue exists; finish_run
     // (below, before the queue leaves scope) detaches it.
@@ -224,8 +224,8 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
       // fabric is only handed jobs whose context places on its geometry.
       // The library's context set is small and fixed, so resolve the
       // fits() matrix once into a set here — the queue consults the filter
-      // on every ready-list scan under its mutex. A fabric that hosts the
-      // whole library gets a null filter (the homogeneous fast path).
+      // once per context on every acquire. A fabric that hosts the whole
+      // library gets a null filter (the homogeneous fast path).
       std::set<std::string> hostable;
       for (const std::string& context : library_.context_names())
         if (fabric.hosts(context)) hostable.insert(context);
@@ -352,7 +352,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
           done.push_back(CompletedTask{task, reconfig_cycles});
         }
         // One completion call per batch: one timestamp, one lane pass and
-        // grouped successor enqueues (a single lock round on each queue).
+        // grouped successor enqueues (one lock round per target shard).
         queue.complete_batch(done, fabric.id());
       }
     };
@@ -366,27 +366,11 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     report.dispatches = queue.dispatches();
     report.max_wait_dispatches = queue.max_wait_dispatches();
     queue_skips = queue.placement_skips();
-    if constexpr (std::is_same_v<std::decay_t<decltype(queue)>, ShardedJobQueue>) {
-      report.queue_shards = queue.shard_count();
-      report.queue_steals = queue.steals();
-      report.dispatch_batches = queue.dispatch_batches();
-    } else {
-      // The single queue decides one dispatch per lock round by design.
-      report.queue_shards = 1;
-      report.dispatch_batches = report.dispatches;
-    }
+    report.queue_shards = queue.shard_count();
+    report.queue_steals = queue.steals();
+    report.dispatch_batches = queue.dispatch_batches();
     // Final tick + sampler stop while the queue is still alive.
     if (hm != nullptr) hm->finish_run();
-  };
-
-  JobQueueConfig qcfg = config_.queue;
-  if (hm != nullptr) qcfg.flight = &hm->flight();
-  if (qcfg.shards > 1) {
-    ShardedJobQueue queue(streams, qcfg);
-    drive(queue);
-  } else {
-    JobQueue queue(streams, qcfg);
-    drive(queue);
   }
   if (hm != nullptr) report.health_anomalies = hm->anomalies_total();
 

@@ -13,8 +13,10 @@
 //    fabrics of different kernel capabilities.
 //
 // Every dispatch goes through the JobQueue's policy (config-affinity
-// batching with fairness valves, or naive round-robin as the baseline);
-// every fabric switch pays the measured configuration-port cycles —
+// batching with a run cap and an ageing valve, or naive round-robin as
+// the baseline), which hands each worker a batch of jobs from one shard
+// per lock round; every fabric switch pays the measured
+// configuration-port cycles —
 // charged per kernel, so the ME context loads are visible separately —
 // and every context-cache miss pays bus fetch cycles. The returned
 // RunReport carries per-stream latency percentiles, the stage dispatch
@@ -79,7 +81,7 @@ struct SchedulerConfig {
   /// output are bit-exact either way. When set, run() computes analytic
   /// per-stream SLA budgets (the admission cost model), starts the
   /// monitor's epoch sampler over the live queue, feeds the flight
-  /// recorder from the worker loop and the sharded queue's steal path,
+  /// recorder from the worker loop and the queue's steal path,
   /// and exports `health_anomalies_total` into `metrics`.
   health::HealthMonitor* health = nullptr;
 

@@ -129,16 +129,14 @@ struct RunReport {
   ContextCacheStats cache;
   std::uint64_t dispatches = 0;
   std::uint64_t max_wait_dispatches = 0;
-  /// Ready-set shards the run's queue used (1 = the single lock-guarded
-  /// JobQueue; > 1 = ShardedJobQueue with context*ways sub-shards).
+  /// Ready-set shards the run's queue used: contexts x ways
+  /// (JobQueueConfig.shards sub-shards per context).
   int queue_shards = 1;
-  /// Batches a fabric served from a non-home shard — sibling-shard pulls
-  /// of its active context plus cross-context switch-steals. 0 for
-  /// single-queue runs.
+  /// Batches a fabric served from a non-home shard — sibling-way pulls
+  /// of its active context plus cross-context switch-steals.
   std::uint64_t queue_steals = 0;
-  /// Shard-lock acquisitions that yielded at least one job; with the
-  /// single queue every dispatch is its own batch, so this equals
-  /// dispatches there and dispatches/batches measures the amortization.
+  /// Shard-lock acquisitions that yielded at least one job;
+  /// dispatches/batches measures the amortization.
   std::uint64_t dispatch_batches = 0;
   /// Watchdog trips recorded by the attached HealthMonitor (0 when the
   /// run had no monitor, or a clean run with one).

@@ -15,8 +15,8 @@
 #include "runtime/health/monitor.hpp"
 #include "runtime/health/snapshot.hpp"
 #include "runtime/health/watchdog.hpp"
+#include "runtime/job_queue.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/sharded_queue.hpp"
 #include "runtime/telemetry/export.hpp"
 #include "runtime/telemetry/metrics.hpp"
 
@@ -249,7 +249,7 @@ TEST(HealthMonitor, StalledQueueTripsStallWatchdog) {
   auto jobs = mixed_workload(4, 3, 16);
   JobQueueConfig qcfg;
   qcfg.shards = 2;
-  ShardedJobQueue queue(jobs, qcfg);
+  JobQueue queue(jobs, qcfg);
 
   health::HealthMonitorConfig cfg;
   cfg.watchdogs.stall_epochs = 3;

@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,24 @@ std::vector<StreamJob> mixed_workload(int streams, int frames, int size) {
     cfg.condition = conditions[k % 4];
     cfg.codec.me_range = 4;
     cfg.seed = 100 + static_cast<std::uint64_t>(k);
+    jobs.push_back(make_synthetic_job(k, cfg));
+  }
+  return jobs;
+}
+
+/// @p majority cordic1 streams followed by one scc_full stream.
+std::vector<StreamJob> majority_and_minority(int majority, int frames, int size) {
+  std::vector<StreamJob> jobs;
+  for (int k = 0; k <= majority; ++k) {
+    StreamConfig cfg;
+    cfg.name = "s" + std::to_string(k);
+    cfg.width = size;
+    cfg.height = size;
+    cfg.frame_budget = frames;
+    cfg.condition = k < majority ? soc::RuntimeCondition{1.0, 1.0}   // cordic1
+                                 : soc::RuntimeCondition{0.1, 0.9};  // scc_full
+    cfg.codec.me_range = 4;
+    cfg.seed = 1200 + static_cast<std::uint64_t>(k);
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   return jobs;
@@ -472,7 +491,8 @@ TEST(Scheduler, HardAgeBoundServesMidCohortMinorityAtHighQueueDepth) {
   // index-order sweep of that cohort — a minority-context stream parked
   // mid-cohort waited Theta(queue depth) dispatches (~201 here) while the
   // valve kept "serving the oldest" matching-context jobs in front of it.
-  // The hard age bound must cut that to O(bound), independent of depth.
+  // The valve's cohort tie-break must cut that to O(threshold),
+  // independent of depth.
   constexpr int kStreams = 201;
   constexpr int kMinority = 100;  // mid-cohort: the sweep reaches it last
   std::vector<StreamJob> jobs;
@@ -491,16 +511,120 @@ TEST(Scheduler, HardAgeBoundServesMidCohortMinorityAtHighQueueDepth) {
   cfg.fabrics = 1;
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 1000000;  // batching never rotates by itself
-  cfg.queue.aging_threshold = 8;         // hard bound derives 2x = 16
+  cfg.queue.aging_threshold = 8;
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
   EXPECT_EQ(report.total_frames, static_cast<std::uint64_t>(kStreams));
-  // Past the hard bound the mismatched-context job jumps the cohort sweep:
-  // its wait is bounded by the bound plus a small service margin, not by
-  // the ~200-deep queue in front of it.
+  // Among equally-old heads the valve serves the smaller shard first, so
+  // the minority job jumps the cohort sweep: its wait is bounded by twice
+  // the threshold plus a small service margin, not by the ~200-deep queue
+  // in front of it.
   EXPECT_LE(report.streams[kMinority].max_wait_dispatches,
             2 * cfg.queue.aging_threshold + 16u);
 }
+
+/// The queue's policy must not depend on how many sub-shards ("ways") a
+/// context is split into: each case runs at ways 1 and ways 4.
+class QueuePolicyAtWays : public ::testing::TestWithParam<int> {};
+
+TEST_P(QueuePolicyAtWays, RoundRobinServesTheLongestWaitingJob) {
+  // Five cordic1 streams and one scc_full stream on one fabric. The
+  // round-robin baseline ignores affinity and backlog alike: it serves
+  // the longest-waiting job, so no job waits longer than one round of
+  // the other streams — never behind the larger context's whole backlog.
+  auto jobs = majority_and_minority(5, 4, 32);
+  SchedulerConfig cfg;
+  cfg.fabrics = 1;
+  cfg.queue.policy = SchedulingPolicy::kRoundRobin;
+  cfg.queue.mode = DispatchMode::kMonolithicFrames;
+  cfg.queue.shards = GetParam();
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  EXPECT_EQ(report.total_frames, 24u);
+  EXPECT_LE(report.max_wait_dispatches, jobs.size() - 1);
+}
+
+TEST_P(QueuePolicyAtWays, EquallyOldJobsDispatchTightestDeadlineFirst) {
+  // Sixteen one-frame cordic1 streams become ready together, one cohort
+  // of equally-old jobs of one context. Their SLA deadlines tighten with
+  // the stream id, so stream order is the reverse of EDF: the tie-break
+  // must dispatch the cohort tightest deadline first, across sub-shards
+  // as well as within one.
+  constexpr int kStreams = 16;
+  std::vector<StreamJob> jobs;
+  for (int k = 0; k < kStreams; ++k) {
+    StreamConfig cfg;
+    cfg.name = "s" + std::to_string(k);
+    cfg.width = 16;
+    cfg.height = 16;
+    cfg.frame_budget = 1;
+    cfg.condition = {1.0, 1.0};  // cordic1
+    cfg.sla.deadline_cycles = static_cast<std::uint64_t>(kStreams - k) * 1000000;
+    cfg.seed = 1400 + static_cast<std::uint64_t>(k);
+    jobs.push_back(make_synthetic_job(k, cfg));
+  }
+  SchedulerConfig cfg;
+  cfg.fabrics = 1;
+  cfg.queue.mode = DispatchMode::kMonolithicFrames;
+  cfg.queue.shards = GetParam();
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  std::vector<int> order;
+  for (const StageEvent& e : report.timeline)
+    if (e.start) order.push_back(e.stream_id);
+  std::vector<int> tightest_first;
+  for (int k = kStreams - 1; k >= 0; --k) tightest_first.push_back(k);
+  EXPECT_EQ(order, tightest_first);
+}
+
+TEST_P(QueuePolicyAtWays, SameAgePushesStayInDeadlineOrder) {
+  // Two completions that land before any further dispatch enqueue their
+  // successors with the same readiness, in completion order; the
+  // tighter-deadline successor must still dispatch first. Streams 0 and
+  // 4 share a sub-shard at ways 1 and at ways 4; 1-3 are already done.
+  auto jobs = majority_and_minority(5, 2, 16);
+  jobs.pop_back();  // five cordic1 streams
+  for (int k = 1; k <= 3; ++k) jobs[static_cast<std::size_t>(k)].next_frame = 2;
+  jobs[0].config.sla.deadline_cycles = 2000000;
+  jobs[4].config.sla.deadline_cycles = 1000000;
+  JobQueueConfig qcfg;
+  qcfg.shards = GetParam();
+  JobQueue queue(jobs, qcfg);
+
+  const auto first = queue.acquire_batch(0, std::nullopt, kCapAllKernels, nullptr, 1);
+  const auto second = queue.acquire_batch(1, std::nullopt, kCapAllKernels, nullptr, 1);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(first[0].stream_id, 4);  // EDF inside the seed cohort
+  EXPECT_EQ(second[0].stream_id, 0);
+  queue.complete_batch({{second[0], 0}}, 1);  // the looser deadline lands first
+  queue.complete_batch({{first[0], 0}}, 0);
+  const auto next =
+      queue.acquire_batch(0, queue.required_context(first[0]), kCapAllKernels, nullptr, 1);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].stream_id, 4);
+  EXPECT_EQ(next[0].frame_index, 1);
+}
+
+TEST_P(QueuePolicyAtWays, RunCapHoldsInsideABatch) {
+  // Sixteen one-frame cordic1 streams and one scc_full stream. A batch
+  // may pop several jobs per lock round, but it must not take the fabric
+  // past max_affinity_run while another context waits: the scc_full job
+  // is served after at most one run.
+  auto jobs = majority_and_minority(16, 1, 16);
+  SchedulerConfig cfg;
+  cfg.fabrics = 1;
+  cfg.queue.max_affinity_run = 1;
+  cfg.queue.aging_threshold = 1000;  // never reached
+  cfg.queue.shards = GetParam();
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  EXPECT_EQ(report.total_frames, 17u);
+  EXPECT_LE(report.streams[16].max_wait_dispatches,
+            static_cast<std::uint64_t>(cfg.queue.max_affinity_run));
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, QueuePolicyAtWays, ::testing::Values(1, 4));
 
 TEST(ContextCache, ReleaseUnpinsShedStreamContextAndKeepsLedgerBalanced) {
   // Shed-mid-stream regression: a cancelled stream's context is pinned

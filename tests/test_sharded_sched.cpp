@@ -1,8 +1,8 @@
-// Sharded scheduling core: bit-exact equivalence of single-queue vs
-// sharded runs across both dispatch modes, both policies and under
-// admission control (no dropped, duplicated or reordered frames and
-// identical bitstreams), steal accounting, and dependency order of the
-// sharded dispatch timeline.
+// Sharded scheduling core: bit-exact equivalence of one-way vs N-way
+// runs (JobQueueConfig.shards sub-shards per context) across both
+// dispatch modes, both policies and under admission control (no dropped,
+// duplicated or reordered frames and identical bitstreams), steal
+// accounting, and dependency order of the sharded dispatch timeline.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -67,6 +67,8 @@ void expect_bit_exact(const StreamJob& a, const StreamJob& b) {
   EXPECT_EQ(a.recon_state.data(), b.recon_state.data()) << a.config.name;
 }
 
+/// `single` is the one-way run (one sub-shard per context), `sharded`
+/// the N-way run over the identical workload.
 struct ShardCompare {
   std::vector<StreamJob> single_jobs;
   std::vector<StreamJob> sharded_jobs;
@@ -82,7 +84,8 @@ ShardCompare run_both(SchedulerConfig cfg, int shards, int streams, int frames) 
   cfg.queue.shards = shards;
   out.sharded_jobs = mixed_workload(streams, frames, 32);
   out.sharded = MultiStreamScheduler(library(), cfg).run(out.sharded_jobs);
-  EXPECT_EQ(out.single.queue_shards, 1);
+  // Ready-set shards are contexts x ways.
+  EXPECT_EQ(out.sharded.queue_shards, out.single.queue_shards * shards);
   EXPECT_GT(out.sharded.queue_shards, 1);
   EXPECT_EQ(out.single.total_frames, out.sharded.total_frames);
   EXPECT_EQ(out.single.dispatches, out.sharded.dispatches);
