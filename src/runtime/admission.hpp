@@ -1,5 +1,5 @@
 // Admission control: per-stream SLAs, a deadline-feasibility test
-// against the sim schedule, and a graceful-degradation ladder.
+// against a pilot schedule, and a graceful-degradation ladder.
 //
 // The pool saturating is the normal case, not the exception: a fleet
 // serving every arriving stream at 3x capacity misses every deadline,
@@ -14,10 +14,12 @@
 //     what the encoder charges), placed onto the fabrics the
 //     feasibility matrix allows (FabricPool capacity probes), in the
 //     earliest-ready / tightest-deadline order the JobQueue's shards and
-//     ageing valve serve (FIFO with EDF ties). The pilot's timing
-//     authority is simulate_timeline itself: the controller only fixes
-//     assignment and order, the sim replay produces the predicted
-//     completion and per-frame latencies.
+//     ageing valve serve (FIFO with EDF ties). Every actor time is known
+//     up front, so the greedy list schedule *is* the pilot's timing: each
+//     whole-frame job starts at max(previous frame's end, fabric free),
+//     and the predicted completion, per-frame latencies, busy cycles and
+//     makespan are read off those clocks. (simulate_timeline stays the
+//     runtime's replay of what the workers actually dispatched.)
 //  2. Test every SLA in the set (admitted streams must not be pushed
 //     over their own deadlines by the newcomer) with a configurable
 //     headroom for costs the pilot does not model (reconfiguration,
@@ -26,7 +28,10 @@
 //     resolution (4x fewer blocks), swap to the cheapest context that
 //     still places on some capable fabric — re-testing each rung; the
 //     rungs are cumulative quality concessions. Only when no rung fits
-//     is the stream rejected.
+//     is the stream rejected. Rungs are tried on the stream's shape
+//     (geometry, frame count, contexts — all the pilot reads); the
+//     stream takes a rung's concessions, and its frames their one
+//     downscale, only when that rung commits.
 //
 // Under pool pressure (predicted demand near capacity over the deadline
 // horizon) even feasible newcomers pay the QP bump: the fleet-wide
@@ -34,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -125,33 +131,44 @@ class AdmissionController {
   [[nodiscard]] bool apply_impl_swap(StreamJob& job) const;
 
  private:
+  /// The pilot's view of one stream: its SLA and, per frame, the analytic
+  /// whole-frame cost and the interned set of fabrics that can host it.
   struct PilotStream {
-    int stream_id = 0;
     StreamSla sla;
-    std::vector<std::uint64_t> me_cycles;   ///< per frame
-    std::vector<std::uint64_t> dct_cycles;  ///< per frame, one pass
-    std::vector<std::vector<int>> hosts;    ///< eligible fabric ids per frame
+    std::vector<std::uint64_t> cycles;  ///< whole-frame cost per frame
+    std::vector<int> host_set;          ///< index into host_sets_ per frame
   };
   struct PilotOutcome {
     bool placeable = true;  ///< false: some frame had no eligible fabric
     std::vector<std::uint64_t> completion_cycles;  ///< per pilot stream
     std::vector<std::uint64_t> p99_cycles;         ///< per pilot stream
-    std::uint64_t makespan_cycles = 0;
     double pressure = 0.0;  ///< busy / (fabrics x deadline horizon)
   };
 
-  [[nodiscard]] PilotStream pilot_of(const StreamJob& job) const;
-  /// List-schedule @p set in the queue's service order and replay it
-  /// through simulate_timeline for the predicted timing.
-  [[nodiscard]] PilotOutcome pilot(const std::vector<PilotStream>& set) const;
-  /// Every SLA in @p set holds under @p outcome with headroom applied.
-  [[nodiscard]] bool feasible(const PilotOutcome& outcome,
-                              const std::vector<PilotStream>& set) const;
+  /// frame_cycles at a trial geometry @p w x @p h and context @p impl.
+  [[nodiscard]] std::uint64_t frame_cycles(const StreamJob& job, int w, int h,
+                                           const std::string& impl, int frame) const;
+  /// Interned DCT host set of @p context: the fabric ids, in pool order,
+  /// looked up once per controller.
+  int host_set_of(const std::string& context);
+  /// @p job as the ladder sees it at a trial rung: @p width x @p height,
+  /// every frame on @p forced_impl when non-null (the impl-swap rung).
+  [[nodiscard]] PilotStream pilot_of(const StreamJob& job, int width, int height,
+                                     const std::string* forced_impl);
+  /// List-schedule admitted_ (the candidate last) in the queue's service
+  /// order and read the predicted timing off the schedule's own clocks.
+  [[nodiscard]] PilotOutcome pilot() const;
+  /// Every SLA in admitted_ holds under @p outcome with headroom applied.
+  [[nodiscard]] bool feasible(const PilotOutcome& outcome) const;
 
   const KernelLibrary& library_;
   const FabricPool& pool_;
   me::SystolicParams me_params_;
   AdmissionConfig config_;
+  std::vector<std::vector<int>> host_sets_;
+  std::map<std::string, int> host_set_ids_;
+  /// The admitted set; during a ladder walk the trial candidate rides at
+  /// the back and is popped unless its rung commits.
   std::vector<PilotStream> admitted_;
   double last_pressure_ = 0.0;
   AdmissionReport report_;

@@ -1,7 +1,7 @@
 #include "runtime/scheduler.hpp"
 
 #include <chrono>
-#include <map>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -392,26 +392,39 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   // the end of its last frame. This is what SLA verdicts (and the
   // frame-latency histogram) are judged in — host milliseconds depend on
   // the build machine, modeled cycles do not.
+  //
+  // Spans live in one flat vector, stream k's frame f at offset[k] + f,
+  // each stream's slice covering the frames the replay ran; a span no
+  // job touched keeps ready = kUntouched.
   {
-    std::map<std::pair<int, int>, std::pair<std::uint64_t, std::uint64_t>> frame_span;
+    constexpr std::uint64_t kUntouched = std::numeric_limits<std::uint64_t>::max();
+    struct Span {
+      std::uint64_t ready = kUntouched;
+      std::uint64_t end = 0;
+    };
+    std::vector<std::size_t> frame_count(streams.size(), 0);
+    for (const SimStageJob& j : sim.jobs) {
+      std::size_t& count = frame_count[static_cast<std::size_t>(j.stream_id)];
+      count = std::max(count, static_cast<std::size_t>(j.frame_index) + 1);
+    }
+    std::vector<std::size_t> offset(streams.size() + 1, 0);
+    for (std::size_t k = 0; k < streams.size(); ++k) offset[k + 1] = offset[k] + frame_count[k];
+    std::vector<Span> frame_span(offset.back());
     std::vector<std::uint64_t> stream_end(streams.size(), 0);
     for (const SimStageJob& j : sim.jobs) {
-      auto [it, inserted] = frame_span.try_emplace(
-          {j.stream_id, j.frame_index},
-          std::pair<std::uint64_t, std::uint64_t>{j.ready_cycles, j.end_cycles});
-      if (!inserted) {
-        it->second.first = std::min(it->second.first, j.ready_cycles);
-        it->second.second = std::max(it->second.second, j.end_cycles);
-      }
-      auto& end = stream_end[static_cast<std::size_t>(j.stream_id)];
-      end = std::max(end, j.end_cycles);
+      const auto k = static_cast<std::size_t>(j.stream_id);
+      Span& span = frame_span[offset[k] + static_cast<std::size_t>(j.frame_index)];
+      span.ready = std::min(span.ready, j.ready_cycles);
+      span.end = std::max(span.end, j.end_cycles);
+      stream_end[k] = std::max(stream_end[k], j.end_cycles);
     }
     for (std::size_t k = 0; k < streams.size(); ++k) {
       streams[k].modeled_completion_cycles = stream_end[k];
       for (FrameRecord& r : streams[k].records) {
-        const auto it = frame_span.find({static_cast<int>(k), r.frame_index});
-        if (it != frame_span.end())
-          r.latency_cycles = it->second.second - it->second.first;
+        const auto f = static_cast<std::size_t>(r.frame_index);
+        if (r.frame_index < 0 || f >= frame_count[k]) continue;
+        const Span& span = frame_span[offset[k] + f];
+        if (span.ready != kUntouched) r.latency_cycles = span.end - span.ready;
       }
     }
   }

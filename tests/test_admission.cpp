@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -223,6 +224,84 @@ TEST(Admission, ImpossibleDeadlineRejectsAndStreamEncodesNothing) {
   EXPECT_EQ(report.streams[0].admission_rung, DegradationRung::kReject);
 }
 
+/// Same geometry and pixels, frame for frame.
+void expect_same_frames(const StreamJob& actual, const StreamJob& expected) {
+  ASSERT_EQ(actual.frames.size(), expected.frames.size());
+  for (std::size_t i = 0; i < actual.frames.size(); ++i) {
+    EXPECT_EQ(actual.frames[i].width(), expected.frames[i].width()) << "frame " << i;
+    EXPECT_EQ(actual.frames[i].height(), expected.frames[i].height()) << "frame " << i;
+    EXPECT_EQ(actual.frames[i].data(), expected.frames[i].data()) << "frame " << i;
+  }
+}
+
+TEST(Admission, CommittedResolutionDropDownscalesLikeTheRung) {
+  // The ladder tries rungs on the stream's shape and downscales the
+  // frames once, at commit: the result must be exactly what the public
+  // rung makes of the input.
+  FabricPool pool(1, library());
+  AdmissionController probe(library(), pool, me::SystolicParams{});
+  StreamConfig cfg = small_stream("lazy", 12);
+  cfg.sla.deadline_cycles = total_cycles(probe, make_synthetic_job(0, cfg));
+
+  AdmissionConfig acfg;
+  acfg.enabled = true;
+  AdmissionController ctl(library(), pool, me::SystolicParams{}, acfg);
+  StreamJob job = make_synthetic_job(0, cfg);
+  StreamJob expected = job;
+  ASSERT_TRUE(AdmissionController::apply_resolution_drop(expected, acfg.min_dimension));
+  ASSERT_EQ(ctl.admit(job).rung, DegradationRung::kResolutionDrop);
+  expect_same_frames(job, expected);
+}
+
+TEST(Admission, RejectedStreamKeepsItsInputUntouched) {
+  StreamConfig cfg = small_stream("untouched", 14);
+  cfg.sla.deadline_cycles = 1;  // every rung is tried, none fits
+  AdmissionConfig acfg;
+  acfg.enabled = true;
+  FabricPool pool(1, library());
+  AdmissionController ctl(library(), pool, me::SystolicParams{}, acfg);
+  StreamJob job = make_synthetic_job(0, cfg);
+  const StreamJob input = job;
+  ASSERT_EQ(ctl.admit(job).rung, DegradationRung::kReject);
+  expect_same_frames(job, input);
+  EXPECT_EQ(job.config.width, input.config.width);
+  EXPECT_EQ(job.config.height, input.config.height);
+  EXPECT_EQ(job.config.codec.quantiser_scale, input.config.codec.quantiser_scale);
+  EXPECT_EQ(job.impl_name, input.impl_name);
+  EXPECT_EQ(job.frame_impls, input.frame_impls);
+  EXPECT_EQ(job.condition_switches, input.condition_switches);
+}
+
+TEST(Admission, ImplSwapAtTheResolutionFloorKeepsFullSizeFrames) {
+  // A 16x16 stream sits at the floor, so the resolution rung is a no-op
+  // and the swap is tried (and committed) at full size.
+  FabricPool pool(1, library());
+  AdmissionController probe(library(), pool, me::SystolicParams{});
+  StreamConfig cfg = small_stream("floor", 15);
+  cfg.width = cfg.height = 16;
+  const std::uint64_t full = total_cycles(probe, make_synthetic_job(0, cfg));
+  StreamJob swapped_probe = make_synthetic_job(0, cfg);
+  ASSERT_TRUE(probe.apply_impl_swap(swapped_probe));
+  const std::uint64_t swapped = total_cycles(probe, swapped_probe);
+  cfg.sla.deadline_cycles = full * 11 / 10;  // as requested misses with headroom
+  ASSERT_GT(full * 5 / 4, cfg.sla.deadline_cycles);
+  ASSERT_LE(swapped * 5 / 4, cfg.sla.deadline_cycles);
+
+  AdmissionConfig acfg;
+  acfg.enabled = true;
+  AdmissionController ctl(library(), pool, me::SystolicParams{}, acfg);
+  StreamJob job = make_synthetic_job(0, cfg);
+  const StreamJob input = job;
+  const AdmissionDecision d = ctl.admit(job);
+  ASSERT_EQ(d.rung, DegradationRung::kImplSwap);
+  EXPECT_EQ(job.config.width, 16);
+  EXPECT_EQ(job.config.height, 16);
+  expect_same_frames(job, input);
+  EXPECT_EQ(job.impl_name, ctl.cheapest_fitting_impl());
+  EXPECT_EQ(job.predicted_completion_cycles, swapped);
+  EXPECT_EQ(d.note.find("half resolution"), std::string::npos) << d.note;
+}
+
 // ---------------------------------------------------------------------------
 // Ladder property tests: the output contract of a degraded stream.
 
@@ -321,6 +400,140 @@ TEST(AdmissionLadder, RungTransitionsLandInTelemetryCounters) {
   // Goodput counts only frames of streams whose SLA held.
   EXPECT_EQ(metrics.counters().at("goodput_frames"), report.goodput_frames);
   EXPECT_GE(report.goodput_frames, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Decision pin on a heterogeneous pool: a full 12x8 array (fabric 0) next
+// to a small 8x4 one (fabric 1). The cordic contexts place only on fabric
+// 0, the scc family on both, so the pilot's EDF tie order, its
+// first-listed-host tie-break and its per-frame host sets all decide
+// where frames land. The expected values were recorded from the earlier
+// pilot, which replayed its dispatch order through simulate_timeline and
+// kept its pending lanes in a calendar queue; the pilot must keep
+// reproducing them exactly.
+
+const KernelLibrary& hetero_library() {
+  static const KernelLibrary lib(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
+  return lib;
+}
+
+FabricConfig fabric_with_geometry(const ArrayGeometry& geometry) {
+  FabricConfig cfg;
+  cfg.geometry = geometry;
+  return cfg;
+}
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The seeded arrival mix: four sizes (16x16 sits at the resolution
+/// floor), two to five frames, the four policy contexts, deadlines on a
+/// coarse grid of @p unit so many arrivals tie on them, some p99 budgets
+/// and best-effort streams, battery-drain streams whose frames hop
+/// between host sets, and two streams with a context no fabric hosts.
+std::vector<StreamJob> pinned_arrivals(std::uint64_t unit) {
+  const soc::RuntimeCondition conditions[] = {
+      {1.0, 1.0} /*cordic1*/, {0.5, 0.9} /*cordic2*/, {0.1, 0.9} /*scc_full*/,
+      {0.9, 0.3} /*mixed_rom*/};
+  const int sizes[] = {16, 32, 48, 64};
+  const std::uint64_t deadline_units[] = {0, 8, 8, 8, 12};
+  std::vector<StreamJob> jobs;
+  for (int k = 0; k < 36; ++k) {
+    const std::uint64_t h = splitmix(static_cast<std::uint64_t>(k) + 2004);
+    StreamConfig cfg;
+    cfg.name = "pin" + std::to_string(k);
+    cfg.width = cfg.height = sizes[h % 4];
+    cfg.frame_budget = 2 + static_cast<int>((h >> 8) % 4);
+    cfg.condition = conditions[(h >> 16) % 4];
+    cfg.codec.me_range = 4;
+    cfg.seed = 5000 + static_cast<std::uint64_t>(k);
+    cfg.sla.deadline_cycles = unit * deadline_units[(h >> 24) % 5];
+    if ((h >> 32) % 3 == 0) cfg.sla.p99_budget_cycles = 4 * unit;
+    if (k % 7 == 3) {
+      // cordic2 (fabric 0 only) for frame 0, then scc_full (both fabrics).
+      cfg.trajectory = soc::linear_battery_drain(0.4, 0.25, 0.9);
+      cfg.condition_policy = soc::ConditionPolicy::kPerFrame;
+    }
+    StreamJob job = make_synthetic_job(k, cfg);
+    if (k == 5) job.impl_name = "unplaced";            // no frame places
+    if (k == 10) job.frame_impls.back() = "unplaced";  // its last frame does not
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+struct PinnedDecision {
+  DegradationRung rung;
+  std::uint64_t completion;
+  std::uint64_t p99;
+};
+
+TEST(AdmissionPin, HeterogeneousPoolDecisionsArePinned) {
+  const FabricPool pool(std::vector<FabricConfig>{fabric_with_geometry(kDefaultGeometry),
+                                                  fabric_with_geometry(kSmallSccGeometry)},
+                        hetero_library());
+  AdmissionConfig acfg;
+  acfg.enabled = true;
+  acfg.qp_pressure = 0.4;  // hot enough that feasible newcomers also pay the bump
+  AdmissionController ctl(hetero_library(), pool, me::SystolicParams{}, acfg);
+  StreamConfig ref = small_stream("unit", 1);
+  ref.width = ref.height = 32;
+  const std::uint64_t unit = total_cycles(ctl, make_synthetic_job(0, ref));
+  ASSERT_EQ(unit, 41264u);
+
+  std::vector<StreamJob> jobs = pinned_arrivals(unit);
+  const AdmissionReport report = ctl.admit_all(jobs);
+
+  const PinnedDecision expected[] = {
+      {DegradationRung::kQpBump, 10448u, 2180u},  // pin0
+      {DegradationRung::kNone, 3908u, 2180u},  // pin1
+      {DegradationRung::kNone, 24352u, 8720u},  // pin2
+      {DegradationRung::kNone, 41340u, 11032u},  // pin3
+      {DegradationRung::kNone, 88188u, 45436u},  // pin4
+      {DegradationRung::kImplSwap, 68912u, 23980u},  // pin5
+      {DegradationRung::kNone, 70824u, 23980u},  // pin6
+      {DegradationRung::kNone, 119820u, 48208u},  // pin7
+      {DegradationRung::kNone, 112544u, 61536u},  // pin8
+      {DegradationRung::kNone, 167268u, 72304u},  // pin9
+      {DegradationRung::kImplSwap, 56204u, 52748u},  // pin10
+      {DegradationRung::kNone, 199812u, 74352u},  // pin11
+      {DegradationRung::kNone, 138888u, 67052u},  // pin12
+      {DegradationRung::kResolutionDrop, 187220u, 76872u},  // pin13
+      {DegradationRung::kQpBump, 174928u, 91280u},  // pin14
+      {DegradationRung::kImplSwap, 244216u, 94628u},  // pin15
+      {DegradationRung::kReject, 297280u, 116136u},  // pin16
+      {DegradationRung::kReject, 228956u, 124188u},  // pin17
+      {DegradationRung::kReject, 332828u, 139224u},  // pin18
+      {DegradationRung::kImplSwap, 245404u, 89612u},  // pin19
+      {DegradationRung::kResolutionDrop, 153144u, 82312u},  // pin20
+      {DegradationRung::kReject, 425380u, 134864u},  // pin21
+      {DegradationRung::kReject, 328468u, 134864u},  // pin22
+      {DegradationRung::kReject, 206704u, 86760u},  // pin23
+      {DegradationRung::kReject, 158496u, 87328u},  // pin24
+      {DegradationRung::kReject, 210496u, 98332u},  // pin25
+      {DegradationRung::kReject, 269528u, 92304u},  // pin26
+      {DegradationRung::kReject, 210496u, 98332u},  // pin27
+      {DegradationRung::kReject, 239632u, 134864u},  // pin28
+      {DegradationRung::kReject, 355672u, 117748u},  // pin29
+      {DegradationRung::kReject, 178280u, 107112u},  // pin30
+      {DegradationRung::kReject, 162856u, 84968u},  // pin31
+      {DegradationRung::kReject, 290764u, 117368u},  // pin32
+      {DegradationRung::kReject, 149976u, 99432u},  // pin33
+      {DegradationRung::kReject, 210496u, 98332u},  // pin34
+      {DegradationRung::kReject, 252896u, 107112u},  // pin35
+  };
+  ASSERT_EQ(report.decisions.size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const AdmissionDecision& d = report.decisions[i];
+    EXPECT_EQ(d.rung, expected[i].rung) << d.name << ": " << d.note;
+    EXPECT_EQ(d.predicted_completion_cycles, expected[i].completion) << d.name;
+    EXPECT_EQ(d.predicted_p99_cycles, expected[i].p99) << d.name;
+  }
+  EXPECT_EQ(report.pool_pressure, 0x1.0b69c814e955cp-1);
 }
 
 TEST(AdmissionLadder, DisabledAdmissionIsBitExactWithHistoricalRuns) {
