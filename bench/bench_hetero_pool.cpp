@@ -16,8 +16,8 @@
 //  * homog  — three full-size 12x8 fabrics, 288 cluster sites: the same
 //             engine count with every fabric able to host everything.
 //
-// Throughput is modeled array cycles (sim_schedule's deterministic
-// replay), normalized per cluster site. Acceptance: the heterogeneous
+// Throughput is modeled array cycles (the scheduler's deterministic
+// plan), normalized per cluster site. Acceptance: the heterogeneous
 // pool sustains >= 1.2x modeled-cycle throughput per unit array area,
 // with bit-exact encoded output across pool shapes — feasibility
 // filtering may only change where a job runs, never what it computes.

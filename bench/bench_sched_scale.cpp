@@ -1,21 +1,18 @@
 // Scheduling-core scale sweep: flat per-frame host overhead from 10 to
 // 10,000 streams.
 //
-// Phase A isolates the host-side cost of scheduling — dispatch (queue
-// pick + bookkeeping) plus the post-run simulated-time replay — by
-// driving the queue with no-op workers that complete jobs without
-// encoding: what remains is exactly the per-frame overhead the scheduler
-// adds around the real work. The sweep runs 10 -> 10,000 streams over
-// four fabric ids served round-robin from one thread (the deterministic
-// single-core drive; the threaded steal paths are TSan-covered by
-// test_sharded_sched) and bars the 4-way queue's per-frame overhead at
-// 10k streams at <= 1.5x its 10-stream figure. The default one-way queue
-// (one sub-shard per context, max_batch 8) is measured alongside.
+// Phase A isolates the host-side cost of the dispatch policy — queue
+// pick + bookkeeping, plus the simulated-time replay of the resulting
+// timeline — by driving the queue with no-op fabrics that complete jobs
+// without encoding. The sweep runs 10 -> 10,000 streams over four fabric
+// ids served round-robin from one thread, the way the scheduler's
+// planner drives the queue, and bars the per-frame overhead at 10k
+// streams at <= 1.5x its 10-stream figure.
 //
-// Phase B holds the sub-shard count's safety bar on real encodes: one-way
-// vs 16-way runs over the identical workload must produce bit-identical
-// output in both dispatch modes and under admission control, and the
-// 16-way run must actually exercise work-stealing.
+// Phase B holds the determinism bar on real encodes: two runs of the
+// same workload on a four-fabric pool, in both dispatch modes and under
+// admission control, must plan identical timelines and makespans and
+// produce bit-identical output.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -92,9 +89,7 @@ struct DriveCost {
 };
 
 /// One no-op drive of @p queue: four fabric ids served round-robin from
-/// this thread, every acquired job completed immediately. Single-
-/// threaded on purpose — the measurement is dispatch bookkeeping, not
-/// thread-pool jitter, and one core serves the sweep deterministically.
+/// this thread, every acquired job completed immediately.
 void drain_noop(JobQueue& queue, std::vector<StreamJob>& streams, int max_batch) {
   // Each fake fabric tracks the bitstream it "has active" so affinity
   // batching sees the switch costs it schedules around.
@@ -165,30 +160,19 @@ DriveCost measure(std::vector<StreamJob>& streams, const JobQueueConfig& qcfg) {
 int main() {
   BenchJson json("sched_scale");
   // ---- phase A: overhead scale sweep ---------------------------------------
-  JobQueueConfig sharded_cfg;
-  sharded_cfg.shards = 4;
-  // Deep batches are the point of batched dispatch: at fleet scale a
-  // shard holds hundreds of jobs, so one lock round can serve 32 without
-  // starving the sibling shards (a batch never exceeds half a shard).
-  sharded_cfg.max_batch = 32;
-  const JobQueueConfig one_way_cfg;  // the default: one sub-shard per context
-
+  const JobQueueConfig queue_cfg;
   const int sweep[] = {10, 100, 1000, 10000};
-  std::vector<DriveCost> sharded_costs;
-  std::vector<DriveCost> one_way_costs;
+  std::vector<DriveCost> costs;
   for (const int n : sweep) {
-    // Frame generation dominates the bench's wall time; both queue
-    // configurations drive the same streams.
     std::vector<StreamJob> streams = synthetic_streams(n);
-    sharded_costs.push_back(measure(streams, sharded_cfg));
-    one_way_costs.push_back(measure(streams, one_way_cfg));
+    costs.push_back(measure(streams, queue_cfg));
   }
 
-  ReportTable table("Host dispatch+sim overhead per frame (no-op workers, 4 fabrics)");
-  table.set_header({"streams", "jobs", "4-way us/frame", "ctor us", "dispatch us",
-                    "sim us", "1-way us/frame", "jobs/batch", "steals"});
+  ReportTable table("Host dispatch+sim overhead per frame (no-op fabrics, 4 fabrics)");
+  table.set_header({"streams", "jobs", "us/frame", "ctor us", "dispatch us", "sim us",
+                    "jobs/batch", "steals"});
   for (std::size_t k = 0; k < std::size(sweep); ++k) {
-    const DriveCost& s = sharded_costs[k];
+    const DriveCost& s = costs[k];
     const double amortize =
         s.batches > 0 ? static_cast<double>(s.jobs) / static_cast<double>(s.batches) : 0.0;
     const double jobs = static_cast<double>(s.jobs);
@@ -197,26 +181,18 @@ int main() {
                    format_double(1e6 * s.ctor_seconds / jobs, 3),
                    format_double(1e6 * s.dispatch_seconds / jobs, 3),
                    format_double(1e6 * s.sim_seconds / jobs, 3),
-                   format_double(one_way_costs[k].per_frame_us(), 3),
                    format_double(amortize, 2),
                    format_i64(static_cast<std::int64_t>(s.steals))});
   }
   table.print();
 
-  const double base_us = sharded_costs.front().per_frame_us();
-  const double top_us = sharded_costs.back().per_frame_us();
+  const double base_us = costs.front().per_frame_us();
+  const double top_us = costs.back().per_frame_us();
   const double flatness = base_us > 0.0 ? top_us / base_us : 0.0;
-  const double one_way_ratio_1k =
-      one_way_costs[2].per_frame_us() > 0.0 && sharded_costs[2].per_frame_us() > 0.0
-          ? one_way_costs[2].per_frame_us() / sharded_costs[2].per_frame_us()
-          : 0.0;
   std::printf("\nper-frame overhead 10 -> 10,000 streams: %.3f -> %.3f us, %.2fx "
               "(bar: <= 1.50x flat)\n", base_us, top_us, flatness);
-  std::printf("1-way queue at 10 streams: %.3f us/frame; at 1,000 streams %.2fx the 4-way cost\n",
-              one_way_costs.front().per_frame_us(), one_way_ratio_1k);
 
-  // ---- phase B: bit-exactness + stealing on real encodes -------------------
-  constexpr int kEncodeWays = 16;
+  // ---- phase B: determinism on real encodes --------------------------------
   const KernelLibrary library;
   const auto encode_workload = [] {
     std::vector<StreamJob> jobs;
@@ -236,55 +212,63 @@ int main() {
     }
     return jobs;
   };
-  const auto run_encode = [&](DispatchMode mode, int shards, bool admission,
-                              std::vector<StreamJob>& jobs) {
+  const auto run_encode = [&](DispatchMode mode, bool admission, std::vector<StreamJob>& jobs) {
     SchedulerConfig cfg;
     cfg.fabrics = 4;
     cfg.queue.mode = mode;
-    cfg.queue.shards = shards;
     cfg.admission.enabled = admission;
     jobs = encode_workload();
     return MultiStreamScheduler(library, cfg).run(jobs);
   };
+  /// Runs of one workload whose timelines differ in any event, or whose
+  /// makespans differ.
+  const auto schedule_differs = [](const RunReport& a, const RunReport& b) {
+    if (a.sim_makespan_cycles != b.sim_makespan_cycles) return true;
+    if (a.timeline.size() != b.timeline.size()) return true;
+    for (std::size_t e = 0; e < a.timeline.size(); ++e) {
+      const StageEvent& x = a.timeline[e];
+      const StageEvent& y = b.timeline[e];
+      if (x.tick != y.tick || x.start != y.start || x.stream_id != y.stream_id ||
+          x.frame_index != y.frame_index || x.fabric_id != y.fabric_id || x.stage != y.stage ||
+          x.reconfig_cycles != y.reconfig_cycles)
+        return true;
+    }
+    return false;
+  };
 
-  std::vector<StreamJob> mono_single, mono_sharded, pipe_single, pipe_sharded,
-      adm_single, adm_sharded;
-  run_encode(DispatchMode::kMonolithicFrames, 1, false, mono_single);
-  const RunReport mono =
-      run_encode(DispatchMode::kMonolithicFrames, kEncodeWays, false, mono_sharded);
-  run_encode(DispatchMode::kStagePipeline, 1, false, pipe_single);
-  run_encode(DispatchMode::kStagePipeline, kEncodeWays, false, pipe_sharded);
-  run_encode(DispatchMode::kMonolithicFrames, 1, true, adm_single);
-  run_encode(DispatchMode::kMonolithicFrames, kEncodeWays, true, adm_sharded);
+  std::vector<StreamJob> mono_a, mono_b, pipe_a, pipe_b, adm_a, adm_b;
+  const RunReport mono1 = run_encode(DispatchMode::kMonolithicFrames, false, mono_a);
+  const RunReport mono2 = run_encode(DispatchMode::kMonolithicFrames, false, mono_b);
+  const RunReport pipe1 = run_encode(DispatchMode::kStagePipeline, false, pipe_a);
+  const RunReport pipe2 = run_encode(DispatchMode::kStagePipeline, false, pipe_b);
+  const RunReport adm1 = run_encode(DispatchMode::kMonolithicFrames, true, adm_a);
+  const RunReport adm2 = run_encode(DispatchMode::kMonolithicFrames, true, adm_b);
 
-  const int mono_mismatch = bench_common::count_output_mismatches(mono_single, mono_sharded);
-  const int pipe_mismatch = bench_common::count_output_mismatches(pipe_single, pipe_sharded);
-  const int adm_mismatch = bench_common::count_output_mismatches(adm_single, adm_sharded);
-  std::printf("\nreal encodes, 1-way vs %d-way (%d shards; both modes + admission): "
-              "%d / %d / %d output mismatches (bar: 0), %llu steals (bar: > 0)\n",
-              kEncodeWays, mono.queue_shards, mono_mismatch, pipe_mismatch, adm_mismatch,
-              static_cast<unsigned long long>(mono.queue_steals));
+  const int mono_mismatch = bench_common::count_output_mismatches(mono_a, mono_b);
+  const int pipe_mismatch = bench_common::count_output_mismatches(pipe_a, pipe_b);
+  const int adm_mismatch = bench_common::count_output_mismatches(adm_a, adm_b);
+  const int schedule_mismatch = static_cast<int>(schedule_differs(mono1, mono2)) +
+                                static_cast<int>(schedule_differs(pipe1, pipe2)) +
+                                static_cast<int>(schedule_differs(adm1, adm2));
+  std::printf("\nreal encodes on 4 fabrics, run twice (both modes + admission): "
+              "%d / %d / %d output mismatches, %d of 3 schedules differ (bars: 0)\n",
+              mono_mismatch, pipe_mismatch, adm_mismatch, schedule_mismatch);
 
   bench_common::stamp_reproducibility(
-      json, 7000, "total_jobs=20000;frame=16x16;sweep=stream_count;encode=4200;encode_ways=16");
-  for (std::size_t k = 0; k < std::size(sweep); ++k) {
-    const std::string suffix = std::to_string(sweep[k]);
-    json.metric("ways4_us_per_frame_" + suffix, sharded_costs[k].per_frame_us());
-    json.metric("ways1_us_per_frame_" + suffix, one_way_costs[k].per_frame_us());
-  }
-  json.metric("jobs_at_10000", static_cast<double>(sharded_costs.back().jobs));
+      json, 7000, "total_jobs=20000;frame=16x16;sweep=stream_count;encode=4200;encode_runs=2");
+  for (std::size_t k = 0; k < std::size(sweep); ++k)
+    json.metric("us_per_frame_" + std::to_string(sweep[k]), costs[k].per_frame_us());
+  json.metric("jobs_at_10000", static_cast<double>(costs.back().jobs));
   json.metric("jobs_per_batch_at_10000",
-              sharded_costs.back().batches > 0
-                  ? static_cast<double>(sharded_costs.back().jobs) /
-                        static_cast<double>(sharded_costs.back().batches)
-                  : 0.0);
-  json.metric("ways1_over_ways4_at_1000", one_way_ratio_1k);
-  json.metric("drive_steals_at_10000", static_cast<double>(sharded_costs.back().steals));
-  json.metric("encode_queue_steals", static_cast<double>(mono.queue_steals));
+              costs.back().batches > 0 ? static_cast<double>(costs.back().jobs) /
+                                             static_cast<double>(costs.back().batches)
+                                       : 0.0);
+  json.metric("drive_steals_at_10000", static_cast<double>(costs.back().steals));
+  json.metric("encode_makespan_cycles", static_cast<double>(pipe1.sim_makespan_cycles));
   json.bar("overhead_flatness_10_to_10000", flatness, "<=", 1.5);
   json.bar("mono_output_mismatches", static_cast<double>(mono_mismatch), "<=", 0.0);
   json.bar("pipe_output_mismatches", static_cast<double>(pipe_mismatch), "<=", 0.0);
   json.bar("admission_output_mismatches", static_cast<double>(adm_mismatch), "<=", 0.0);
-  json.bar("sharded_encode_steals", static_cast<double>(mono.queue_steals), ">", 0.0);
+  json.bar("schedule_mismatches", static_cast<double>(schedule_mismatch), "<=", 0.0);
   return bench_common::finish(json);
 }

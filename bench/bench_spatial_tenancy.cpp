@@ -12,10 +12,10 @@
 //  * tenancy   — the same two physical fabrics split 2x 8x4 each
 //                (4 slots on the same 192 sites). Co-tenant slots share
 //                the physical configuration port: their context loads
-//                serialize, charged by sim_schedule as port contention.
+//                serialize, charged by the plan as port contention.
 //
-// Throughput is modeled array cycles (sim_schedule's deterministic
-// replay) per *physical* cluster site — partitioning never adds silicon,
+// Throughput is modeled array cycles (the scheduler's deterministic
+// plan) per *physical* cluster site — partitioning never adds silicon,
 // so both runs divide by the same 192 sites and the per-site ratio is
 // the makespan ratio. Acceptance: >= 1.5x per-site modeled-cycle
 // throughput, bit-exact encoded output vs the exclusive run (placement

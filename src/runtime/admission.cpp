@@ -68,35 +68,43 @@ std::uint64_t AdmissionController::frame_cycles(const StreamJob& job, int frame)
   return frame_cycles(job, job.config.width, job.config.height, job.impl_for(frame), frame);
 }
 
+FrameCycles model_frame_cycles(const dct::DctImplementation& impl,
+                               const video::CodecConfig& codec,
+                               const me::SystolicParams& me_params, int width, int height,
+                               bool intra) {
+  // Mirrors the encoder's charging exactly (content-independent, so the
+  // prediction is exact before any pixel is touched):
+  //   intra: ceil(w/8) * ceil(h/8) blocks, no ME;
+  //   inter: ceil(w/mb) * ceil(h/mb) macroblocks, each paying one ME
+  //     search on an mb-PE module array plus ceil(mb/8)^2 residual blocks
+  //     (the codec's sub-block loop runs the full macroblock extent even
+  //     at the frame border).
+  const int mb = codec.me_block;
+  if (width <= 0 || height <= 0 || mb <= 0) return {};
+  const auto block_cycles = static_cast<std::uint64_t>(dct::cycles_for_block(impl));
+  FrameCycles cycles;
+  if (intra) {
+    cycles.dct = static_cast<std::uint64_t>(ceil_div(width, 8)) *
+                 static_cast<std::uint64_t>(ceil_div(height, 8)) * block_cycles;
+    return cycles;
+  }
+  const std::uint64_t macroblocks = static_cast<std::uint64_t>(ceil_div(width, mb)) *
+                                    static_cast<std::uint64_t>(ceil_div(height, mb));
+  const auto sub = static_cast<std::uint64_t>(ceil_div(mb, 8));
+  me::SystolicParams search = me_params;
+  search.block = mb;  // the encoder searches mb x mb blocks
+  cycles.dct = macroblocks * sub * sub * block_cycles;
+  cycles.me = macroblocks * me::systolic_cycles_per_block(codec.me_range, search);
+  return cycles;
+}
+
 std::uint64_t AdmissionController::frame_cycles(const StreamJob& job, int w, int h,
                                                 const std::string& impl_name,
                                                 int frame) const {
-  // Mirrors the encoder's charging exactly (content-independent, so the
-  // prediction is exact before any pixel is touched):
-  //   intra (frame 0): ceil(w/8) * ceil(h/8) blocks, no ME;
-  //   inter: ceil(w/mb) * ceil(h/mb) macroblocks, each paying one ME
-  //     search plus ceil(mb/8)^2 residual blocks (the codec's sub-block
-  //     loop runs the full macroblock extent even at the frame border).
-  // A whole-frame job then costs ME + 2x the DCT pass (forward and
-  // inverse), exactly what sim_schedule charges StageKind::kWholeFrame.
-  const int mb = job.config.codec.me_block;
   const dct::DctImplementation* impl = library_.impl(impl_name);
-  if (impl == nullptr || w <= 0 || h <= 0 || mb <= 0) return 0;
-  const auto block_cycles = static_cast<std::uint64_t>(dct::cycles_for_block(*impl));
-  std::uint64_t dct_blocks = 0;
-  std::uint64_t me = 0;
-  if (frame == 0) {
-    dct_blocks = static_cast<std::uint64_t>(ceil_div(w, 8)) *
-                 static_cast<std::uint64_t>(ceil_div(h, 8));
-  } else {
-    const std::uint64_t macroblocks = static_cast<std::uint64_t>(ceil_div(w, mb)) *
-                                      static_cast<std::uint64_t>(ceil_div(h, mb));
-    const auto sub = static_cast<std::uint64_t>(ceil_div(mb, 8));
-    dct_blocks = macroblocks * sub * sub;
-    me = macroblocks *
-         me::systolic_cycles_per_block(job.config.codec.me_range, me_params_);
-  }
-  return me + 2 * dct_blocks * block_cycles;
+  if (impl == nullptr) return 0;
+  return stage_cycles(StageKind::kWholeFrame,
+                      model_frame_cycles(*impl, job.config.codec, me_params_, w, h, frame == 0));
 }
 
 std::string AdmissionController::cheapest_fitting_impl() const {

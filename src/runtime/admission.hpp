@@ -18,8 +18,9 @@
 //     up front, so the greedy list schedule *is* the pilot's timing: each
 //     whole-frame job starts at max(previous frame's end, fabric free),
 //     and the predicted completion, per-frame latencies, busy cycles and
-//     makespan are read off those clocks. (simulate_timeline stays the
-//     runtime's replay of what the workers actually dispatched.)
+//     makespan are read off those clocks. (The scheduler's planner then
+//     schedules the admitted set stage by stage, with batching and
+//     reconfiguration, at the same per-frame costs.)
 //  2. Test every SLA in the set (admitted streams must not be pushed
 //     over their own deadlines by the newcomer) with a configurable
 //     headroom for costs the pilot does not model (reconfiguration,
@@ -63,6 +64,17 @@ struct AdmissionConfig {
   int min_dimension = 16;       ///< resolution-drop floor, pixels per axis
 };
 
+/// The analytic cost model: the modeled array cycles the encoder charges
+/// a @p width x @p height frame coded with @p codec on @p impl, the ME
+/// search on the @p me_params array (skipped when @p intra). Content-
+/// independent, hence exact before the frame is ever touched. The
+/// scheduler's planner costs every stage job with it, and admission
+/// every pilot frame.
+[[nodiscard]] FrameCycles model_frame_cycles(const dct::DctImplementation& impl,
+                                             const video::CodecConfig& codec,
+                                             const me::SystolicParams& me_params, int width,
+                                             int height, bool intra);
+
 /// Outcome of one stream's ladder walk.
 struct AdmissionDecision {
   int stream_id = 0;
@@ -96,7 +108,7 @@ struct AdmissionReport {
 class AdmissionController {
  public:
   /// @p library and @p pool must outlive the controller. @p me_params is
-  /// the scheduler's ME array model (the cost the workers will charge).
+  /// the scheduler's ME array model (the cost the encodes will charge).
   AdmissionController(const KernelLibrary& library, const FabricPool& pool,
                       me::SystolicParams me_params, AdmissionConfig config = {});
 
@@ -112,9 +124,8 @@ class AdmissionController {
   AdmissionDecision admit(StreamJob& candidate);
 
   /// Analytic whole-frame cost of @p job's frame @p f in modeled cycles:
-  /// ME + 2x DCT-pass cycles, matching what sim_schedule charges a
-  /// kWholeFrame job of this frame once encoded. Content-independent,
-  /// hence exact before the frame is ever touched.
+  /// stage_cycles(kWholeFrame) of its model_frame_cycles at the stream's
+  /// configured size.
   [[nodiscard]] std::uint64_t frame_cycles(const StreamJob& job, int frame) const;
 
   /// Cheapest DCT context (by cycles_for_block) that places on at least

@@ -389,7 +389,6 @@ PrepareResult Fabric::prepare_detailed(const std::string& impl_name) {
 void Fabric::record_region_programming(const std::optional<std::string>& previous,
                                        const std::string& target, bool partial) {
   const ConfigRegion region = partition_.region();
-  std::lock_guard<std::mutex> lock(site_->mu);
   const int fw = site_->composite.width;
   const int fh = site_->composite.height;
   const ConfigFrameImage& target_local = library_.frame_image(target, geometry_);
@@ -429,7 +428,6 @@ void Fabric::record_region_programming(const std::optional<std::string>& previou
 
 ConfigFrameImage Fabric::region_image() const {
   const ConfigRegion region = partition_.region();
-  std::lock_guard<std::mutex> lock(site_->mu);
   ConfigFrameImage out;
   out.width = site_->composite.width;
   out.height = site_->composite.height;
@@ -439,12 +437,7 @@ ConfigFrameImage Fabric::region_image() const {
 }
 
 ConfigFrameImage Fabric::composite_image() const {
-  std::lock_guard<std::mutex> lock(site_->mu);
   return site_->composite;
-}
-
-const dct::DctImplementation* Fabric::active_impl() const {
-  return reconfig_.active() ? library_.impl(*reconfig_.active()) : nullptr;
 }
 
 FabricPool::FabricPool(int count, const KernelLibrary& library, const FabricConfig& config)
@@ -591,26 +584,18 @@ ConfigFrameImage FabricPool::composite_image(int physical) const {
   if (physical < 0 || physical >= physical_count())
     throw std::out_of_range("fabric pool: physical index " + std::to_string(physical) +
                             " out of range [0, " + std::to_string(physical_count()) + ")");
-  FabricSiteState& site = *site_states_[static_cast<std::size_t>(physical)];
-  std::lock_guard<std::mutex> lock(site.mu);
-  return site.composite;
+  return site_states_[static_cast<std::size_t>(physical)]->composite;
 }
 
 std::uint64_t FabricPool::region_deltas_applied() const {
   std::uint64_t total = 0;
-  for (const auto& site : site_states_) {
-    std::lock_guard<std::mutex> lock(site->mu);
-    total += site->region_deltas;
-  }
+  for (const auto& site : site_states_) total += site->region_deltas;
   return total;
 }
 
 std::uint64_t FabricPool::region_blits() const {
   std::uint64_t total = 0;
-  for (const auto& site : site_states_) {
-    std::lock_guard<std::mutex> lock(site->mu);
-    total += site->region_blits;
-  }
+  for (const auto& site : site_states_) total += site->region_blits;
   return total;
 }
 

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -175,7 +174,7 @@ struct FabricConfig {
   /// split into. The pool expands each partition into one scheduler-
   /// visible slot with its own resident context, cache and byte ledger;
   /// the slots share the physical configuration port and bus (co-tenant
-  /// context loads serialize in sim_schedule). Empty = the historical
+  /// context loads serialize in the plan). Empty = the historical
   /// exclusive whole-fabric mode; static_partition_plan(geometry) is the
   /// canonical 12x8 -> 2x 8x4 split. Must pass validate_partition_plan.
   std::vector<PartitionSpec> partitions;
@@ -184,11 +183,9 @@ struct FabricConfig {
 /// Shared configuration state of one physical fabric, referenced by all
 /// co-tenant slots carved out of it: the fabric-wide composite frame
 /// image (which rectangle holds whose programming) plus counters of the
-/// region-scoped reconfigurations applied to it. Co-tenant slots are
-/// driven by different worker threads, so updates synchronize on `mu` —
-/// taken only on bitstream switches, never on the per-job fast path.
+/// region-scoped reconfigurations applied to it. Not thread-safe: the
+/// scheduler's planner prepares every slot from one thread.
 struct FabricSiteState {
-  std::mutex mu;
   ConfigFrameImage composite;       ///< fabric-grid programming, all tenants
   std::uint64_t region_deltas = 0;  ///< partial switches applied as sealed region deltas
   std::uint64_t region_blits = 0;   ///< full reloads blitted into a rectangle
@@ -207,8 +204,8 @@ struct PrepareResult {
   [[nodiscard]] std::uint64_t total() const { return fetch_cycles + switch_cycles; }
 };
 
-/// One simulated array fabric. Not thread-safe by design: the scheduler
-/// dedicates one worker thread per fabric.
+/// One simulated array fabric. Not thread-safe by design: the scheduler's
+/// planner is the only thread that prepares fabrics.
 class Fabric {
  public:
   /// Exclusive whole-fabric slot. Throws std::invalid_argument when the
@@ -217,7 +214,7 @@ class Fabric {
 
   /// Partition slot: one tenant rectangle of physical fabric
   /// @p physical_id, sharing @p site (the fabric-wide composite image and
-  /// its lock) with its co-tenants. @p config.geometry must equal
+  /// its counters) with its co-tenants. @p config.geometry must equal
   /// @p partition.geometry; a null @p site makes the slot its own site
   /// (the exclusive ctor above). Same library error contract.
   Fabric(int id, const KernelLibrary& library, const FabricConfig& config, int physical_id,
@@ -258,7 +255,6 @@ class Fabric {
   [[nodiscard]] unsigned capabilities() const { return capabilities_; }
   [[nodiscard]] const ArrayGeometry& geometry() const { return geometry_; }
   [[nodiscard]] const std::optional<std::string>& active() const { return reconfig_.active(); }
-  [[nodiscard]] const dct::DctImplementation* active_impl() const;
   [[nodiscard]] const soc::ReconfigManager& reconfig() const { return reconfig_; }
   [[nodiscard]] const ContextCache& cache() const { return cache_; }
 
@@ -275,10 +271,10 @@ class Fabric {
   [[nodiscard]] std::uint64_t region_deltas() const { return region_deltas_; }
   [[nodiscard]] std::uint64_t region_blits() const { return region_blits_; }
   /// The composite image's current content inside this slot's rectangle
-  /// (fabric-grid coordinates), copied under the site lock — what the
-  /// tenancy isolation tests assert on.
+  /// (fabric-grid coordinates), copied — what the tenancy isolation tests
+  /// assert on.
   [[nodiscard]] ConfigFrameImage region_image() const;
-  /// The whole physical fabric's composite image, copied under the lock.
+  /// The whole physical fabric's composite image, copied.
   [[nodiscard]] ConfigFrameImage composite_image() const;
 
  private:
@@ -330,8 +326,7 @@ class FabricPool {
   [[nodiscard]] const std::vector<int>& physical_of() const { return physical_of_; }
 
   /// Composite frame image of physical fabric @p physical (every
-  /// tenant's programming in fabric-grid coordinates), copied under the
-  /// site lock.
+  /// tenant's programming in fabric-grid coordinates), copied.
   [[nodiscard]] ConfigFrameImage composite_image(int physical) const;
 
   /// Region-scoped programming across the pool: partial switches applied

@@ -6,7 +6,8 @@
 // summary (MetricsRegistry, no ordering). The flight recorder is the
 // black box between the two: one fixed-capacity ring of compact event
 // records per fabric (plus one control ring for admission/watchdog
-// events), each written only by its owning worker thread, overwriting
+// events), each written by one thread at a time — the scheduler's
+// planner, which dispatches for every fabric — overwriting
 // the oldest record when full, and dumpable as schema-stamped JSON at
 // any moment — including while the run is in flight.
 //
@@ -75,9 +76,9 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderConfig config = {});
 
-  /// Drop any previous run's rings and allocate @p fabrics worker rings
-  /// plus one control ring (ring id == @p fabrics) for events recorded
-  /// off the worker threads (admission decisions, watchdog trips).
+  /// Drop any previous run's rings and allocate @p fabrics fabric rings
+  /// plus one control ring (ring id == @p fabrics) for events that
+  /// belong to no fabric (admission decisions, watchdog trips).
   void begin_run(int fabrics);
 
   [[nodiscard]] int rings() const { return static_cast<int>(ring_count_); }
@@ -85,15 +86,15 @@ class FlightRecorder {
   [[nodiscard]] std::size_t capacity_per_ring() const { return capacity_; }
 
   /// Append one record to @p ring. Lock-free; each ring must only be
-  /// written by one thread at a time (workers own their fabric's ring,
-  /// the monitor/scheduler thread owns the control ring). Out-of-range
+  /// written by one thread at a time (the planner writes the fabric
+  /// rings, the monitor/scheduler thread the control ring). Out-of-range
   /// rings are dropped silently — recording must never throw mid-run.
   void record(int ring, EventKind kind, int stream_id, int frame_index,
               std::uint64_t value);
 
   /// Tear-free copy of every currently-valid record, merged across the
   /// rings in global sequence order. Callable at any moment, including
-  /// while workers are recording: records overwritten mid-copy are
+  /// while the planner is recording: records overwritten mid-copy are
   /// skipped, never returned torn.
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
 

@@ -159,10 +159,10 @@ HealthSnapshot HealthMonitor::assemble_locked() {
   }
   prev_t_ns_ = snap.t_ns;
 
-  // Modeled "now": the live run has no modeled clock (that is
-  // reconstructed post-run by the sim replay), so approximate it as the
-  // analytic work completed so far spread across the pool — the same
-  // clock domain the deadlines are expressed in.
+  // Modeled "now": the monitor follows the lanes, which have no modeled
+  // clock of their own (the plan runs ahead of them), so approximate it
+  // as the analytic work encoded so far spread across the pool — the
+  // same clock domain the deadlines are expressed in.
   double consumed_all = 0.0;
   snap.streams.reserve(streams_.size());
   for (const auto& st : streams_) {

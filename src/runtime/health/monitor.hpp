@@ -1,12 +1,15 @@
 // HealthMonitor: the live-introspection front door for the runtime.
 //
 // Owns the three health parts and wires them together:
-//   - a FlightRecorder workers append scheduling events to;
+//   - a FlightRecorder the scheduler's planner appends scheduling events
+//     to (one ring per fabric, so each ring keeps one writer);
 //   - per-fabric and per-stream progress counters fed by lock-free
-//     worker hooks (on_prepare / on_job_done / on_frame_done);
-//   - an epoch sampler that assembles HealthSnapshots (pulling queue
-//     state through an attached sampler callback) and runs the
-//     Watchdogs over them.
+//     hooks: the planner calls on_prepare when it acquires a job, the
+//     lanes call on_job_done / on_frame_done when they have encoded it,
+//     so a job counts as in flight from acquire to encoded;
+//   - an epoch sampler that assembles HealthSnapshots (pulling the queue
+//     sample the planner last published through an attached callback)
+//     and runs the Watchdogs over them.
 //
 // When a watchdog trips, the monitor records a kWatchdogTrip flight
 // event, increments anomalies_total (exported by the scheduler as the
@@ -20,8 +23,8 @@
 // the trace/metrics sinks: a single null-guarded pointer, so health off
 // is zero-cost and bit-exact.
 //
-// Thread-safety: worker hooks and flight recording are lock-free and
-// callable from any worker; tick()/attach_queue()/dump() serialize on
+// Thread-safety: the hooks and flight recording are lock-free and
+// callable from any thread; tick()/attach_queue()/dump() serialize on
 // one internal mutex that no hot path ever touches.
 #pragma once
 
@@ -155,7 +158,7 @@ class HealthMonitor {
 
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> anomalies_{0};
-  /// prepares minus completions across all workers — the stall
+  /// prepares (planner) minus encoded jobs (lanes) — the stall
   /// watchdog's slow-vs-wedged discriminator.
   std::atomic<std::int64_t> inflight_{0};
 

@@ -5,8 +5,8 @@
 // age of the oldest queued job, cumulative steal/batch/dispatch rates,
 // per-fabric utilization and context-cache pressure, and per-stream SLA
 // burn rate. Snapshots are assembled by the HealthMonitor once per
-// epoch from counters the hot paths already maintain — sampling adds no
-// locks to dispatch or completion.
+// epoch from counters the hot paths already maintain and the queue
+// sample the planner publishes.
 //
 // This header is intentionally dependency-free (stdlib only) so the
 // queue layer can expose a QueueHealthSample without pulling scheduler
@@ -19,22 +19,22 @@
 
 namespace dsra::runtime::health {
 
-/// One shard's live state: the JobQueue has one per context and way.
+/// One shard's state: the JobQueue has one per context.
 struct ShardHealth {
   int shard = 0;
   std::uint64_t depth = 0;       ///< jobs currently queued
   std::uint64_t oldest_age = 0;  ///< dispatches since the oldest job arrived
 };
 
-/// Racy-but-consistent-enough sample a queue produces on demand. The
-/// JobQueue assembles it entirely from atomics, without taking a shard
-/// lock (the sampler runs off the hot path, once per epoch).
+/// The queue's state as the JobQueue reports it. During a run the
+/// scheduler's planner publishes one after every dispatch round and the
+/// epoch sampler reads the latest published copy, never the live queue.
 struct QueueHealthSample {
   std::uint64_t depth = 0;        ///< total jobs queued across shards
   std::uint64_t oldest_age = 0;   ///< max shard oldest_age
-  std::uint64_t dispatches = 0;   ///< jobs handed to workers so far
+  std::uint64_t dispatches = 0;   ///< jobs planned onto fabrics so far
   std::uint64_t completions = 0;  ///< jobs completed so far
-  std::uint64_t steals = 0;       ///< non-home-shard acquisitions so far
+  std::uint64_t steals = 0;       ///< batches taken off another context so far
   std::uint64_t batches = 0;      ///< batched acquisitions so far
   std::vector<ShardHealth> shards;
 };

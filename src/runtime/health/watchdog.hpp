@@ -3,9 +3,9 @@
 // Each watchdog encodes one production failure smell as a threshold
 // over consecutive snapshots:
 //   - stall:      jobs are queued, nothing is in flight, and nothing
-//                 completed for N epochs (livelocked steal loop, wedged
-//                 worker, lost wakeup — but NOT a slow job: in-flight
-//                 work suppresses the verdict);
+//                 completed for N epochs (a wedged planner or lane, a
+//                 lost wakeup — but NOT a slow job: in-flight work
+//                 suppresses the verdict);
 //   - queue growth: total depth grew strictly monotonically for N
 //                 epochs above a floor (arrival rate > service rate);
 //   - starvation: the oldest queued job's age exceeded a bound the

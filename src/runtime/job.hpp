@@ -28,8 +28,9 @@ namespace dsra::runtime {
 
 /// Per-stream service-level agreement in modeled array cycles — the
 /// deterministic clock domain every latency claim in this runtime lives
-/// in (host wall time depends on the build machine; the sim replay does
-/// not). Zero fields are unconstrained: the default SLA is best-effort.
+/// in (host wall time depends on the build machine; the modeled plan
+/// does not). Zero fields are unconstrained: the default SLA is
+/// best-effort.
 struct StreamSla {
   /// Whole-stream completion deadline: the last frame must be
   /// reconstructed within this many modeled cycles of run start.
@@ -83,33 +84,33 @@ struct FrameRecord {
   int me_fabric_id = -1;  ///< fabric that ran the ME stage (-1: inline / intra)
   int tq_fabric_id = -1;  ///< fabric that ran the DCT/quant stage (-1: inline)
   std::string impl;       ///< DCT bitstream the frame was encoded under
-  double latency_ms = 0.0;            ///< first-stage-ready to reconstructed
-  /// Modeled first-ready-to-reconstructed latency, stamped from the sim
-  /// replay after the run (0 until then). This is the clock domain SLA
-  /// budgets are written in.
+  double latency_ms = 0.0;            ///< host: first stage started to reconstructed
+  /// Modeled first-ready-to-reconstructed latency, stamped from the
+  /// run's plan (0 until then). This is the clock domain SLA budgets are
+  /// written in.
   std::uint64_t latency_cycles = 0;
   std::uint64_t wait_dispatches = 0;  ///< worst queue wait over the frame's jobs
   std::uint64_t reconfig_cycles = 0;  ///< context fetch + configuration-port switch
   video::FrameStats stats;
 };
 
-/// In-flight stage state of one frame. The queue's dependency tracking
-/// guarantees at most one stage job per frame is running, and hands a
-/// frame's results to the next stage through the queue mutex, so the
-/// fields need no locking of their own.
+/// In-flight stage state of one frame. The executor runs one stream's
+/// jobs one at a time in plan order and hands a frame's results to the
+/// next stage under its own lock, so the fields need no locking of their
+/// own.
 struct FramePipelineState {
   video::MotionStageResult motion;
   video::TransformStageResult transform;
   int me_fabric_id = -1;
   int tq_fabric_id = -1;
-  std::chrono::steady_clock::time_point first_ready;  ///< first stage job enqueued
+  std::chrono::steady_clock::time_point first_start;  ///< host: first stage job started
   std::uint64_t reconfig_cycles = 0;                  ///< summed over the stage jobs
   std::uint64_t max_wait_dispatches = 0;
 };
 
 /// One stream's full runtime state. Owned by the caller and mutated by the
-/// scheduler; the job queue guarantees at most one fabric works on a given
-/// stream's lane at any moment.
+/// scheduler; the executor runs at most one of a stream's jobs at any
+/// moment.
 struct StreamJob {
   int id = 0;
   StreamConfig config;
@@ -133,9 +134,9 @@ struct StreamJob {
   /// ran) — what the deadline-feasibility test compared against the SLA.
   std::uint64_t predicted_completion_cycles = 0;
   std::uint64_t predicted_p99_cycles = 0;
-  /// Modeled end of the stream's last frame, stamped from the sim replay
-  /// after the run (0 until then / for shed streams) — what the
-  /// completion-deadline SLA is judged against.
+  /// Modeled end of the stream's last frame, stamped from the run's plan
+  /// (0 until then / for shed streams) — what the completion-deadline SLA
+  /// is judged against.
   std::uint64_t modeled_completion_cycles = 0;
   video::Frame recon_state;  ///< previous reconstruction (empty before frame 0)
   int next_frame = 0;        ///< frames fully encoded (reconstruction done)
@@ -179,7 +180,6 @@ struct FrameTask {
   int frame_index = 0;
   StageKind stage = StageKind::kWholeFrame;
   std::uint64_t wait_dispatches = 0;  ///< dispatches served while it waited
-  std::chrono::steady_clock::time_point ready_time;
 };
 
 /// One entry of the dispatch timeline the queue records: a stage job
@@ -193,8 +193,8 @@ struct StageEvent {
   int fabric_id = -1;
   StageKind stage = StageKind::kWholeFrame;
   /// Completion events carry the context-fetch + configuration-port
-  /// cycles the job paid before running, so the simulated-time replay
-  /// charges reconfiguration into the modeled makespan.
+  /// cycles the job paid before running, so the timeline replay charges
+  /// reconfiguration into the modeled makespan.
   std::uint64_t reconfig_cycles = 0;
 };
 

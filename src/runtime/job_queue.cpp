@@ -1,7 +1,6 @@
 #include "runtime/job_queue.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -20,12 +19,6 @@ std::string to_string(DispatchMode mode) {
 
 namespace {
 
-/// Kernel capability a context configures: the shared ME context runs on
-/// the systolic array, every DCT bitstream on the transform array.
-constexpr unsigned context_kernel(bool is_me) {
-  return is_me ? kCapMotionEstimation : kCapDctTransform;
-}
-
 /// A fabric's relation to one context (FabricSlot::ctx_ok values).
 enum : char { kCannotRun = 0, kUnplaceable = 1, kHosts = 2 };
 
@@ -34,9 +27,7 @@ enum : char { kCannotRun = 0, kUnplaceable = 1, kHosts = 2 };
 JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
     : streams_(streams), config_(config) {
   if (config_.pipeline_lookahead < 0) config_.pipeline_lookahead = 0;
-  ways_ = static_cast<std::size_t>(std::max(1, config_.shards));
   lanes_.resize(streams_.size());
-  lane_m_ = std::make_unique<std::mutex[]>(std::max<std::size_t>(1, streams_.size()));
 
   // Intern every context the run can dispatch under. The set is the
   // library's live subset — a handful of names — so ids are dense and the
@@ -58,14 +49,8 @@ JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
     for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
       intern_ctx(s.impl_for(f));
   }
+  shards_.resize(ctx_names_.size());
 
-  shard_total_ = ctx_names_.size() * ways_;
-  shards_ = std::make_unique<Shard[]>(std::max<std::size_t>(1, shard_total_));
-  jobs_left_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      std::max<std::size_t>(1, ctx_names_.size()));
-  for (std::size_t c = 0; c < ctx_names_.size(); ++c) jobs_left_[c].store(0);
-
-  const auto now = std::chrono::steady_clock::now();  // one stamp for the seed batch
   std::vector<Ready> seed;
   for (std::size_t k = 0; k < streams_.size(); ++k) {
     StreamJob& s = streams_[k];
@@ -74,25 +59,15 @@ JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
     // A stream may arrive partially encoded (e.g. a second scheduler run
     // over the same jobs); only the frames still ahead count.
     if (config_.mode == DispatchMode::kMonolithicFrames) {
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        jobs_left_[static_cast<std::size_t>(ctx_of(StageKind::kWholeFrame, stream_id, f))]
-            .fetch_add(1, std::memory_order_relaxed);
-      seed.push_back(make_ready(stream_id, StageKind::kWholeFrame, s.next_frame, now));
+      seed.push_back(make_ready(stream_id, StageKind::kWholeFrame, s.next_frame));
     } else {
       s.pipeline.assign(s.frames.size(), FramePipelineState{});
       Lane& lane = lanes_[k];
       lane.dct_frame = s.next_frame;
       lane.me_next = std::max(1, s.next_frame);  // frame 0 is intra, no ME
       lane.me_done_upto = lane.me_next - 1;
-      const auto me_jobs =
-          static_cast<std::uint64_t>(static_cast<int>(s.frames.size()) - lane.me_next);
-      jobs_left_[static_cast<std::size_t>(me_ctx_)].fetch_add(me_jobs,
-                                                              std::memory_order_relaxed);
-      for (int f = s.next_frame; f < static_cast<int>(s.frames.size()); ++f)
-        jobs_left_[static_cast<std::size_t>(ctx_of(StageKind::kTransformQuant, stream_id, f))]
-            .fetch_add(2, std::memory_order_relaxed);  // TQ + reconstruct
-      advance_dct_lane(stream_id, now, seed);
-      advance_me_lane(stream_id, now, seed);
+      advance_dct_lane(stream_id, seed);
+      advance_me_lane(stream_id, seed);
     }
   }
   push_group(seed);
@@ -102,98 +77,47 @@ int JobQueue::ctx_of(StageKind stage, int stream_id, int frame_index) const {
   if (stage == StageKind::kMotionEstimation) return me_ctx_;
   const std::string& name =
       streams_[static_cast<std::size_t>(stream_id)].impl_for(frame_index);
-  // Dense linear probe: the context set is a handful of names, and this
-  // avoids a shared map in the dispatch path.
+  // Dense linear probe: the context set is a handful of names.
   for (std::size_t c = 0; c < ctx_names_.size(); ++c)
     if (ctx_names_[c] == name) return static_cast<int>(c);
   return 0;  // unreachable for streams the constructor scanned
 }
 
-JobQueue::Ready JobQueue::make_ready(int stream_id, StageKind stage, int frame_index,
-                                     std::chrono::steady_clock::time_point now) const {
+JobQueue::Ready JobQueue::make_ready(int stream_id, StageKind stage, int frame_index) const {
   // Streams without a deadline sort last among equally-old jobs; with no
   // SLAs anywhere every cohort stays in stream order.
   const std::uint64_t deadline =
       streams_[static_cast<std::size_t>(stream_id)].config.sla.deadline_cycles;
-  return {stream_id, stage,
-          frame_index, ctx_of(stage, stream_id, frame_index),
-          deadline == 0 ? std::numeric_limits<std::uint64_t>::max() : deadline,
-          0, now};
+  return {stream_id, stage, frame_index, ctx_of(stage, stream_id, frame_index),
+          deadline == 0 ? std::numeric_limits<std::uint64_t>::max() : deadline, 0};
 }
 
 JobQueue::FabricSlot& JobQueue::slot_of(int fabric_id) {
-  std::lock_guard lock(slots_m_);
-  if (fabric_id >= static_cast<int>(slot_by_fabric_.size()))
-    slot_by_fabric_.resize(static_cast<std::size_t>(fabric_id) + 1, nullptr);
-  FabricSlot*& slot = slot_by_fabric_[static_cast<std::size_t>(fabric_id)];
-  if (slot == nullptr) slot = &slots_.emplace_back();
-  return *slot;
-}
-
-void JobQueue::publish(Shard& shard) {
-  // The head's ready_seq goes last: a scan that sees it also sees the
-  // count and deadline stored before it.
-  shard.count.store(static_cast<std::uint32_t>(shard.jobs.size()), std::memory_order_seq_cst);
-  if (shard.jobs.empty()) {
-    shard.head_seq.store(kEmptyHead, std::memory_order_seq_cst);
-    return;
-  }
-  shard.head_deadline.store(shard.jobs.front().deadline, std::memory_order_seq_cst);
-  shard.head_seq.store(shard.jobs.front().ready_seq, std::memory_order_seq_cst);
+  if (fabric_id >= static_cast<int>(slots_.size()))
+    slots_.resize(static_cast<std::size_t>(fabric_id) + 1);
+  return slots_[static_cast<std::size_t>(fabric_id)];
 }
 
 void JobQueue::push_group(std::vector<Ready>& batch) {
-  if (batch.empty()) return;
-  // Group by target shard so a completion batch pays one lock
-  // acquisition per shard, not per successor; tightest deadline first
-  // within a group, stream id making the order total.
-  std::sort(batch.begin(), batch.end(), [&](const Ready& a, const Ready& b) {
-    const std::size_t sa = shard_index(a.ctx, a.stream_id);
-    const std::size_t sb = shard_index(b.ctx, b.stream_id);
-    if (sa != sb) return sa < sb;
+  // Tightest deadline first, stream id making the order total.
+  std::sort(batch.begin(), batch.end(), [](const Ready& a, const Ready& b) {
     if (a.deadline != b.deadline) return a.deadline < b.deadline;
     return a.stream_id < b.stream_id;
   });
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    const std::size_t target = shard_index(batch[i].ctx, batch[i].stream_id);
-    std::size_t j = i;
-    while (j < batch.size() && shard_index(batch[j].ctx, batch[j].stream_id) == target) ++j;
-    Shard& shard = shards_[target];
-    {
-      std::lock_guard lock(shard.m);
-      // Stamped under the shard lock, so each shard is monotone in
-      // ready_seq and its head is its oldest job.
-      const std::uint64_t seq = dispatch_seq_.load(std::memory_order_seq_cst);
-      for (std::size_t p = i; p < j; ++p) {
-        Ready entry = batch[p];
-        entry.ready_seq = seq;
-        // EDF inside the cohort: go ahead of same-age jobs due later.
-        auto at = shard.jobs.end();
-        while (at != shard.jobs.begin() && std::prev(at)->ready_seq == seq &&
-               std::prev(at)->deadline > entry.deadline)
-          --at;
-        shard.jobs.insert(at, entry);
-      }
-      publish(shard);
-    }
-    i = j;
+  for (Ready entry : batch) {
+    std::deque<Ready>& shard = shards_[static_cast<std::size_t>(entry.ctx)];
+    entry.ready_seq = dispatch_seq_;
+    // EDF inside the cohort: go ahead of same-age jobs due later.
+    auto at = shard.end();
+    while (at != shard.begin() && std::prev(at)->ready_seq == entry.ready_seq &&
+           std::prev(at)->deadline > entry.deadline)
+      --at;
+    shard.insert(at, entry);
   }
-  wake_sleepers();
 }
 
-void JobQueue::wake_sleepers() {
-  if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  {
-    std::lock_guard lock(sleep_m_);
-    ++wake_epoch_;
-  }
-  sleep_cv_.notify_all();
-}
-
-void JobQueue::advance_me_lane(int stream_id, std::chrono::steady_clock::time_point now,
-                               std::vector<Ready>& out) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
+void JobQueue::advance_me_lane(int stream_id, std::vector<Ready>& out) {
+  const StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
   Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
   if (lane.me_busy) return;
   if (lane.me_next >= static_cast<int>(s.frames.size())) return;
@@ -202,14 +126,12 @@ void JobQueue::advance_me_lane(int stream_id, std::chrono::steady_clock::time_po
   // pipeline_lookahead frames ahead of the reconstruction lane.
   if (lane.me_next > s.next_frame + config_.pipeline_lookahead) return;
   lane.me_busy = true;
-  out.push_back(make_ready(stream_id, StageKind::kMotionEstimation, lane.me_next, now));
-  s.pipeline[static_cast<std::size_t>(lane.me_next)].first_ready = now;
+  out.push_back(make_ready(stream_id, StageKind::kMotionEstimation, lane.me_next));
   ++lane.me_next;
 }
 
-void JobQueue::advance_dct_lane(int stream_id, std::chrono::steady_clock::time_point now,
-                                std::vector<Ready>& out) {
-  StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
+void JobQueue::advance_dct_lane(int stream_id, std::vector<Ready>& out) {
+  const StreamJob& s = streams_[static_cast<std::size_t>(stream_id)];
   Lane& lane = lanes_[static_cast<std::size_t>(stream_id)];
   if (lane.dct_busy) return;
   if (lane.dct_frame >= static_cast<int>(s.frames.size())) return;
@@ -217,40 +139,7 @@ void JobQueue::advance_dct_lane(int stream_id, std::chrono::steady_clock::time_p
   // only; the intra frame 0 has none).
   if (lane.dct_frame > 0 && lane.me_done_upto < lane.dct_frame) return;
   lane.dct_busy = true;
-  out.push_back(make_ready(stream_id, StageKind::kTransformQuant, lane.dct_frame, now));
-  if (lane.dct_frame == 0)
-    s.pipeline[0].first_ready = now;  // intra frame: TQ is its first stage
-}
-
-std::size_t JobQueue::best_way(std::size_t ctx, std::size_t home_way) const {
-  std::size_t best = shard_total_;
-  std::uint64_t best_seq = kEmptyHead;
-  std::uint64_t best_deadline = 0;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    const std::size_t idx = ctx * ways_ + (home_way + w) % ways_;
-    const std::uint64_t head = shards_[idx].head_seq.load(std::memory_order_seq_cst);
-    if (head == kEmptyHead) continue;
-    const std::uint64_t deadline = shards_[idx].head_deadline.load(std::memory_order_seq_cst);
-    if (best == shard_total_ || head < best_seq ||
-        (head == best_seq && deadline < best_deadline)) {
-      best = idx;
-      best_seq = head;
-      best_deadline = deadline;
-    }
-  }
-  return best;
-}
-
-bool JobQueue::outranked_by_sibling(std::size_t idx, const Ready& job) const {
-  const std::size_t first = idx - idx % ways_;
-  for (std::size_t s = first; s < first + ways_; ++s) {
-    if (s == idx) continue;
-    const std::uint64_t head = shards_[s].head_seq.load(std::memory_order_seq_cst);
-    if (head != kEmptyHead && head <= job.ready_seq &&
-        shards_[s].head_deadline.load(std::memory_order_seq_cst) < job.deadline)
-      return true;
-  }
-  return false;
+  out.push_back(make_ready(stream_id, StageKind::kTransformQuant, lane.dct_frame));
 }
 
 std::vector<FrameTask> JobQueue::acquire_batch(int fabric_id,
@@ -261,345 +150,224 @@ std::vector<FrameTask> JobQueue::acquire_batch(int fabric_id,
   if (max_batch <= 0) max_batch = std::max(1, config_.max_batch);
   const bool round_robin = config_.policy == SchedulingPolicy::kRoundRobin;
 
-  // Context eligibility is fixed per fabric: capability mask + placement
-  // filter over the interned context set, resolved once per call.
+  // Context eligibility: capability mask + placement filter over the
+  // interned context set.
   const std::size_t nctx = ctx_names_.size();
-  slot.ctx_ok.assign(nctx, kCannotRun);
+  ctx_ok_.assign(nctx, kCannotRun);
   int active_ctx = -1;
   for (std::size_t c = 0; c < nctx; ++c) {
     if (fabric_impl && ctx_names_[c] == *fabric_impl) active_ctx = static_cast<int>(c);
-    if ((context_kernel(static_cast<int>(c) == me_ctx_) & capabilities) == 0) continue;
-    slot.ctx_ok[c] = !can_host || can_host(ctx_names_[c]) ? kHosts : kUnplaceable;
+    // The shared ME context runs on the systolic array, every DCT
+    // bitstream on the transform array.
+    const unsigned kernel =
+        static_cast<int>(c) == me_ctx_ ? kCapMotionEstimation : kCapDctTransform;
+    if ((kernel & capabilities) == 0) continue;
+    ctx_ok_[c] = !can_host || can_host(ctx_names_[c]) ? kHosts : kUnplaceable;
   }
-  const auto work_possible = [&] {
-    for (std::size_t c = 0; c < nctx; ++c)
-      if (slot.ctx_ok[c] == kHosts && jobs_left_[c].load(std::memory_order_seq_cst) > 0)
-        return true;
-    return false;
-  };
-  const std::size_t home_way = static_cast<std::size_t>(fabric_id) % ways_;
 
-  for (;;) {
-    // 1. One pass over the racy shard hints: per-context backlog and
-    //    oldest head, and the ageing valve's pick — the oldest head that
-    //    has waited aging_threshold dispatches (round-robin counts every
-    //    head as aged). Equally-old heads go tightest deadline first,
-    //    then smaller shard first, so a minority context parked mid-
-    //    cohort is not swept behind the majority.
-    const std::uint64_t seq_now = dispatch_seq_.load(std::memory_order_seq_cst);
-    slot.scan.assign(nctx, CtxScan{});
-    std::size_t idx = shard_total_;
-    std::uint64_t pick_seq = 0;
-    std::uint64_t pick_deadline = 0;
-    std::uint32_t pick_count = 0;
-    bool placement_skip = false;
-    for (std::size_t c = 0; c < nctx; ++c) {
-      CtxScan& cs = slot.scan[c];
-      for (std::size_t w = 0; w < ways_; ++w) {
-        const Shard& shard = shards_[c * ways_ + (home_way + w) % ways_];
-        const std::uint64_t head = shard.head_seq.load(std::memory_order_seq_cst);
-        if (head == kEmptyHead) continue;
-        if (slot.ctx_ok[c] != kHosts) {
-          // A capability-eligible job this fabric cannot place: the
-          // placement-rejection accounting the geometry report shows.
-          placement_skip = placement_skip || slot.ctx_ok[c] == kUnplaceable;
-          continue;
-        }
-        const std::uint32_t count = shard.count.load(std::memory_order_seq_cst);
-        cs.backlog += count;
-        cs.oldest = std::min(cs.oldest, head);
-        const std::uint64_t age = seq_now > head ? seq_now - head : 0;
-        if (!round_robin && age < config_.aging_threshold) {
-          cs.age_room = std::min(cs.age_room, config_.aging_threshold - age);
-          continue;
-        }
-        const std::uint64_t deadline = shard.head_deadline.load(std::memory_order_seq_cst);
-        if (idx == shard_total_ || head < pick_seq ||
-            (head == pick_seq &&
-             (deadline < pick_deadline || (deadline == pick_deadline && count < pick_count)))) {
-          idx = c * ways_ + (home_way + w) % ways_;
-          pick_seq = head;
-          pick_deadline = deadline;
-          pick_count = count;
-        }
-      }
-    }
-
-    // 2. No aged head: affinity, then a forced switch.
-    const bool valve = idx != shard_total_;
-    const bool run_capped = active_ctx >= 0 && slot.run_ctx == active_ctx &&
-                            slot.run_length >= config_.max_affinity_run;
-    if (idx == shard_total_ && !round_robin) {
-      // Stay on the fabric's active configuration while the run cap allows.
-      if (active_ctx >= 0 && !run_capped)
-        idx = best_way(static_cast<std::size_t>(active_ctx), home_way);
-      // Switch to the largest hostable backlog, oldest head breaking ties,
-      // so the reconfiguration is amortized over the biggest batch. A
-      // capped fabric rotates away unless nothing else is waiting (the
-      // cap bounds batching, not liveness).
-      if (idx == shard_total_) {
-        std::size_t to = nctx;
-        for (std::size_t c = 0; c < nctx; ++c) {
-          const CtxScan& cs = slot.scan[c];
-          if (cs.oldest == kEmptyHead) continue;
-          if (run_capped && static_cast<int>(c) == active_ctx) continue;
-          if (to == nctx || cs.backlog > slot.scan[to].backlog ||
-              (cs.backlog == slot.scan[to].backlog && cs.oldest < slot.scan[to].oldest))
-            to = c;
-        }
-        if (to == nctx && run_capped) to = static_cast<std::size_t>(active_ctx);
-        if (to != nctx) idx = best_way(to, home_way);
-      }
-    }
-
-    if (idx == shard_total_) {
-      if (!work_possible()) return {};
-      // Nothing hostable is queued but jobs are still in flight: sleep
-      // until a push (or a context draining) bumps the epoch. No timeout
-      // is needed. A pusher stores the shard hint (and a dispatcher
-      // draining a context its jobs_left_) seq_cst, THEN loads sleepers_
-      // seq_cst; a sleeper increments sleepers_ seq_cst, THEN re-reads
-      // the hints. In the single total order of those operations either
-      // the re-check below sees the new state and skips the wait, or the
-      // pusher sees the registration and bumps wake_epoch_ under sleep_m_
-      // — before we read our starting epoch (the mutex then orders its
-      // store before our re-check, which sees it) or after (its notify
-      // ends the wait).
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      {
-        std::unique_lock sl(sleep_m_);
-        const std::uint64_t epoch = wake_epoch_;
-        bool state_changed = !work_possible();
-        for (std::size_t s = 0; s < shard_total_ && !state_changed; ++s)
-          state_changed = slot.ctx_ok[s / ways_] == kHosts &&
-                          shards_[s].head_seq.load(std::memory_order_seq_cst) != kEmptyHead;
-        if (!state_changed) sleep_cv_.wait(sl, [&] { return wake_epoch_ != epoch; });
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+  // 1. One pass over the shards: per-context backlog and head, and the
+  //    ageing valve's pick — the oldest head that has waited
+  //    aging_threshold dispatches (round-robin counts every head as
+  //    aged). Equally-old heads go tightest deadline first, then smaller
+  //    shard first, so a minority context parked mid-cohort is not swept
+  //    behind the majority.
+  const std::uint64_t seq_now = dispatch_seq_;
+  scan_.assign(nctx, CtxScan{});
+  std::size_t idx = nctx;
+  std::uint64_t pick_seq = 0;
+  std::uint64_t pick_deadline = 0;
+  std::size_t pick_count = 0;
+  bool placement_skip = false;
+  for (std::size_t c = 0; c < nctx; ++c) {
+    const std::deque<Ready>& shard = shards_[c];
+    if (shard.empty()) continue;
+    if (ctx_ok_[c] != kHosts) {
+      // A capability-eligible job this fabric cannot place: the
+      // placement-rejection accounting the geometry report shows.
+      placement_skip = placement_skip || ctx_ok_[c] == kUnplaceable;
       continue;
     }
-
-    // 3. Size the batch so it keeps the per-dispatch meaning of both
-    //    valves while another hostable context waits: it stops before
-    //    another context's oldest head would reach aging_threshold, and
-    //    it never takes the fabric's run past max_affinity_run — except
-    //    that a valve batch, like the per-dispatch valve, serves aged jobs
-    //    of the fabric's own context whatever the run, and takes only
-    //    jobs that are themselves aged. Round-robin dispatches one job at
-    //    a time.
-    const int ctx = static_cast<int>(idx / ways_);
-    std::size_t limit = round_robin ? 1 : static_cast<std::size_t>(max_batch);
-    bool others_waiting = false;
-    for (std::size_t c = 0; c < nctx && !round_robin; ++c) {
-      const CtxScan& cs = slot.scan[c];
-      if (static_cast<int>(c) == ctx || cs.oldest == kEmptyHead) continue;
-      others_waiting = true;
-      limit = std::min<std::size_t>(limit, cs.age_room);
+    CtxScan& cs = scan_[c];
+    const std::uint64_t head = shard.front().ready_seq;
+    cs.backlog = shard.size();
+    cs.oldest = head;
+    const std::uint64_t age = seq_now > head ? seq_now - head : 0;
+    if (!round_robin && age < config_.aging_threshold) {
+      cs.age_room = config_.aging_threshold - age;
+      continue;
     }
-    if (others_waiting && !(valve && ctx == slot.run_ctx)) {
-      const int run = slot.run_ctx == ctx ? slot.run_length : 0;
-      limit = std::min<std::size_t>(limit, std::max(1, config_.max_affinity_run - run));
+    const std::uint64_t deadline = shard.front().deadline;
+    if (idx == nctx || head < pick_seq ||
+        (head == pick_seq && (deadline < pick_deadline ||
+                              (deadline == pick_deadline && shard.size() < pick_count)))) {
+      idx = c;
+      pick_seq = head;
+      pick_deadline = deadline;
+      pick_count = shard.size();
     }
-
-    Shard& shard = shards_[idx];
-    slot.popped.clear();
-    {
-      std::lock_guard lock(shard.m);
-      // Take up to half the shard (at least one): the rest stays visible
-      // to sibling stealers. The first job always goes; a later one stops
-      // the batch if a valve batch would dispatch it unaged, or if a
-      // sibling head at least as old has a tighter deadline.
-      const std::size_t take = std::min(limit, (shard.jobs.size() + 1) / 2);
-      const auto aged = [&](const Ready& job) {
-        const std::uint64_t at = seq_now + slot.popped.size();  // its dispatch, less one
-        return at >= job.ready_seq && at - job.ready_seq >= config_.aging_threshold;
-      };
-      while (slot.popped.size() < take &&
-             (slot.popped.empty() || ((!valve || aged(shard.jobs.front())) &&
-                                      !outranked_by_sibling(idx, shard.jobs.front())))) {
-        slot.popped.push_back(shard.jobs.front());
-        shard.jobs.pop_front();
-      }
-      publish(shard);
-    }
-    if (slot.popped.empty()) continue;  // drained since the scan
-
-    const int popped = static_cast<int>(slot.popped.size());
-    if (slot.run_ctx == ctx) {
-      slot.run_length += popped;
-    } else {
-      slot.run_ctx = ctx;
-      slot.run_length = popped;
-    }
-    const std::size_t home_shard = static_cast<std::size_t>(ctx) * ways_ + home_way;
-    if (idx != home_shard || (active_ctx >= 0 && ctx != active_ctx)) {
-      slot.steals.fetch_add(1, std::memory_order_relaxed);
-      if (config_.flight != nullptr) {
-        config_.flight->record(fabric_id, health::EventKind::kSteal,
-                               slot.popped.front().stream_id,
-                               slot.popped.front().frame_index,
-                               static_cast<std::uint64_t>(ctx));
-      }
-    }
-    slot.batches.fetch_add(1, std::memory_order_relaxed);
-    if (placement_skip)
-      slot.placement_skips.fetch_add(slot.popped.size(), std::memory_order_relaxed);
-
-    bool exit_candidates_changed = false;
-    std::vector<FrameTask> batch;
-    batch.reserve(slot.popped.size());
-    for (const Ready& entry : slot.popped) {
-      const std::uint64_t seq = dispatch_seq_.fetch_add(1, std::memory_order_seq_cst) + 1;
-      const std::uint64_t wait = seq - 1 - entry.ready_seq;
-      // Single-writer max: a plain load/compare/store is race-free here
-      // (only this worker writes its slot).
-      if (wait > slot.max_wait.load(std::memory_order_relaxed))
-        slot.max_wait.store(wait, std::memory_order_relaxed);
-      if (jobs_left_[static_cast<std::size_t>(entry.ctx)].fetch_sub(
-              1, std::memory_order_seq_cst) == 1)
-        exit_candidates_changed = true;  // starved workers may now exit
-      slot.events.push_back({event_tick_.fetch_add(1, std::memory_order_seq_cst) + 1, true,
-                             entry.stream_id, entry.frame_index, fabric_id, entry.stage});
-      FrameTask task;
-      task.stream_id = entry.stream_id;
-      task.frame_index = entry.frame_index;
-      task.stage = entry.stage;
-      task.wait_dispatches = wait;
-      task.ready_time = entry.ready_time;
-      batch.push_back(task);
-    }
-    if (exit_candidates_changed) wake_sleepers();
-    return batch;
   }
+
+  // 2. No aged head: affinity, then a forced switch.
+  const bool valve = idx != nctx;
+  const bool run_capped = active_ctx >= 0 && slot.run_ctx == active_ctx &&
+                          slot.run_length >= config_.max_affinity_run;
+  const auto queued = [&](std::size_t c) { return !shards_[c].empty() ? c : nctx; };
+  if (idx == nctx && !round_robin) {
+    // Stay on the fabric's active configuration while the run cap allows.
+    if (active_ctx >= 0 && !run_capped) idx = queued(static_cast<std::size_t>(active_ctx));
+    // Switch to the largest hostable backlog, oldest head breaking ties,
+    // so the reconfiguration is amortized over the biggest batch. A
+    // capped fabric rotates away unless nothing else is waiting (the
+    // cap bounds batching, not liveness).
+    if (idx == nctx) {
+      std::size_t to = nctx;
+      for (std::size_t c = 0; c < nctx; ++c) {
+        const CtxScan& cs = scan_[c];
+        if (cs.backlog == 0) continue;
+        if (run_capped && static_cast<int>(c) == active_ctx) continue;
+        if (to == nctx || cs.backlog > scan_[to].backlog ||
+            (cs.backlog == scan_[to].backlog && cs.oldest < scan_[to].oldest))
+          to = c;
+      }
+      if (to == nctx && run_capped) to = static_cast<std::size_t>(active_ctx);
+      if (to != nctx) idx = queued(to);
+    }
+  }
+  if (idx == nctx) return {};
+
+  // 3. Size the batch so it keeps the per-dispatch meaning of both
+  //    valves while another hostable context waits: it stops before
+  //    another context's oldest head would reach aging_threshold, and
+  //    it never takes the fabric's run past max_affinity_run — except
+  //    that a valve batch, like the per-dispatch valve, serves aged jobs
+  //    of the fabric's own context whatever the run, and takes only
+  //    jobs that are themselves aged. Round-robin dispatches one job at
+  //    a time.
+  const int ctx = static_cast<int>(idx);
+  std::size_t limit = round_robin ? 1 : static_cast<std::size_t>(max_batch);
+  bool others_waiting = false;
+  for (std::size_t c = 0; c < nctx && !round_robin; ++c) {
+    const CtxScan& cs = scan_[c];
+    if (static_cast<int>(c) == ctx || cs.backlog == 0) continue;
+    others_waiting = true;
+    limit = std::min<std::size_t>(limit, cs.age_room);
+  }
+  if (others_waiting && !(valve && ctx == slot.run_ctx)) {
+    const int run = slot.run_ctx == ctx ? slot.run_length : 0;
+    limit = std::min<std::size_t>(limit, std::max(1, config_.max_affinity_run - run));
+  }
+
+  // Take up to half the shard (at least one), so other fabrics hosting
+  // the context keep material. The first job always goes; a later one
+  // stops a valve batch if it would dispatch unaged.
+  std::deque<Ready>& shard = shards_[idx];
+  const std::size_t take = std::min(limit, (shard.size() + 1) / 2);
+  std::vector<FrameTask> batch;
+  batch.reserve(take);
+  while (batch.size() < take) {
+    const Ready& job = shard.front();
+    const std::uint64_t at = seq_now + batch.size();  // its dispatch, less one
+    const bool aged = at >= job.ready_seq && at - job.ready_seq >= config_.aging_threshold;
+    if (!batch.empty() && valve && !aged) break;
+    const std::uint64_t wait = dispatch_seq_++ - job.ready_seq;
+    max_wait_ = std::max(max_wait_, wait);
+    events_.push_back({events_.size() + 1, true, job.stream_id, job.frame_index, fabric_id,
+                       job.stage});
+    FrameTask task;
+    task.stream_id = job.stream_id;
+    task.frame_index = job.frame_index;
+    task.stage = job.stage;
+    task.wait_dispatches = wait;
+    batch.push_back(task);
+    shard.pop_front();
+  }
+
+  const int popped = static_cast<int>(batch.size());
+  if (slot.run_ctx == ctx) {
+    slot.run_length += popped;
+  } else {
+    slot.run_ctx = ctx;
+    slot.run_length = popped;
+  }
+  if (active_ctx >= 0 && ctx != active_ctx) {
+    ++steals_;
+    if (config_.flight != nullptr)
+      config_.flight->record(fabric_id, health::EventKind::kSteal, batch.front().stream_id,
+                             batch.front().frame_index, static_cast<std::uint64_t>(ctx));
+  }
+  ++batches_;
+  if (placement_skip) slot.placement_skips += batch.size();
+  return batch;
 }
 
 void JobQueue::complete_batch(const std::vector<CompletedTask>& batch, int fabric_id) {
-  if (batch.empty()) return;
-  FabricSlot& slot = slot_of(fabric_id);
-  completions_.fetch_add(batch.size(), std::memory_order_relaxed);
-  // One timestamp covers every successor this batch enqueues.
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<Ready>& successors = slot.successors;
-  successors.clear();
+  completions_ += batch.size();
+  successors_.clear();
   for (const CompletedTask& done : batch) {
     const FrameTask& task = done.task;
-    slot.events.push_back({event_tick_.fetch_add(1, std::memory_order_seq_cst) + 1, false,
-                           task.stream_id, task.frame_index, fabric_id, task.stage,
-                           done.reconfig_cycles});
+    events_.push_back({events_.size() + 1, false, task.stream_id, task.frame_index, fabric_id,
+                       task.stage, done.reconfig_cycles});
     StreamJob& stream = streams_[static_cast<std::size_t>(task.stream_id)];
-    std::lock_guard lane_lock(lane_m_[static_cast<std::size_t>(task.stream_id)]);
     Lane& lane = lanes_[static_cast<std::size_t>(task.stream_id)];
     switch (task.stage) {
       case StageKind::kWholeFrame:
         ++stream.next_frame;
         if (!stream.finished())
-          successors.push_back(
-              make_ready(task.stream_id, StageKind::kWholeFrame, stream.next_frame, now));
+          successors_.push_back(
+              make_ready(task.stream_id, StageKind::kWholeFrame, stream.next_frame));
         break;
       case StageKind::kMotionEstimation:
         lane.me_done_upto = task.frame_index;
         lane.me_busy = false;
-        advance_dct_lane(task.stream_id, now, successors);  // TQ(frame) may wait on us
-        advance_me_lane(task.stream_id, now, successors);
+        advance_dct_lane(task.stream_id, successors_);  // TQ(frame) may wait on us
+        advance_me_lane(task.stream_id, successors_);
         break;
       case StageKind::kTransformQuant:
-        successors.push_back(make_ready(task.stream_id, StageKind::kReconstructEntropy,
-                                        task.frame_index, now));
+        successors_.push_back(
+            make_ready(task.stream_id, StageKind::kReconstructEntropy, task.frame_index));
         break;
       case StageKind::kReconstructEntropy:
         ++stream.next_frame;  // the frame is fully encoded
         lane.dct_busy = false;
         lane.dct_frame = task.frame_index + 1;
-        advance_dct_lane(task.stream_id, now, successors);
-        advance_me_lane(task.stream_id, now, successors);  // the lookahead window moved
+        advance_dct_lane(task.stream_id, successors_);
+        advance_me_lane(task.stream_id, successors_);  // the lookahead window moved
         break;
     }
   }
-  push_group(successors);
+  push_group(successors_);
 }
 
-std::string JobQueue::required_context(const FrameTask& task) const {
-  if (task.stage == StageKind::kMotionEstimation) return kMeContextName;
+const std::string& JobQueue::required_context(const FrameTask& task) const {
+  static const std::string me_context = kMeContextName;
+  if (task.stage == StageKind::kMotionEstimation) return me_context;
   return streams_[static_cast<std::size_t>(task.stream_id)].impl_for(task.frame_index);
 }
 
-std::uint64_t JobQueue::dispatches() const {
-  return dispatch_seq_.load(std::memory_order_seq_cst);
-}
-
-std::uint64_t JobQueue::max_wait_dispatches() const {
-  std::lock_guard lock(slots_m_);
-  std::uint64_t max_wait = 0;
-  for (const FabricSlot& slot : slots_)
-    max_wait = std::max(max_wait, slot.max_wait.load(std::memory_order_relaxed));
-  return max_wait;
-}
-
 std::vector<std::uint64_t> JobQueue::placement_skips() const {
-  std::lock_guard lock(slots_m_);
-  std::vector<std::uint64_t> skips(slot_by_fabric_.size(), 0);
-  for (std::size_t f = 0; f < slot_by_fabric_.size(); ++f)
-    if (slot_by_fabric_[f] != nullptr)
-      skips[f] = slot_by_fabric_[f]->placement_skips.load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> skips;
+  skips.reserve(slots_.size());
+  for (const FabricSlot& slot : slots_) skips.push_back(slot.placement_skips);
   return skips;
-}
-
-std::vector<StageEvent> JobQueue::timeline() const {
-  std::lock_guard lock(slots_m_);
-  // Each slot's buffer is already tick-ordered — its owner draws ticks
-  // from the shared counter and appends in draw order — so the global
-  // log is a k-way merge over the fabrics, not a full sort.
-  std::size_t total = 0;
-  for (const FabricSlot& slot : slots_) total += slot.events.size();
-  std::vector<StageEvent> merged;
-  merged.reserve(total);
-  std::vector<std::size_t> cursor(slots_.size(), 0);
-  while (merged.size() < total) {
-    std::size_t best = slots_.size();
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (cursor[s] >= slots_[s].events.size()) continue;
-      if (best == slots_.size() ||
-          slots_[s].events[cursor[s]].tick < slots_[best].events[cursor[best]].tick)
-        best = s;
-    }
-    merged.push_back(slots_[best].events[cursor[best]]);
-    ++cursor[best];
-  }
-  return merged;
-}
-
-std::uint64_t JobQueue::steals() const {
-  std::lock_guard lock(slots_m_);
-  std::uint64_t total = 0;
-  for (const FabricSlot& slot : slots_) total += slot.steals.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t JobQueue::dispatch_batches() const {
-  std::lock_guard lock(slots_m_);
-  std::uint64_t total = 0;
-  for (const FabricSlot& slot : slots_) total += slot.batches.load(std::memory_order_relaxed);
-  return total;
 }
 
 health::QueueHealthSample JobQueue::health_sample() const {
   health::QueueHealthSample sample;
-  const std::uint64_t seq_now = dispatch_seq_.load(std::memory_order_seq_cst);
-  sample.dispatches = seq_now;
-  sample.completions = completions_.load(std::memory_order_relaxed);
-  sample.shards.reserve(shard_total_);
-  for (std::size_t idx = 0; idx < shard_total_; ++idx) {
+  sample.dispatches = dispatch_seq_;
+  sample.completions = completions_;
+  sample.shards.reserve(shards_.size());
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
     health::ShardHealth sh;
-    sh.shard = static_cast<int>(idx);
-    sh.depth = shards_[idx].count.load(std::memory_order_seq_cst);
-    const std::uint64_t head = shards_[idx].head_seq.load(std::memory_order_seq_cst);
-    if (head != kEmptyHead && head <= seq_now) sh.oldest_age = seq_now - head;
+    sh.shard = static_cast<int>(c);
+    sh.depth = shards_[c].size();
+    if (!shards_[c].empty() && shards_[c].front().ready_seq <= dispatch_seq_)
+      sh.oldest_age = dispatch_seq_ - shards_[c].front().ready_seq;
     sample.depth += sh.depth;
     sample.oldest_age = std::max(sample.oldest_age, sh.oldest_age);
     sample.shards.push_back(sh);
   }
-  sample.steals = steals();
-  sample.batches = dispatch_batches();
+  sample.steals = steals_;
+  sample.batches = batches_;
   return sample;
 }
 

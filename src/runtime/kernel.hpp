@@ -6,6 +6,8 @@
 // kernel they need and the scheduler only hands them to capable fabrics.
 #pragma once
 
+#include <cstdint>
+
 namespace dsra::runtime {
 
 enum KernelCapability : unsigned {
@@ -36,6 +38,27 @@ enum class StageKind {
     case StageKind::kReconstructEntropy: return "reconstruct";
   }
   return "?";
+}
+
+/// Modeled array cycles one frame's kernels cost: the ME search over its
+/// macroblocks (0 for an intra frame) and one pass of the DCT over its
+/// blocks.
+struct FrameCycles {
+  std::uint64_t me = 0;
+  std::uint64_t dct = 0;
+};
+
+/// Modeled compute cycles of @p stage of a frame costing @p frame: the ME
+/// stage runs the search, the DCT/quant and reconstruct stages one DCT
+/// pass each (forward, inverse), a whole-frame job all three.
+[[nodiscard]] constexpr std::uint64_t stage_cycles(StageKind stage, const FrameCycles& frame) {
+  switch (stage) {
+    case StageKind::kWholeFrame: return frame.me + 2 * frame.dct;
+    case StageKind::kMotionEstimation: return frame.me;
+    case StageKind::kTransformQuant:
+    case StageKind::kReconstructEntropy: return frame.dct;
+  }
+  return 0;
 }
 
 /// Library name of the systolic ME array's configuration context.

@@ -1,7 +1,12 @@
 #include "runtime/scheduler.hpp"
 
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -16,9 +21,500 @@ namespace dsra::runtime {
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+/// One planned job as its lane runs it: the task, the stream-order slot
+/// the lane waits for, the context and its DCT implementation (null for
+/// the ME context), and what the fabric paid to prepare the context.
+struct PlannedJob {
+  FrameTask task;
+  int stream_seq = 0;  ///< index among its stream's planned jobs
+  const std::string* context = nullptr;
+  const dct::DctImplementation* impl = nullptr;
+  PrepareResult prep;
+};
+
+/// The executor: one host thread ("lane") per fabric slot. A lane runs
+/// its slot's planned jobs in plan order, each once it is planned and
+/// every earlier-planned job of its stream has run — the only order the
+/// encode depends on. Lanes block on their own condition variable; the
+/// planner never waits for them.
+class Lanes {
+ public:
+  using Run = std::function<void(int lane, const PlannedJob& job)>;
+
+  Lanes(int lanes, std::size_t streams, Run run)
+      : run_(std::move(run)), queues_(static_cast<std::size_t>(lanes)),
+        executed_(streams, 0), wake_(static_cast<std::size_t>(lanes)) {
+    threads_.reserve(static_cast<std::size_t>(lanes));
+    for (int lane = 0; lane < lanes; ++lane) threads_.emplace_back([this, lane] { main(lane); });
+  }
+  Lanes(const Lanes&) = delete;
+  Lanes& operator=(const Lanes&) = delete;
+
+  /// Unblocks and joins the lanes when the planner threw before finish().
+  ~Lanes() { release(abort_); }
+
+  /// Append @p jobs, planned in this order, to @p lane's queue.
+  void push(int lane, std::vector<PlannedJob>& jobs) {
+    std::lock_guard lock(m_);
+    std::deque<PlannedJob>& queue = queues_[static_cast<std::size_t>(lane)];
+    const bool was_empty = queue.empty();
+    queue.insert(queue.end(), jobs.begin(), jobs.end());
+    if (was_empty) wake_[static_cast<std::size_t>(lane)].notify_one();
+  }
+
+  /// No more jobs: let the lanes drain, join them, rethrow a lane's error.
+  void finish() {
+    release(planned_all_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  /// Set @p flag (planned_all_ or abort_), wake every lane and join them.
+  void release(bool& flag) {
+    {
+      std::lock_guard lock(m_);
+      flag = true;
+    }
+    for (std::condition_variable& cv : wake_) cv.notify_one();
+    for (std::thread& t : threads_)
+      if (t.joinable()) t.join();
+  }
+
+  void main(int lane) {
+    const auto me = static_cast<std::size_t>(lane);
+    try {
+      for (;;) {
+        PlannedJob job;
+        {
+          std::unique_lock lock(m_);
+          std::deque<PlannedJob>& queue = queues_[me];
+          wake_[me].wait(lock, [&] {
+            if (abort_) return true;
+            if (queue.empty()) return planned_all_;
+            const PlannedJob& next = queue.front();
+            return executed_[static_cast<std::size_t>(next.task.stream_id)] == next.stream_seq;
+          });
+          if (abort_ || queue.empty()) return;
+          job = queue.front();
+          queue.pop_front();
+        }
+        run_(lane, job);
+        std::lock_guard lock(m_);
+        const int stream = job.task.stream_id;
+        ++executed_[static_cast<std::size_t>(stream)];
+        // Wake the lane whose next job is this stream's next one.
+        for (std::size_t other = 0; other < queues_.size(); ++other)
+          if (!queues_[other].empty() && queues_[other].front().task.stream_id == stream)
+            wake_[other].notify_one();
+      }
+    } catch (...) {
+      std::lock_guard lock(m_);
+      if (!error_) error_ = std::current_exception();
+      abort_ = true;
+      for (std::condition_variable& cv : wake_) cv.notify_one();
+    }
+  }
+
+  Run run_;
+  std::mutex m_;
+  std::vector<std::deque<PlannedJob>> queues_;  ///< per lane, guarded by m_
+  std::vector<int> executed_;                   ///< jobs run per stream, guarded by m_
+  bool planned_all_ = false;                    ///< guarded by m_
+  bool abort_ = false;                          ///< guarded by m_
+  std::exception_ptr error_;                    ///< guarded by m_
+  std::vector<std::condition_variable> wake_;   ///< one per lane
+  std::vector<std::thread> threads_;
+};
+
+/// The queue state the planner last published, for the health sampler.
+struct PublishedQueueSample {
+  std::mutex m;
+  health::QueueHealthSample sample;  ///< guarded by m
+};
+
+/// One frame as planned: its kernel cycles and its modeled span, from
+/// its first stage's readiness to its last stage's end.
+struct PlannedFrame {
+  static constexpr std::uint64_t kUnplanned = std::numeric_limits<std::uint64_t>::max();
+  FrameCycles cycles;
+  std::uint64_t ready = kUnplanned;
+  std::uint64_t end = 0;
+};
+
+/// What plan() hands the report besides the queue accounting it writes
+/// straight into it: the modeled schedule, every frame's plan (stream
+/// k's frame f at frame_offset[k] + f) and each fabric's placement skips.
+struct Plan {
+  SimSchedule schedule;
+  std::vector<std::size_t> frame_offset;
+  std::vector<PlannedFrame> frames;
+  std::vector<std::uint64_t> placement_skips;
+};
+
+/// Reject streams whose contexts the library does not know. A stream with
+/// a condition trajectory is validated against the *union* of contexts
+/// the trajectory can select over its lifetime, not just the frame-0
+/// choice: its impl changes mid-run and every impl it may change to must
+/// be known. Resolving eagerly makes the run fail fast with a clear
+/// message instead of mid-flight.
+void validate_contexts(std::vector<StreamJob>& streams, const KernelLibrary& library) {
+  for (StreamJob& s : streams) {
+    if (s.config.trajectory && s.frame_impls.size() != s.frames.size())
+      resolve_stream_conditions(s);
+    if (library.impl(s.impl_name) == nullptr)
+      throw std::invalid_argument("stream '" + s.config.name +
+                                  "' wants unknown implementation '" + s.impl_name + "'");
+    for (std::size_t f = 0; f < s.frame_impls.size(); ++f)
+      if (library.impl(s.frame_impls[f]) == nullptr)
+        throw std::invalid_argument(
+            "stream '" + s.config.name + "': its condition trajectory selects unknown "
+            "implementation '" + s.frame_impls[f] + "' at frame " + std::to_string(f) +
+            "; every context the trajectory can select must be in the library");
+  }
+}
+
+/// Placement-feasibility fail-fast: every context a stream can select
+/// over its lifetime (static impl_name, or the trajectory's per-frame
+/// resolution) must place on at least one capable fabric geometry, and
+/// the stage pipeline's shared ME context must place on an ME-capable
+/// fabric. Checking here turns a mid-plan Fabric::prepare throw — or a
+/// never-dispatched job — into an up-front diagnostic that names the
+/// implementation, the frame, and the pool's geometries.
+void validate_placement(const std::vector<StreamJob>& streams, const FabricPool& pool,
+                        DispatchMode mode) {
+  bool needs_me_kernel = false;
+  for (const StreamJob& s : streams) {
+    if (s.admission_rung == DegradationRung::kReject) continue;  // dispatches nothing
+    // Remaining inter frames need the ME kernel; frame 0 is intra and
+    // already-encoded frames (a resumed stream) dispatch nothing.
+    if (static_cast<int>(s.frames.size()) > std::max(1, s.next_frame)) needs_me_kernel = true;
+    const int frame_count = static_cast<int>(s.frames.size());
+    for (int f = 0; f < frame_count; ++f) {
+      const std::string& impl = s.impl_for(f);
+      if (f > 0 && impl == s.impl_for(f - 1)) continue;  // only first selections
+      if (!pool.any_fabric_hosts(impl, kCapDctTransform))
+        throw std::invalid_argument(
+            "stream '" + s.config.name + "': implementation '" + impl +
+            "' selected at frame " + std::to_string(f) +
+            " is not placeable on any DCT-capable fabric in the pool (geometries: " +
+            pool.geometry_list() + ")");
+    }
+  }
+  // Covers both the capability-less pool and an ME-capable fabric whose
+  // geometry cannot place the systolic context.
+  if (mode == DispatchMode::kStagePipeline && needs_me_kernel &&
+      !pool.any_fabric_hosts(kMeContextName, kCapMotionEstimation))
+    throw std::invalid_argument(
+        "stage pipeline needs a motion-estimation-capable fabric that can place '" +
+        std::string(kMeContextName) + "' (pool geometries: " + pool.geometry_list() + ")");
+}
+
+/// Shed streams must not leave contexts (or their pinned frame images)
+/// resident in any fabric cache: release every context only rejected
+/// streams would have used. The pool is freshly built, so this is usually
+/// a no-op — but a pre-warmed cache (seeded manager) would otherwise keep
+/// the dead context pinned for the whole run.
+void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& pool) {
+  std::set<std::string> live;
+  for (const StreamJob& s : streams) {
+    if (s.admission_rung == DegradationRung::kReject) continue;
+    live.insert(s.impl_name);
+    live.insert(s.frame_impls.begin(), s.frame_impls.end());
+  }
+  for (const StreamJob& s : streams) {
+    if (s.admission_rung != DegradationRung::kReject) continue;
+    std::set<std::string> dead(s.frame_impls.begin(), s.frame_impls.end());
+    dead.insert(s.impl_name);
+    for (const std::string& context : dead)
+      if (live.count(context) == 0)
+        for (int k = 0; k < pool.size(); ++k) pool.at(k).release_context(context);
+  }
+}
+
+/// Live health: hand the monitor the analytic per-stream budgets the
+/// burn-rate detector projects against (the admission cost model is
+/// content-independent, so they are exact before any frame is encoded).
+/// Shed streams get an empty budget (they dispatch nothing) and a kShed
+/// flight record; degraded ones a kRungTransition record.
+void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& streams,
+                  const KernelLibrary& library, const FabricPool& pool,
+                  const me::SystolicParams& me_params) {
+  const AdmissionController cost_model(library, pool, me_params);
+  std::vector<health::StreamBudget> budgets;
+  budgets.reserve(streams.size());
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const StreamJob& s = streams[k];
+    health::StreamBudget b;
+    b.stream_id = static_cast<int>(k);
+    b.shed = s.admission_rung == DegradationRung::kReject;
+    b.deadline_cycles = static_cast<double>(s.config.sla.deadline_cycles);
+    b.frames_done_at_start = b.shed ? 0 : s.next_frame;
+    if (!b.shed) {
+      b.frame_cycles.reserve(s.frames.size());
+      for (int f = 0; f < static_cast<int>(s.frames.size()); ++f)
+        b.frame_cycles.push_back(static_cast<double>(cost_model.frame_cycles(s, f)));
+    }
+    budgets.push_back(std::move(b));
+  }
+  hm.begin_run(pool.size(), std::move(budgets));
+  const int ctl = hm.flight().control_ring();
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const DegradationRung rung = streams[k].admission_rung;
+    if (rung == DegradationRung::kNone) continue;
+    hm.flight().record(ctl,
+                       rung == DegradationRung::kReject ? health::EventKind::kShed
+                                                        : health::EventKind::kRungTransition,
+                       static_cast<int>(k), -1, static_cast<std::uint64_t>(rung));
+  }
+}
+
+/// Plan the run in modeled time on the calling thread and hand each
+/// fabric's jobs to its lane as they are planned. An event loop: at each
+/// instant every idle fabric, lowest id first, acquires a batch through
+/// the queue policy and runs it back to back from that instant — each
+/// job paying Fabric::prepare_detailed's fetch + switch cycles (waiting
+/// for the physical configuration port when a co-tenant holds it) plus
+/// its stage's modeled compute — and time advances to the earliest batch
+/// end, where every batch ending then completes and releases its
+/// successors. Throws when jobs remain that no fabric can take.
+Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
+          const SchedulerConfig& config, health::HealthMonitor* hm,
+          PublishedQueueSample* published, Lanes& lanes, RunReport& report) {
+  JobQueueConfig qcfg = config.queue;
+  if (hm != nullptr) qcfg.flight = &hm->flight();
+  JobQueue queue(streams, qcfg);
+  const int lookahead = std::max(0, config.queue.pipeline_lookahead);
+  const auto fabrics = static_cast<std::size_t>(pool.size());
+
+  Plan out;
+  out.frame_offset.assign(streams.size() + 1, 0);
+  for (std::size_t k = 0; k < streams.size(); ++k)
+    out.frame_offset[k + 1] = out.frame_offset[k] + streams[k].frames.size();
+  out.frames.resize(out.frame_offset.back());
+  // Modeled end of each (frame, stage), for the jobs' readiness.
+  constexpr std::size_t kStages = 4;
+  std::vector<std::uint64_t> end_of(out.frame_offset.back() * kStages, 0);
+  const auto end_at = [&](int stream, int frame, StageKind stage) -> std::uint64_t {
+    if (frame < 0) return 0;
+    return end_of[(out.frame_offset[static_cast<std::size_t>(stream)] +
+                   static_cast<std::size_t>(frame)) * kStages +
+                  static_cast<std::size_t>(stage)];
+  };
+
+  // Dispatch filters by capability AND placement feasibility: a fabric is
+  // only handed jobs whose context places on its geometry. A fabric that
+  // hosts the whole library gets a null filter.
+  std::vector<JobQueue::HostFilter> can_host(fabrics);
+  for (std::size_t f = 0; f < fabrics; ++f) {
+    std::set<std::string> hostable;
+    for (const std::string& context : library.context_names())
+      if (pool.at(static_cast<int>(f)).hosts(context)) hostable.insert(context);
+    if (hostable.size() != library.context_names().size())
+      can_host[f] = [hostable = std::move(hostable)](const std::string& context) {
+        return hostable.count(context) != 0;
+      };
+  }
+
+  SimSchedule& schedule = out.schedule;
+  schedule.fabric_busy_cycles.assign(fabrics, 0);
+  schedule.port_wait_cycles.assign(fabrics, 0);
+  const std::vector<int>& physical_of = pool.physical_of();
+  std::vector<std::uint64_t> port_free(static_cast<std::size_t>(pool.physical_count()), 0);
+  std::vector<std::uint64_t> free_at(fabrics, 0);
+  std::vector<std::vector<CompletedTask>> running(fabrics);  ///< each fabric's batch
+  std::vector<int> stream_seq(streams.size(), 0);
+  std::vector<PlannedJob> handoff;
+  const auto publish = [&] {
+    if (published == nullptr) return;
+    health::QueueHealthSample sample = queue.health_sample();
+    std::lock_guard lock(published->m);
+    published->sample = std::move(sample);
+  };
+
+  for (std::uint64_t now = 0;;) {
+    for (std::size_t f = 0; f < fabrics; ++f) {
+      if (!running[f].empty()) continue;
+      Fabric& fabric = pool.at(static_cast<int>(f));
+      const std::vector<FrameTask> tasks =
+          queue.acquire_batch(fabric.id(), fabric.active(), fabric.capabilities(), can_host[f],
+                              config.queue.max_batch);
+      if (tasks.empty()) continue;
+      std::uint64_t clock = now;
+      handoff.clear();
+      for (const FrameTask& task : tasks) {
+        StreamJob& stream = streams[static_cast<std::size_t>(task.stream_id)];
+        const int frame = task.frame_index;
+        const std::string& context = queue.required_context(task);
+        const PrepareResult prep = fabric.prepare_detailed(context);
+        const std::uint64_t reconfig = prep.total();
+        if (hm != nullptr) {
+          hm->flight().record(fabric.id(), health::EventKind::kDispatch, task.stream_id, frame,
+                              static_cast<std::uint64_t>(task.stage));
+          if (prep.switched)
+            hm->flight().record(fabric.id(), health::EventKind::kReconfig, task.stream_id,
+                                frame, reconfig);
+          hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched);
+        }
+
+        const std::size_t at =
+            out.frame_offset[static_cast<std::size_t>(task.stream_id)] +
+            static_cast<std::size_t>(frame);
+        PlannedFrame& planned = out.frames[at];
+        if (planned.ready == PlannedFrame::kUnplanned) {
+          const video::Frame& pixels = stream.frames[static_cast<std::size_t>(frame)];
+          planned.cycles =
+              model_frame_cycles(*library.impl(stream.impl_for(frame)), stream.config.codec,
+                                 config.me, pixels.width(), pixels.height(), frame == 0);
+        }
+
+        SimStageJob job;
+        job.stream_id = task.stream_id;
+        job.frame_index = frame;
+        job.fabric_id = fabric.id();
+        job.stage = task.stage;
+        job.reconfig_cycles = reconfig;
+        switch (task.stage) {
+          case StageKind::kWholeFrame:
+            job.ready_cycles = end_at(task.stream_id, frame - 1, StageKind::kWholeFrame);
+            break;
+          case StageKind::kMotionEstimation:
+            job.ready_cycles = std::max(
+                end_at(task.stream_id, frame - 1, StageKind::kMotionEstimation),
+                end_at(task.stream_id, frame - 1 - lookahead, StageKind::kReconstructEntropy));
+            break;
+          case StageKind::kTransformQuant:
+            job.ready_cycles =
+                std::max(end_at(task.stream_id, frame, StageKind::kMotionEstimation),
+                         end_at(task.stream_id, frame - 1, StageKind::kReconstructEntropy));
+            break;
+          case StageKind::kReconstructEntropy:
+            job.ready_cycles = end_at(task.stream_id, frame, StageKind::kTransformQuant);
+            break;
+        }
+        job.start_cycles = std::max(job.ready_cycles, clock);
+        if (reconfig > 0) {
+          // The job opens with its context load, which needs the physical
+          // configuration port a co-tenant slot may be holding.
+          std::uint64_t& port = port_free[static_cast<std::size_t>(physical_of[f])];
+          const std::uint64_t port_start = std::max(job.start_cycles, port);
+          job.port_wait_cycles = port_start - job.start_cycles;
+          job.start_cycles = port_start;
+          port = port_start + reconfig;
+          schedule.port_wait_cycles[f] += job.port_wait_cycles;
+          schedule.contention_cycles += job.port_wait_cycles;
+        }
+        const std::uint64_t duration = stage_cycles(task.stage, planned.cycles) + reconfig;
+        job.end_cycles = job.start_cycles + duration;
+        clock = job.end_cycles;
+        end_of[at * kStages + static_cast<std::size_t>(task.stage)] = job.end_cycles;
+        planned.ready = std::min(planned.ready, job.ready_cycles);
+        planned.end = std::max(planned.end, job.end_cycles);
+        schedule.fabric_busy_cycles[f] += duration;
+        schedule.makespan_cycles = std::max(schedule.makespan_cycles, job.end_cycles);
+        schedule.jobs.push_back(job);
+
+        running[f].push_back(CompletedTask{task, reconfig});
+        handoff.push_back(PlannedJob{task, stream_seq[static_cast<std::size_t>(task.stream_id)]++,
+                                     &context, library.impl(context), prep});
+      }
+      free_at[f] = clock;
+      lanes.push(fabric.id(), handoff);
+    }
+    publish();
+
+    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t f = 0; f < fabrics; ++f)
+      if (!running[f].empty()) next = std::min(next, free_at[f]);
+    if (next == std::numeric_limits<std::uint64_t>::max()) break;
+    now = next;
+    for (std::size_t f = 0; f < fabrics; ++f) {
+      if (running[f].empty() || free_at[f] != now) continue;
+      queue.complete_batch(running[f], static_cast<int>(f));
+      running[f].clear();
+    }
+  }
+
+  const health::QueueHealthSample left = queue.health_sample();
+  if (left.depth > 0)
+    throw std::logic_error(std::to_string(left.depth) +
+                           " ready jobs remain that no fabric in the pool can take "
+                           "(pool geometries: " + pool.geometry_list() + ")");
+  schedule.mean_utilization =
+      mean_utilization(schedule.fabric_busy_cycles, schedule.makespan_cycles);
+  report.timeline = queue.timeline();
+  report.dispatches = queue.dispatches();
+  report.max_wait_dispatches = queue.max_wait_dispatches();
+  report.queue_shards = queue.shard_count();
+  report.queue_steals = queue.steals();
+  report.dispatch_batches = queue.dispatch_batches();
+  report.sim_makespan_cycles = schedule.makespan_cycles;
+  report.sim_utilization = schedule.mean_utilization;
+  report.port_contention_cycles = schedule.contention_cycles;
+  out.placement_skips = queue.placement_skips();
+  return out;
+}
+
+/// Encode one planned job on @p lane: the stage's encoder step under the
+/// job's context, in the stream state the earlier stages left.
+void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
+                const video::MotionSearchFn& me_fn) {
+  const FrameTask& task = job.task;
+  const int f = task.frame_index;
+  const video::Frame& frame = stream.frames[static_cast<std::size_t>(f)];
+  const video::ToyEncoder encoder(job.impl, me_fn, stream.config.codec);
+  if (task.stage == StageKind::kWholeFrame) {
+    FrameRecord record;
+    record.frame_index = f;
+    record.fabric_id = lane;
+    record.impl = *job.context;
+    record.wait_dispatches = task.wait_dispatches;
+    record.reconfig_cycles = job.prep.total();
+    // Open-loop ME (search the previous original frame) keeps the
+    // monolithic job the bit-exact twin of the stage pipeline.
+    const video::Frame* search_ref =
+        f > 0 ? &stream.frames[static_cast<std::size_t>(f - 1)] : nullptr;
+    record.stats = encoder.encode_frame(frame, search_ref, stream.recon_state);
+    stream.records.push_back(record);
+    return;
+  }
+  FramePipelineState& state = stream.pipeline[static_cast<std::size_t>(f)];
+  state.reconfig_cycles += job.prep.total();
+  state.max_wait_dispatches = std::max(state.max_wait_dispatches, task.wait_dispatches);
+  switch (task.stage) {
+    case StageKind::kMotionEstimation:
+      state.me_fabric_id = lane;
+      state.motion =
+          encoder.run_motion_stage(frame, &stream.frames[static_cast<std::size_t>(f - 1)]);
+      break;
+    case StageKind::kTransformQuant: {
+      state.tq_fabric_id = lane;
+      const video::Frame* mc_ref = f > 0 ? &stream.recon_state : nullptr;
+      state.transform = encoder.run_transform_stage(frame, mc_ref, state.motion);
+      break;
+    }
+    case StageKind::kReconstructEntropy: {
+      FrameRecord record;
+      record.frame_index = f;
+      record.fabric_id = lane;
+      record.me_fabric_id = state.me_fabric_id;
+      record.tq_fabric_id = state.tq_fabric_id;
+      record.impl = *job.context;  // DCT/quant + reconstruct share the frame's context
+      video::Frame recon;
+      record.stats = encoder.run_reconstruct_stage(frame, state.motion, state.transform, recon);
+      stream.recon_state = std::move(recon);
+      record.reconfig_cycles = state.reconfig_cycles;
+      record.wait_dispatches = state.max_wait_dispatches;
+      stream.records.push_back(record);
+      // Frame done: the carried prediction/levels are dead weight.
+      state.motion = video::MotionStageResult{};
+      state.transform = video::TransformStageResult{};
+      break;
+    }
+    case StageKind::kWholeFrame:
+      break;
+  }
 }
 
 }  // namespace
@@ -54,31 +550,13 @@ MultiStreamScheduler::MultiStreamScheduler(const KernelLibrary& library,
 }
 
 RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
-  for (StreamJob& s : streams) {
-    // A stream with a condition trajectory must be validated against the
-    // *union* of contexts the trajectory can select over its lifetime,
-    // not just the frame-0 choice: its impl changes mid-run and every
-    // impl it may change to must be placeable. Resolve eagerly so the
-    // union is known up front and the run fails fast with a clear
-    // message instead of mid-flight.
-    if (s.config.trajectory && s.frame_impls.size() != s.frames.size())
-      resolve_stream_conditions(s);
-    if (library_.impl(s.impl_name) == nullptr)
-      throw std::invalid_argument("stream '" + s.config.name +
-                                  "' wants unknown implementation '" + s.impl_name + "'");
-    for (std::size_t f = 0; f < s.frame_impls.size(); ++f)
-      if (library_.impl(s.frame_impls[f]) == nullptr)
-        throw std::invalid_argument(
-            "stream '" + s.config.name + "': its condition trajectory selects unknown "
-            "implementation '" + s.frame_impls[f] + "' at frame " + std::to_string(f) +
-            "; every context the trajectory can select must be in the library");
-  }
-
+  // ---- validate ----------------------------------------------------------
+  validate_contexts(streams, library_);
   FabricPool pool(config_.resolved_fabrics(), library_);
-  const unsigned pool_caps = pool.combined_capabilities();
-  if ((pool_caps & kCapDctTransform) == 0)
+  if ((pool.combined_capabilities() & kCapDctTransform) == 0)
     throw std::invalid_argument("no fabric in the pool hosts the DCT/transform kernel");
 
+  // ---- admit -------------------------------------------------------------
   RunReport report;
   if (config_.admission.enabled) {
     // Admission runs before the placement fail-fast below: a stream whose
@@ -87,347 +565,137 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     // into graceful degradation.
     AdmissionController controller(library_, pool, config_.me, config_.admission);
     report.admission = controller.admit_all(streams);
-    // Shed streams must not leave contexts (or their pinned frame images)
-    // resident in any fabric cache: release every context only rejected
-    // streams would have used. The pool is freshly built here, so this is
-    // usually a no-op — but a pre-warmed cache (seeded manager) would
-    // otherwise keep the dead context pinned for the whole run.
-    std::set<std::string> live;
-    for (const StreamJob& s : streams) {
-      if (s.admission_rung == DegradationRung::kReject) continue;
-      live.insert(s.impl_name);
-      live.insert(s.frame_impls.begin(), s.frame_impls.end());
-    }
-    for (const StreamJob& s : streams) {
-      if (s.admission_rung != DegradationRung::kReject) continue;
-      std::set<std::string> dead(s.frame_impls.begin(), s.frame_impls.end());
-      dead.insert(s.impl_name);
-      for (const std::string& context : dead)
-        if (live.count(context) == 0)
-          for (int k = 0; k < pool.size(); ++k) pool.at(k).release_context(context);
-    }
+    release_shed_contexts(streams, pool);
   }
+  validate_placement(streams, pool, config_.queue.mode);
 
-  bool needs_me_kernel = false;
-  for (const StreamJob& s : streams) {
-    if (s.admission_rung == DegradationRung::kReject) continue;
-    // Remaining inter frames need the ME kernel; frame 0 is intra and
-    // already-encoded frames (a resumed stream) dispatch nothing.
-    if (static_cast<int>(s.frames.size()) > std::max(1, s.next_frame))
-      needs_me_kernel = true;
-  }
-
-  // Placement-feasibility fail-fast: every context a stream can select
-  // over its lifetime (static impl_name, or the trajectory's per-frame
-  // resolution) must place on at least one capable fabric geometry, and
-  // the stage pipeline's shared ME context must place on an ME-capable
-  // fabric. Checking here turns a mid-flight Fabric::prepare throw —
-  // or a silent never-dispatched job — into an up-front diagnostic that
-  // names the implementation, the frame, and the pool's geometries.
-  for (const StreamJob& s : streams) {
-    if (s.admission_rung == DegradationRung::kReject) continue;  // dispatches nothing
-    const int frame_count = static_cast<int>(s.frames.size());
-    for (int f = 0; f < frame_count; ++f) {
-      const std::string& impl = s.impl_for(f);
-      if (f > 0 && impl == s.impl_for(f - 1)) continue;  // only first selections
-      if (!pool.any_fabric_hosts(impl, kCapDctTransform))
-        throw std::invalid_argument(
-            "stream '" + s.config.name + "': implementation '" + impl +
-            "' selected at frame " + std::to_string(f) +
-            " is not placeable on any DCT-capable fabric in the pool (geometries: " +
-            pool.geometry_list() + ")");
-    }
-  }
-  // Covers both the capability-less pool and an ME-capable fabric whose
-  // geometry cannot place the systolic context.
-  if (config_.queue.mode == DispatchMode::kStagePipeline && needs_me_kernel &&
-      !pool.any_fabric_hosts(kMeContextName, kCapMotionEstimation))
-    throw std::invalid_argument(
-        "stage pipeline needs a motion-estimation-capable fabric that can place '" +
-        std::string(kMeContextName) + "' (pool geometries: " + pool.geometry_list() + ")");
-
-  std::vector<double> busy_ms(static_cast<std::size_t>(pool.size()), 0.0);
-
-  // Live health: hand the monitor the analytic per-stream budgets the
-  // burn-rate detector projects against. The admission cost model's
-  // frame_cycles is content-independent, so the budgets are exact before
-  // any frame is encoded — the only live proxy for the modeled clock,
-  // which otherwise exists only in the post-run sim replay. Shed streams
-  // get an empty budget (they dispatch nothing) and a kShed flight
-  // record; degraded ones a kRungTransition record.
   health::HealthMonitor* const hm = config_.health;
-  if (hm != nullptr) {
-    const AdmissionController cost_model(library_, pool, config_.me);
-    std::vector<health::StreamBudget> budgets;
-    budgets.reserve(streams.size());
-    for (std::size_t k = 0; k < streams.size(); ++k) {
-      const StreamJob& s = streams[k];
-      health::StreamBudget b;
-      b.stream_id = static_cast<int>(k);
-      b.shed = s.admission_rung == DegradationRung::kReject;
-      b.deadline_cycles = static_cast<double>(s.config.sla.deadline_cycles);
-      b.frames_done_at_start = b.shed ? 0 : s.next_frame;
-      if (!b.shed) {
-        b.frame_cycles.reserve(s.frames.size());
-        for (int f = 0; f < static_cast<int>(s.frames.size()); ++f)
-          b.frame_cycles.push_back(static_cast<double>(cost_model.frame_cycles(s, f)));
-      }
-      budgets.push_back(std::move(b));
-    }
-    hm->begin_run(pool.size(), std::move(budgets));
-    const int ctl = hm->flight().control_ring();
-    for (std::size_t k = 0; k < streams.size(); ++k) {
-      const DegradationRung rung = streams[k].admission_rung;
-      if (rung == DegradationRung::kNone) continue;
-      hm->flight().record(ctl,
-                          rung == DegradationRung::kReject
-                              ? health::EventKind::kShed
-                              : health::EventKind::kRungTransition,
-                          static_cast<int>(k), -1,
-                          static_cast<std::uint64_t>(rung));
-    }
-  }
-
+  if (hm != nullptr) begin_health(*hm, streams, library_, pool, config_.me);
   // Telemetry resolution: the caller's recorder, or — when only metrics
   // were requested — an internal one (histograms and timelines are
   // derived from spans). Null `rec` is the zero-cost-off state: each
-  // worker's recording sites reduce to one untaken pointer test.
+  // lane's recording site reduces to one untaken pointer test.
   telemetry::TraceRecorder local_recorder;
   telemetry::TraceRecorder* rec =
       config_.trace != nullptr ? config_.trace
                                : (config_.metrics != nullptr ? &local_recorder : nullptr);
   if (rec != nullptr) rec->begin_run(pool.size());
 
-  const auto wall_start = std::chrono::steady_clock::now();
+  // ---- plan + execute ----------------------------------------------------
+  // The lanes execute while this thread keeps planning. Each lane writes
+  // only its own busy/idle slots and trace buffer.
+  const auto wall_start = Clock::now();
+  std::vector<std::size_t> first_new_record(streams.size());
+  for (std::size_t k = 0; k < streams.size(); ++k) first_new_record[k] = streams[k].records.size();
+  std::vector<double> busy_ms(static_cast<std::size_t>(pool.size()), 0.0);
+  std::vector<Clock::time_point> lane_idle_since(static_cast<std::size_t>(pool.size()),
+                                                 wall_start);
+  const video::MotionSearchFn me_fn = me::systolic_search_fn(config_.me);
+  const auto execute = [&](int lane, const PlannedJob& job) {
+    const auto start = Clock::now();
+    StreamJob& stream = streams[static_cast<std::size_t>(job.task.stream_id)];
+    encode_job(lane, job, stream, me_fn);
+    const auto end = Clock::now();
+    const FrameTask& task = job.task;
+    // Host latency: the frame's first stage (ME, or DCT/quant of the
+    // intra frame) starting to its last one ending.
+    const auto f = static_cast<std::size_t>(task.frame_index);
+    if (task.stage == StageKind::kMotionEstimation ||
+        (task.stage == StageKind::kTransformQuant && f == 0))
+      stream.pipeline[f].first_start = start;
+    const bool frame_done =
+        task.stage == StageKind::kWholeFrame || task.stage == StageKind::kReconstructEntropy;
+    if (frame_done) {
+      const Clock::time_point first =
+          task.stage == StageKind::kWholeFrame ? start : stream.pipeline[f].first_start;
+      stream.records.back().latency_ms =
+          std::chrono::duration<double, std::milli>(end - first).count();
+    }
+    const auto lane_index = static_cast<std::size_t>(lane);
+    busy_ms[lane_index] += std::chrono::duration<double, std::milli>(end - start).count();
+    if (hm != nullptr) {
+      hm->on_job_done(lane,
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
+      if (frame_done) hm->on_frame_done(task.stream_id);
+    }
+    if (rec != nullptr) {
+      telemetry::JobTrace t;
+      t.stream_id = task.stream_id;
+      t.frame_index = task.frame_index;
+      t.stage = task.stage;
+      t.fabric_id = lane;
+      t.context = *job.context;
+      t.ready_ns = rec->to_ns(lane_idle_since[lane_index]);
+      t.dispatch_ns = rec->to_ns(start);
+      t.prepared_ns = t.dispatch_ns;  // the planner prepared the context
+      t.done_ns = rec->to_ns(end);
+      t.fetch_cycles = job.prep.fetch_cycles;
+      t.switch_cycles = job.prep.switch_cycles;
+      t.cache_hit = job.prep.cache_hit;
+      t.switched = job.prep.switched;
+      t.partial_switch = job.prep.partial;
+      rec->worker(lane).push_back(std::move(t));
+    }
+    lane_idle_since[lane_index] = end;
+  };
 
-  // The queue lives only through the drain: its per-fabric event buffers
-  // are copied into the report, and freeing them before the sim replay
-  // keeps them out of the run's peak footprint.
-  std::vector<std::uint64_t> queue_skips;
-  {
-    JobQueueConfig qcfg = config_.queue;
-    if (hm != nullptr) qcfg.flight = &hm->flight();
-    JobQueue queue(streams, qcfg);
-    // The monitor's epoch sampler pulls live depth/age/steal state
-    // through this callback for as long as the queue exists; finish_run
-    // (below, before the queue leaves scope) detaches it.
-    if (hm != nullptr)
-      hm->attach_queue([&queue] { return queue.health_sample(); });
-    const auto worker = [&](int fabric_id) {
-      Fabric& fabric = pool.at(fabric_id);
-      const video::MotionSearchFn me_fn = me::systolic_search_fn(config_.me);
-      double& busy = busy_ms[static_cast<std::size_t>(fabric_id)];
-      // The worker's private append-only buffer — no lock, no sharing.
-      std::vector<telemetry::JobTrace>* trace_buf =
-          rec != nullptr ? &rec->worker(fabric_id) : nullptr;
-      // Dispatch filters by capability AND placement feasibility: this
-      // fabric is only handed jobs whose context places on its geometry.
-      // The library's context set is small and fixed, so resolve the
-      // fits() matrix once into a set here — the queue consults the filter
-      // once per context on every acquire. A fabric that hosts the whole
-      // library gets a null filter (the homogeneous fast path).
-      std::set<std::string> hostable;
-      for (const std::string& context : library_.context_names())
-        if (fabric.hosts(context)) hostable.insert(context);
-      const bool hosts_all = hostable.size() == library_.context_names().size();
-      const JobQueue::HostFilter can_host =
-          hosts_all ? JobQueue::HostFilter(nullptr)
-                    : [hostable = std::move(hostable)](const std::string& context) {
-                        return hostable.count(context) != 0;
-                      };
-      std::vector<CompletedTask> done;
-      while (true) {
-        const std::vector<FrameTask> batch =
-            queue.acquire_batch(fabric.id(), fabric.active(), fabric.capabilities(),
-                                can_host, config_.queue.max_batch);
-        if (batch.empty()) break;
-        done.clear();
-        done.reserve(batch.size());
-        for (const FrameTask& task : batch) {
-          const auto job_start = std::chrono::steady_clock::now();
-          StreamJob& stream = streams[static_cast<std::size_t>(task.stream_id)];
-          const int f = task.frame_index;
-          const video::Frame& frame = stream.frames[static_cast<std::size_t>(f)];
-          const std::string context = queue.required_context(task);
-          const PrepareResult prep = fabric.prepare_detailed(context);
-          const std::uint64_t reconfig_cycles = prep.total();
-          const std::int64_t prepared_ns = trace_buf != nullptr ? rec->now_ns() : 0;
-          if (hm != nullptr) {
-            hm->flight().record(fabric.id(), health::EventKind::kDispatch,
-                                task.stream_id, f,
-                                static_cast<std::uint64_t>(task.stage));
-            if (prep.switched)
-              hm->flight().record(fabric.id(), health::EventKind::kReconfig,
-                                  task.stream_id, f, reconfig_cycles);
-            hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched);
-          }
-
-          if (task.stage == StageKind::kWholeFrame) {
-            FrameRecord record;
-            record.frame_index = f;
-            record.fabric_id = fabric.id();
-            record.impl = context;
-            record.wait_dispatches = task.wait_dispatches;
-            record.reconfig_cycles = reconfig_cycles;
-            const video::ToyEncoder encoder(fabric.active_impl(), me_fn, stream.config.codec);
-            // Open-loop ME (search the previous original frame) keeps the
-            // monolithic job the bit-exact twin of the stage pipeline.
-            const video::Frame* search_ref =
-                f > 0 ? &stream.frames[static_cast<std::size_t>(f - 1)] : nullptr;
-            record.stats = encoder.encode_frame(frame, search_ref, stream.recon_state);
-            record.latency_ms = ms_since(task.ready_time);
-            stream.records.push_back(record);
-          } else {
-            FramePipelineState& state = stream.pipeline[static_cast<std::size_t>(f)];
-            state.reconfig_cycles += reconfig_cycles;
-            state.max_wait_dispatches =
-                std::max(state.max_wait_dispatches, task.wait_dispatches);
-            const video::ToyEncoder encoder(fabric.active_impl(), me_fn, stream.config.codec);
-            switch (task.stage) {
-              case StageKind::kMotionEstimation: {
-                state.me_fabric_id = fabric.id();
-                state.motion = encoder.run_motion_stage(
-                    frame, &stream.frames[static_cast<std::size_t>(f - 1)]);
-                break;
-              }
-              case StageKind::kTransformQuant: {
-                state.tq_fabric_id = fabric.id();
-                const video::Frame* mc_ref = f > 0 ? &stream.recon_state : nullptr;
-                state.transform = encoder.run_transform_stage(frame, mc_ref, state.motion);
-                break;
-              }
-              case StageKind::kReconstructEntropy: {
-                FrameRecord record;
-                record.frame_index = f;
-                record.fabric_id = fabric.id();
-                record.me_fabric_id = state.me_fabric_id;
-                record.tq_fabric_id = state.tq_fabric_id;
-                record.impl = context;  // DCT/quant + reconstruct share the frame's context
-                video::Frame recon;
-                record.stats =
-                    encoder.run_reconstruct_stage(frame, state.motion, state.transform, recon);
-                stream.recon_state = std::move(recon);
-                record.reconfig_cycles = state.reconfig_cycles;
-                record.wait_dispatches = state.max_wait_dispatches;
-                record.latency_ms = ms_since(state.first_ready);
-                stream.records.push_back(record);
-                // Frame done: the carried prediction/levels are dead weight.
-                state.motion = video::MotionStageResult{};
-                state.transform = video::TransformStageResult{};
-                break;
-              }
-              default:
-                break;
-            }
-          }
-          const auto job_end = std::chrono::steady_clock::now();
-          busy += std::chrono::duration<double, std::milli>(job_end - job_start).count();
-          if (hm != nullptr) {
-            hm->on_job_done(fabric.id(),
-                            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                job_end - job_start)
-                                .count());
-            if (task.stage == StageKind::kWholeFrame ||
-                task.stage == StageKind::kReconstructEntropy)
-              hm->on_frame_done(task.stream_id);
-          }
-          if (trace_buf != nullptr) {
-            telemetry::JobTrace t;
-            t.stream_id = task.stream_id;
-            t.frame_index = f;
-            t.stage = task.stage;
-            t.fabric_id = fabric.id();
-            t.context = context;
-            t.ready_ns = rec->to_ns(task.ready_time);
-            t.dispatch_ns = rec->to_ns(job_start);
-            t.prepared_ns = prepared_ns;
-            t.done_ns = rec->to_ns(job_end);
-            t.fetch_cycles = prep.fetch_cycles;
-            t.switch_cycles = prep.switch_cycles;
-            t.cache_hit = prep.cache_hit;
-            t.switched = prep.switched;
-            t.partial_switch = prep.partial;
-            trace_buf->push_back(std::move(t));
-          }
-          done.push_back(CompletedTask{task, reconfig_cycles});
-        }
-        // One completion call per batch: one timestamp, one lane pass and
-        // grouped successor enqueues (one lock round per target shard).
-        queue.complete_batch(done, fabric.id());
-      }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(pool.size()));
-    for (int f = 0; f < pool.size(); ++f) threads.emplace_back(worker, f);
-    for (std::thread& t : threads) t.join();
-
-    report.timeline = queue.timeline();
-    report.dispatches = queue.dispatches();
-    report.max_wait_dispatches = queue.max_wait_dispatches();
-    queue_skips = queue.placement_skips();
-    report.queue_shards = queue.shard_count();
-    report.queue_steals = queue.steals();
-    report.dispatch_batches = queue.dispatch_batches();
-    // Final tick + sampler stop while the queue is still alive.
-    if (hm != nullptr) hm->finish_run();
+  PublishedQueueSample published;
+  if (hm != nullptr)
+    hm->attach_queue([&published] {
+      std::lock_guard lock(published.m);
+      return published.sample;
+    });
+  Plan planned;
+  try {
+    Lanes lanes(pool.size(), streams.size(), execute);
+    planned = plan(streams, pool, library_, config_, hm, hm != nullptr ? &published : nullptr,
+                   lanes, report);
+    lanes.finish();
+  } catch (...) {
+    if (hm != nullptr) hm->finish_run();  // detach the sampler from `published`
+    throw;
   }
-  if (hm != nullptr) report.health_anomalies = hm->anomalies_total();
+  // Final tick + sampler stop; the final sample shows the drained queue.
+  if (hm != nullptr) {
+    hm->finish_run();
+    report.health_anomalies = hm->anomalies_total();
+  }
+  report.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
 
+  // The plan equals the execution: every frame encoded here must have
+  // charged exactly the kernel cycles the plan costed it at. Then stamp
+  // the modeled clock domain into the streams: per frame, its first
+  // stage's readiness to its last stage's end; per stream, the end of
+  // its last frame. SLA verdicts (and the frame-latency histogram) are
+  // judged in this domain — host milliseconds depend on the build
+  // machine, modeled cycles do not.
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    StreamJob& s = streams[k];
+    const PlannedFrame* frames = &planned.frames[planned.frame_offset[k]];
+    s.modeled_completion_cycles = 0;
+    for (std::size_t f = 0; f < s.frames.size(); ++f)
+      s.modeled_completion_cycles = std::max(s.modeled_completion_cycles, frames[f].end);
+    for (std::size_t r = first_new_record[k]; r < s.records.size(); ++r) {
+      FrameRecord& record = s.records[r];
+      const PlannedFrame& frame = frames[static_cast<std::size_t>(record.frame_index)];
+      if (record.stats.me_array_cycles != frame.cycles.me ||
+          record.stats.dct_array_cycles != frame.cycles.dct)
+        throw std::logic_error(
+            "stream '" + s.config.name + "' frame " + std::to_string(record.frame_index) +
+            ": the encoder charged " + std::to_string(record.stats.me_array_cycles) +
+            " ME / " + std::to_string(record.stats.dct_array_cycles) +
+            " DCT cycles, the plan costed " + std::to_string(frame.cycles.me) + " / " +
+            std::to_string(frame.cycles.dct));
+      record.latency_cycles = frame.end - frame.ready;
+    }
+  }
+
+  // ---- report ------------------------------------------------------------
+  const SimSchedule& sim = planned.schedule;
   report.policy = to_string(config_.queue.policy);
   report.mode = to_string(config_.queue.mode);
   report.fabrics = pool.size();
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  const SimSchedule sim = simulate_timeline(streams, report.timeline,
-                                            config_.queue.pipeline_lookahead,
-                                            &pool.physical_of());
-  report.sim_makespan_cycles = sim.makespan_cycles;
-  report.sim_utilization = sim.mean_utilization;
   report.physical_fabrics = pool.physical_count();
-  report.port_contention_cycles = sim.contention_cycles;
-
-  // Stamp the modeled clock domain back into the streams: per frame, the
-  // first stage's readiness to the last stage's completion; per stream,
-  // the end of its last frame. This is what SLA verdicts (and the
-  // frame-latency histogram) are judged in — host milliseconds depend on
-  // the build machine, modeled cycles do not.
-  //
-  // Spans live in one flat vector, stream k's frame f at offset[k] + f,
-  // each stream's slice covering the frames the replay ran; a span no
-  // job touched keeps ready = kUntouched.
-  {
-    constexpr std::uint64_t kUntouched = std::numeric_limits<std::uint64_t>::max();
-    struct Span {
-      std::uint64_t ready = kUntouched;
-      std::uint64_t end = 0;
-    };
-    std::vector<std::size_t> frame_count(streams.size(), 0);
-    for (const SimStageJob& j : sim.jobs) {
-      std::size_t& count = frame_count[static_cast<std::size_t>(j.stream_id)];
-      count = std::max(count, static_cast<std::size_t>(j.frame_index) + 1);
-    }
-    std::vector<std::size_t> offset(streams.size() + 1, 0);
-    for (std::size_t k = 0; k < streams.size(); ++k) offset[k + 1] = offset[k] + frame_count[k];
-    std::vector<Span> frame_span(offset.back());
-    std::vector<std::uint64_t> stream_end(streams.size(), 0);
-    for (const SimStageJob& j : sim.jobs) {
-      const auto k = static_cast<std::size_t>(j.stream_id);
-      Span& span = frame_span[offset[k] + static_cast<std::size_t>(j.frame_index)];
-      span.ready = std::min(span.ready, j.ready_cycles);
-      span.end = std::max(span.end, j.end_cycles);
-      stream_end[k] = std::max(stream_end[k], j.end_cycles);
-    }
-    for (std::size_t k = 0; k < streams.size(); ++k) {
-      streams[k].modeled_completion_cycles = stream_end[k];
-      for (FrameRecord& r : streams[k].records) {
-        const auto f = static_cast<std::size_t>(r.frame_index);
-        if (r.frame_index < 0 || f >= frame_count[k]) continue;
-        const Span& span = frame_span[offset[k] + f];
-        if (span.ready != kUntouched) r.latency_cycles = span.end - span.ready;
-      }
-    }
-  }
 
   for (const StreamJob& s : streams) {
     StreamSummary summary = summarize_stream(s);
@@ -458,7 +726,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
 
   // Per-geometry breakdown: one entry per distinct fabric geometry, in
   // first-seen fabric order, folding in the queue's placement skips.
-  const std::vector<std::uint64_t>& skips = queue_skips;
+  const std::vector<std::uint64_t>& skips = planned.placement_skips;
   report.total_tiles = pool.total_tiles();
   for (int f = 0; f < pool.size(); ++f) {
     const Fabric& fabric = pool.at(f);
@@ -490,8 +758,8 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   }
 
   // Per-slot occupancy/contention: the tenancy view of the run. Busy and
-  // port-wait cycles come from the sim replay (modeled clock domain);
-  // switch and region-programming counts from the slots themselves.
+  // port-wait cycles come from the plan (modeled clock domain); switch
+  // and region-programming counts from the slots themselves.
   for (int f = 0; f < pool.size(); ++f) {
     const Fabric& fabric = pool.at(f);
     PartitionSummary p;
@@ -499,10 +767,8 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     p.physical = fabric.physical_id();
     p.partition = fabric.partition();
     p.exclusive = fabric.exclusive();
-    if (f < static_cast<int>(sim.fabric_busy_cycles.size()))
-      p.busy_cycles = sim.fabric_busy_cycles[static_cast<std::size_t>(f)];
-    if (f < static_cast<int>(sim.port_wait_cycles.size()))
-      p.port_wait_cycles = sim.port_wait_cycles[static_cast<std::size_t>(f)];
+    p.busy_cycles = sim.fabric_busy_cycles[static_cast<std::size_t>(f)];
+    p.port_wait_cycles = sim.port_wait_cycles[static_cast<std::size_t>(f)];
     if (sim.makespan_cycles > 0)
       p.occupancy = static_cast<double>(p.busy_cycles) /
                     static_cast<double>(sim.makespan_cycles);
@@ -513,10 +779,10 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   }
 
   if (rec != nullptr) {
-    // Modeled-cycle span bounds come from the deterministic sim replay;
-    // the recorded buffers contribute host timestamps and the per-job
-    // fetch/switch breakdown. The attribution then decomposes each
-    // stream's end-to-end modeled latency exactly.
+    // Modeled-cycle span bounds come from the plan; the recorded buffers
+    // contribute host timestamps and the per-job fetch/switch breakdown.
+    // The attribution then decomposes each stream's end-to-end modeled
+    // latency exactly.
     report.spans = telemetry::build_spans(rec->merged(), sim);
     report.attribution = telemetry::attribute_streams(report.spans);
   }

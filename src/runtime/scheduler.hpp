@@ -1,11 +1,26 @@
 // Reconfiguration-aware multi-stream encode scheduler.
 //
 // Accepts N concurrent encode jobs and drives them over a pool of K
-// simulated fabrics, one worker thread per fabric. Two dispatch modes:
+// simulated fabrics. run() validates the streams, admits them, then plans
+// and executes at once:
 //
-//  * kMonolithicFrames — frame-at-a-time batch serving (the PR-1 runtime):
-//    one job encodes a whole frame, motion estimation runs inline on the
-//    worker, and only DCT-capable fabrics participate.
+//  * plan — one thread runs an event loop over modeled array cycles:
+//    whenever a fabric frees (lowest id first on ties) it acquires a
+//    batch through the JobQueue's policy, each job pays its context
+//    fetch + switch (and any wait for a co-tenant's configuration port)
+//    plus its stage's analytic compute cycles, and the batch completes at
+//    its modeled end. The plan is the run's modeled schedule: the same
+//    inputs give the same timeline, makespan and latencies on any host.
+//  * execute — one host thread ("lane") per fabric slot encodes that
+//    slot's planned jobs in plan order, each once it is planned and its
+//    stream's earlier jobs have run. Lanes never decide anything; run()
+//    checks that every frame charged exactly the cycles the plan costed.
+//
+// Two dispatch modes:
+//
+//  * kMonolithicFrames — frame-at-a-time batch serving: one job encodes
+//    a whole frame, motion estimation runs inline on the transform
+//    fabric, and only DCT-capable fabrics participate.
 //  * kStagePipeline — each frame is split into the paper's kernel stages
 //    (ME on the systolic array fabric, DCT/quant and reconstruction on
 //    the DA/CORDIC fabric) with frame-level pipelining: frame k+1's ME
@@ -14,13 +29,11 @@
 //
 // Every dispatch goes through the JobQueue's policy (config-affinity
 // batching with a run cap and an ageing valve, or naive round-robin as
-// the baseline), which hands each worker a batch of jobs from one shard
-// per lock round; every fabric switch pays the measured
-// configuration-port cycles —
-// charged per kernel, so the ME context loads are visible separately —
-// and every context-cache miss pays bus fetch cycles. The returned
-// RunReport carries per-stream latency percentiles, the stage dispatch
-// timeline, per-fabric busy time and the aggregate throughput and
+// the baseline); every fabric switch pays the measured configuration-port
+// cycles — charged per kernel, so the ME context loads are visible
+// separately — and every context-cache miss pays bus fetch cycles. The
+// returned RunReport carries per-stream latency percentiles, the stage
+// dispatch timeline, per-lane busy time and the aggregate throughput and
 // reconfiguration accounting the acceptance benches compare across
 // policies and modes.
 #pragma once
@@ -49,7 +62,7 @@ struct SchedulerConfig {
   std::vector<FabricConfig> fabric_configs;  ///< heterogeneous pool, one per fabric
   JobQueueConfig queue;
   FabricConfig fabric;    ///< template for the homogeneous pool
-  me::SystolicParams me;  ///< ME array model the workers search with
+  me::SystolicParams me;  ///< ME array model the encodes search with and the plan costs
 
   /// Admission control. Disabled (the default) keeps the historical
   /// admit-everything behaviour bit-exactly. Enabled, run() walks the
@@ -59,10 +72,10 @@ struct SchedulerConfig {
   /// every fabric cache.
   AdmissionConfig admission;
 
-  /// Span tracing. Null (the default) is the zero-cost-off state: every
-  /// recording site in the worker loop is guarded by this one pointer
-  /// test, and modeled-cycle results are bit-exact either way — the
-  /// recorder only observes. When set, the run's RunReport carries the
+  /// Span tracing. Null (the default) is the zero-cost-off state: the
+  /// lanes' recording site is guarded by this one pointer test, and
+  /// modeled-cycle results are bit-exact either way — the recorder only
+  /// observes. When set, the run's RunReport carries the
   /// typed span stream and per-stream stall attribution.
   telemetry::TraceRecorder* trace = nullptr;
   /// Metrics sink. When set, the scheduler fills it after the run with
@@ -76,13 +89,14 @@ struct SchedulerConfig {
   int timeline_epochs = 32;
 
   /// Live health monitor. Null (the default) is zero-cost-off, same
-  /// idiom as `trace`: every worker hook is guarded by this one pointer
-  /// test and the monitor only observes, so modeled cycles and encoded
-  /// output are bit-exact either way. When set, run() computes analytic
-  /// per-stream SLA budgets (the admission cost model), starts the
-  /// monitor's epoch sampler over the live queue, feeds the flight
-  /// recorder from the worker loop and the queue's steal path,
-  /// and exports `health_anomalies_total` into `metrics`.
+  /// idiom as `trace`: every hook is guarded by this one pointer test and
+  /// the monitor only observes, so modeled cycles and encoded output are
+  /// bit-exact either way. When set, run() computes analytic per-stream
+  /// SLA budgets (the admission cost model) and starts the monitor's
+  /// epoch sampler over the queue sample the planner publishes; the
+  /// planner records dispatch, reconfig and steal flight events and
+  /// calls on_prepare, the lanes call on_job_done and on_frame_done;
+  /// `health_anomalies_total` is exported into `metrics`.
   health::HealthMonitor* health = nullptr;
 
   /// The one normalization point of the two construction paths: the
@@ -109,7 +123,9 @@ class MultiStreamScheduler {
   /// feasibility fail-fast — streams whose condition trajectory can
   /// select an implementation no fabric geometry in the pool places
   /// (the diagnostic names the implementation, the frame it is first
-  /// selected at, and the pool's geometries).
+  /// selected at, and the pool's geometries). Throws std::logic_error
+  /// when jobs remain that no fabric can take, or when an encoded frame
+  /// charged other kernel cycles than the plan costed it at.
   RunReport run(std::vector<StreamJob>& streams);
 
  private:

@@ -7,19 +7,6 @@ namespace dsra::runtime {
 
 namespace {
 
-std::uint64_t duration_of(const video::FrameStats& stats, StageKind stage) {
-  switch (stage) {
-    case StageKind::kWholeFrame:
-      return stats.me_array_cycles + 2 * stats.dct_array_cycles;
-    case StageKind::kMotionEstimation:
-      return stats.me_array_cycles;
-    case StageKind::kTransformQuant:
-    case StageKind::kReconstructEntropy:
-      return stats.dct_array_cycles;
-  }
-  return 0;
-}
-
 constexpr std::size_t kStageSlots = 4;  ///< StageKind has four values
 
 /// Flat per-(stream, frame) addressing for the replay's lookups. Frames
@@ -148,7 +135,8 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
       throw std::invalid_argument("timeline references a frame with no record");
     const std::uint64_t reconfig =
         reconfig_of[index.stage_at(e.stream_id, e.frame_index, e.stage)];
-    const std::uint64_t duration = duration_of(*stats, e.stage) + reconfig;
+    const std::uint64_t duration =
+        stage_cycles(e.stage, {stats->me_array_cycles, stats->dct_array_cycles}) + reconfig;
     auto& clock = fabric_clock[static_cast<std::size_t>(e.fabric_id)];
 
     SimStageJob job;
@@ -186,18 +174,23 @@ SimSchedule simulate_timeline(const std::vector<StreamJob>& streams,
     schedule.jobs.push_back(job);
   }
 
+  schedule.mean_utilization =
+      mean_utilization(schedule.fabric_busy_cycles, schedule.makespan_cycles);
+  return schedule;
+}
+
+double mean_utilization(const std::vector<std::uint64_t>& fabric_busy_cycles,
+                        std::uint64_t makespan_cycles) {
   int active_fabrics = 0;
   std::uint64_t busy_total = 0;
-  for (const std::uint64_t busy : schedule.fabric_busy_cycles) {
+  for (const std::uint64_t busy : fabric_busy_cycles) {
     if (busy == 0) continue;
     ++active_fabrics;
     busy_total += busy;
   }
-  if (active_fabrics > 0 && schedule.makespan_cycles > 0)
-    schedule.mean_utilization =
-        static_cast<double>(busy_total) /
-        (static_cast<double>(active_fabrics) * static_cast<double>(schedule.makespan_cycles));
-  return schedule;
+  if (active_fabrics == 0 || makespan_cycles == 0) return 0.0;
+  return static_cast<double>(busy_total) /
+         (static_cast<double>(active_fabrics) * static_cast<double>(makespan_cycles));
 }
 
 }  // namespace dsra::runtime

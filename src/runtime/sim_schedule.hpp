@@ -1,12 +1,14 @@
-// Simulated-time reconstruction of a scheduler run.
+// Modeled-time schedule of a scheduler run, and the replay that rebuilds
+// one from a dispatch timeline.
 //
 // The fabrics are simulated hardware, so throughput claims are made in
-// modeled array cycles, not host wall time (the host may serialize the
-// worker threads on a single core; the modeled arrays do not). This
-// module replays a run's dispatch timeline as a discrete-event schedule:
-// jobs keep the fabric assignment and per-fabric order the scheduler
-// chose, every job costs its modeled array cycles, and a job starts no
-// earlier than its data dependencies completed —
+// modeled array cycles, not host wall time. The scheduler's planner
+// produces a run's SimSchedule as it dispatches. simulate_timeline is the
+// independent oracle: it replays a dispatch timeline as a discrete-event
+// schedule in which jobs keep the fabric assignment and per-fabric order
+// the timeline records, every job costs the modeled array cycles its
+// encoded frame reported, and a job starts no earlier than its data
+// dependencies completed —
 //
 //   whole frame k : frame k-1 of the same stream
 //   ME k          : ME k-1 (lane order) and reconstruct k-1-lookahead
@@ -14,9 +16,10 @@
 //   DCT/quant k   : ME k and reconstruct k-1 (it predicts from it)
 //   reconstruct k : DCT/quant k
 //
-// The resulting makespan and per-fabric busy cycles are deterministic for
-// a given timeline, which makes pipeline-overlap assertions and bench
-// speedups independent of host load and core count.
+// On one fabric the replay of a run's timeline equals the plan. With
+// more fabrics the replay may start a job as soon as its dependency ended
+// inside a batch, while the plan releases successors only when their
+// batch completes.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,11 @@ struct SimSchedule {
   /// at least one job.
   double mean_utilization = 0.0;
 };
+
+/// Mean busy fraction over [0, @p makespan_cycles] across the fabrics of
+/// @p fabric_busy_cycles that ran at least one job; 0 when none did.
+[[nodiscard]] double mean_utilization(const std::vector<std::uint64_t>& fabric_busy_cycles,
+                                      std::uint64_t makespan_cycles);
 
 /// Replay @p timeline (a RunReport's event log) against the completed
 /// @p streams. Job costs come from the per-frame stats: the ME stage

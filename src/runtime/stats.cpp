@@ -340,7 +340,7 @@ ReportTable mode_compare_table(const RunReport& a, const RunReport& b) {
                  format_double(100.0 * b.sim_utilization, 0) + "%"});
   table.add_row({"wall seconds", format_double(a.wall_seconds, 3),
                  format_double(b.wall_seconds, 3)});
-  table.add_row({"host worker busy", format_busy(a), format_busy(b)});
+  table.add_row({"host lane busy", format_busy(a), format_busy(b)});
   row_u64("stage dispatches", a.dispatches, b.dispatches);
   row_u64("bitstream switches", static_cast<std::uint64_t>(a.total_switches),
           static_cast<std::uint64_t>(b.total_switches));

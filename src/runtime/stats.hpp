@@ -65,7 +65,7 @@ struct StreamSummary {
   DegradationRung admission_rung = DegradationRung::kNone;
   std::uint64_t deadline_cycles = 0;    ///< SLA (0 = unconstrained)
   std::uint64_t p99_budget_cycles = 0;  ///< SLA (0 = unconstrained)
-  /// Admission's pilot prediction vs the sim replay's modeled outcome —
+  /// Admission's pilot prediction vs the plan's modeled outcome —
   /// completion of the last frame and the per-frame latency p99, both in
   /// modeled cycles (the SLA clock domain).
   std::uint64_t predicted_completion_cycles = 0;
@@ -97,7 +97,7 @@ struct PartitionSummary {
   int physical = 0;  ///< physical fabric the slot lives on
   PartitionSpec partition;
   bool exclusive = true;             ///< the slot covers its whole fabric
-  std::uint64_t busy_cycles = 0;     ///< modeled busy cycles (sim replay)
+  std::uint64_t busy_cycles = 0;     ///< modeled busy cycles (the plan)
   double occupancy = 0.0;            ///< busy / makespan
   std::uint64_t port_wait_cycles = 0;  ///< stalled on the shared config port
   int switches = 0;                  ///< bitstream switches the slot performed
@@ -129,26 +129,24 @@ struct RunReport {
   ContextCacheStats cache;
   std::uint64_t dispatches = 0;
   std::uint64_t max_wait_dispatches = 0;
-  /// Ready-set shards the run's queue used: contexts x ways
-  /// (JobQueueConfig.shards sub-shards per context).
+  /// Ready-set shards the run's queue used: one per context.
   int queue_shards = 1;
-  /// Batches a fabric served from a non-home shard — sibling-way pulls
-  /// of its active context plus cross-context switch-steals.
+  /// Batches a fabric took from a context other than its active one.
   std::uint64_t queue_steals = 0;
-  /// Shard-lock acquisitions that yielded at least one job;
-  /// dispatches/batches measures the amortization.
+  /// Acquires that yielded at least one job; dispatches/batches
+  /// measures the amortization.
   std::uint64_t dispatch_batches = 0;
   /// Watchdog trips recorded by the attached HealthMonitor (0 when the
   /// run had no monitor, or a clean run with one).
   std::uint64_t health_anomalies = 0;
   std::uint64_t condition_switches = 0;  ///< mid-flight context changes, all streams
   std::uint64_t stale_frames = 0;        ///< frames run under a wrong-for-condition impl
-  std::vector<double> fabric_busy_ms;     ///< per-fabric worker busy time
+  std::vector<double> fabric_busy_ms;     ///< per-lane host busy time
   std::vector<StageEvent> timeline;       ///< dispatch/completion event log
-  std::uint64_t sim_makespan_cycles = 0;  ///< modeled-array makespan (sim_schedule)
+  std::uint64_t sim_makespan_cycles = 0;  ///< modeled-array makespan (the plan)
   double sim_utilization = 0.0;           ///< mean busy fraction of the active fabrics
   /// Configuration-port cycles jobs spent waiting for a co-tenant's load
-  /// on the same physical fabric to finish (sim replay; 0 untenanted).
+  /// on the same physical fabric to finish (the plan; 0 untenanted).
   std::uint64_t port_contention_cycles = 0;
   /// Per-slot occupancy/contention breakdown, indexed by slot id. Filled
   /// for every run; interesting when some fabric is partitioned.

@@ -22,7 +22,7 @@ std::vector<JobTrace> TraceRecorder::merged() const {
 }
 
 std::vector<Span> build_spans(const std::vector<JobTrace>& jobs, const SimSchedule& sim) {
-  // The sim replay is the authority on the modeled-cycle domain; the
+  // The schedule is the authority on the modeled-cycle domain; the
   // recorded traces contribute the host timestamps and the fetch/switch
   // breakdown. Join on (stream, frame, stage) — unique per run.
   std::map<std::tuple<int, int, StageKind>, const JobTrace*> trace_of;

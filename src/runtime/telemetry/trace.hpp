@@ -1,18 +1,18 @@
 // Runtime span tracing.
 //
-// The scheduler's workers record one JobTrace per executed stage job into
-// a per-worker append-only buffer — no shared lock, no allocation beyond
-// the buffer's own growth — and the buffers are merged after the run has
-// drained. A merged trace plus the deterministic sim-schedule replay
-// yields typed spans in *two clock domains*:
+// The scheduler's lanes (one host thread per fabric slot) record one
+// JobTrace per executed stage job into a per-lane append-only buffer —
+// no shared lock, no allocation beyond the buffer's own growth — and the
+// buffers are merged after the run has drained. A merged trace plus the
+// run's modeled-time plan yields typed spans in *two clock domains*:
 //
 //  * host wall time (steady-clock nanoseconds since the recorder epoch) —
-//    what the worker threads actually did, useful for profiling the
-//    scheduler itself;
+//    what the lanes actually did, useful for profiling the scheduler
+//    itself;
 //  * modeled array cycles — where the simulated silicon spent the
 //    stream's latency. This domain is bit-deterministic: two identical
 //    runs produce byte-identical modeled-cycle span streams no matter
-//    how the host interleaved the workers.
+//    how the host interleaved the lanes.
 //
 // Zero cost when off: the scheduler holds a TraceRecorder pointer that is
 // null when telemetry is disabled, and every recording site is an inline
@@ -63,7 +63,7 @@ enum class SpanKind : std::uint8_t {
 enum class TrackKind : std::uint8_t { kFabric, kStream };
 
 /// One typed span in both clock domains. Modeled-cycle bounds come from
-/// the deterministic sim replay; host bounds from the live recording
+/// the run's deterministic plan; host bounds from the live recording
 /// (0/0 when the host domain has no meaningful interval for the kind).
 struct Span {
   SpanKind kind = SpanKind::kDispatch;
@@ -80,20 +80,21 @@ struct Span {
   std::int64_t host_end_ns = 0;
 };
 
-/// What a worker records per executed stage job: the host-side timestamps
+/// What a lane records per executed stage job: the host-side timestamps
 /// of the job's phases and the modeled reconfiguration breakdown its
 /// fabric reported. The modeled start/end of the job itself is *not*
-/// recorded here — it is reconstructed bit-deterministically by the sim
-/// replay, so host scheduling jitter never leaks into the cycle domain.
+/// recorded here — it comes from the plan, so host scheduling jitter
+/// never leaks into the cycle domain.
 struct JobTrace {
   int stream_id = 0;
   int frame_index = 0;
   StageKind stage = StageKind::kWholeFrame;
   int fabric_id = -1;
   std::string context;
-  std::int64_t ready_ns = 0;     ///< job became ready (queue-wait start)
-  std::int64_t dispatch_ns = 0;  ///< worker acquired the job
-  std::int64_t prepared_ns = 0;  ///< context fetched + switched
+  std::int64_t ready_ns = 0;     ///< the lane began waiting for it
+  std::int64_t dispatch_ns = 0;  ///< the lane started it
+  /// = dispatch_ns: the planner prepared the context before the lane ran
+  std::int64_t prepared_ns = 0;
   std::int64_t done_ns = 0;      ///< stage compute finished
   std::uint64_t fetch_cycles = 0;   ///< modeled bus cycles of the cache miss
   std::uint64_t switch_cycles = 0;  ///< modeled configuration-port cycles
@@ -140,7 +141,7 @@ class TraceRecorder {
 };
 
 /// Build the typed two-domain span list from a merged trace and the
-/// deterministic sim replay of the same run. Per job: a queue_wait and a
+/// modeled schedule of the same run. Per job: a queue_wait and a
 /// dispatch span on the stream's track, and the cache_fetch ->
 /// reconfig_{full,delta} -> stage_compute breakdown on the fabric's track
 /// (sub-intervals of the job's modeled duration, in that order, so spans

@@ -319,8 +319,12 @@ TEST(AdmissionLadder, EveryRungPreservesTheFrameContract) {
   const AdmissionController ctl(library(), pool, me::SystolicParams{});
   for (int rungs = 0; rungs <= 3; ++rungs) {
     StreamJob job = make_synthetic_job(0, small_stream("contract", 21));
-    if (rungs >= 1) ASSERT_TRUE(AdmissionController::apply_qp_bump(job, 2.0));
-    if (rungs >= 2) ASSERT_TRUE(AdmissionController::apply_resolution_drop(job, 16));
+    if (rungs >= 1) {
+      ASSERT_TRUE(AdmissionController::apply_qp_bump(job, 2.0));
+    }
+    if (rungs >= 2) {
+      ASSERT_TRUE(AdmissionController::apply_resolution_drop(job, 16));
+    }
     if (rungs >= 3) (void)ctl.apply_impl_swap(job);  // may already be cheapest
 
     SchedulerConfig cfg;

@@ -199,7 +199,7 @@ TEST(Clusters, ValidationCatchesIllegalConfigs) {
 }
 
 TEST(Clusters, PortMetadataConsistency) {
-  for (const ClusterConfig cfg :
+  for (const ClusterConfig& cfg :
        {ClusterConfig{MuxRegCfg{8, true}}, ClusterConfig{AbsDiffCfg{12, AbsDiffOp::kAbsDiff, false}},
         ClusterConfig{AddAccCfg{16, AddAccOp::kAccumulate, false}},
         ClusterConfig{CompCfg{16, CompOp::kRunMin}},

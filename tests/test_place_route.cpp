@@ -196,7 +196,9 @@ TEST(Route, WiderChannelsReduceIterations) {
   const RouteResult r1 = route(nl, p1.placement, RRGraph(narrow), RouteParams{});
   const RouteResult r2 = route(nl, p2.placement, RRGraph(wide), RouteParams{});
   ASSERT_TRUE(r2.success);
-  if (r1.success) EXPECT_LE(r2.iterations, r1.iterations);
+  if (r1.success) {
+    EXPECT_LE(r2.iterations, r1.iterations);
+  }
 }
 
 }  // namespace

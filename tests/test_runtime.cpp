@@ -198,8 +198,7 @@ TEST(Fabric, PrepareChargesFetchPlusSwitchOnceThenNothing) {
   const std::uint64_t first = fabric.prepare("cordic1");
   EXPECT_GT(first, 0u);
   EXPECT_EQ(fabric.prepare("cordic1"), 0u);  // resident and active
-  ASSERT_NE(fabric.active_impl(), nullptr);
-  EXPECT_EQ(fabric.active_impl()->name(), "cordic1");
+  EXPECT_EQ(fabric.active(), "cordic1");
   EXPECT_GT(fabric.prepare("scc_full"), 0u);
   EXPECT_EQ(fabric.cache().stats().misses, 2u);
   EXPECT_EQ(fabric.cache().stats().hits, 1u);  // second cordic1 prepare
@@ -207,7 +206,7 @@ TEST(Fabric, PrepareChargesFetchPlusSwitchOnceThenNothing) {
 
 TEST(Scheduler, AffinityBatchingBeatsRoundRobin) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;  // single worker -> deterministic dispatch order
+  cfg.fabrics = 1;
 
   cfg.queue.policy = SchedulingPolicy::kRoundRobin;
   auto rr_jobs = mixed_workload(6, 4, 32);
@@ -523,11 +522,7 @@ TEST(Scheduler, HardAgeBoundServesMidCohortMinorityAtHighQueueDepth) {
             2 * cfg.queue.aging_threshold + 16u);
 }
 
-/// The queue's policy must not depend on how many sub-shards ("ways") a
-/// context is split into: each case runs at ways 1 and ways 4.
-class QueuePolicyAtWays : public ::testing::TestWithParam<int> {};
-
-TEST_P(QueuePolicyAtWays, RoundRobinServesTheLongestWaitingJob) {
+TEST(QueuePolicy, RoundRobinServesTheLongestWaitingJob) {
   // Five cordic1 streams and one scc_full stream on one fabric. The
   // round-robin baseline ignores affinity and backlog alike: it serves
   // the longest-waiting job, so no job waits longer than one round of
@@ -537,19 +532,17 @@ TEST_P(QueuePolicyAtWays, RoundRobinServesTheLongestWaitingJob) {
   cfg.fabrics = 1;
   cfg.queue.policy = SchedulingPolicy::kRoundRobin;
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
-  cfg.queue.shards = GetParam();
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
   EXPECT_EQ(report.total_frames, 24u);
   EXPECT_LE(report.max_wait_dispatches, jobs.size() - 1);
 }
 
-TEST_P(QueuePolicyAtWays, EquallyOldJobsDispatchTightestDeadlineFirst) {
+TEST(QueuePolicy, EquallyOldJobsDispatchTightestDeadlineFirst) {
   // Sixteen one-frame cordic1 streams become ready together, one cohort
   // of equally-old jobs of one context. Their SLA deadlines tighten with
   // the stream id, so stream order is the reverse of EDF: the tie-break
-  // must dispatch the cohort tightest deadline first, across sub-shards
-  // as well as within one.
+  // must dispatch the cohort tightest deadline first.
   constexpr int kStreams = 16;
   std::vector<StreamJob> jobs;
   for (int k = 0; k < kStreams; ++k) {
@@ -566,7 +559,6 @@ TEST_P(QueuePolicyAtWays, EquallyOldJobsDispatchTightestDeadlineFirst) {
   SchedulerConfig cfg;
   cfg.fabrics = 1;
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
-  cfg.queue.shards = GetParam();
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
   std::vector<int> order;
@@ -577,18 +569,17 @@ TEST_P(QueuePolicyAtWays, EquallyOldJobsDispatchTightestDeadlineFirst) {
   EXPECT_EQ(order, tightest_first);
 }
 
-TEST_P(QueuePolicyAtWays, SameAgePushesStayInDeadlineOrder) {
+TEST(QueuePolicy, SameAgePushesStayInDeadlineOrder) {
   // Two completions that land before any further dispatch enqueue their
   // successors with the same readiness, in completion order; the
-  // tighter-deadline successor must still dispatch first. Streams 0 and
-  // 4 share a sub-shard at ways 1 and at ways 4; 1-3 are already done.
+  // tighter-deadline successor must still dispatch first. Streams 1-3
+  // are already done.
   auto jobs = majority_and_minority(5, 2, 16);
   jobs.pop_back();  // five cordic1 streams
   for (int k = 1; k <= 3; ++k) jobs[static_cast<std::size_t>(k)].next_frame = 2;
   jobs[0].config.sla.deadline_cycles = 2000000;
   jobs[4].config.sla.deadline_cycles = 1000000;
   JobQueueConfig qcfg;
-  qcfg.shards = GetParam();
   JobQueue queue(jobs, qcfg);
 
   const auto first = queue.acquire_batch(0, std::nullopt, kCapAllKernels, nullptr, 1);
@@ -606,9 +597,9 @@ TEST_P(QueuePolicyAtWays, SameAgePushesStayInDeadlineOrder) {
   EXPECT_EQ(next[0].frame_index, 1);
 }
 
-TEST_P(QueuePolicyAtWays, RunCapHoldsInsideABatch) {
+TEST(QueuePolicy, RunCapHoldsInsideABatch) {
   // Sixteen one-frame cordic1 streams and one scc_full stream. A batch
-  // may pop several jobs per lock round, but it must not take the fabric
+  // may pop several jobs per acquire, but it must not take the fabric
   // past max_affinity_run while another context waits: the scc_full job
   // is served after at most one run.
   auto jobs = majority_and_minority(16, 1, 16);
@@ -616,15 +607,12 @@ TEST_P(QueuePolicyAtWays, RunCapHoldsInsideABatch) {
   cfg.fabrics = 1;
   cfg.queue.max_affinity_run = 1;
   cfg.queue.aging_threshold = 1000;  // never reached
-  cfg.queue.shards = GetParam();
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
   EXPECT_EQ(report.total_frames, 17u);
   EXPECT_LE(report.streams[16].max_wait_dispatches,
             static_cast<std::uint64_t>(cfg.queue.max_affinity_run));
 }
-
-INSTANTIATE_TEST_SUITE_P(Ways, QueuePolicyAtWays, ::testing::Values(1, 4));
 
 TEST(ContextCache, ReleaseUnpinsShedStreamContextAndKeepsLedgerBalanced) {
   // Shed-mid-stream regression: a cancelled stream's context is pinned

@@ -98,8 +98,7 @@ TEST(SchedulerPipeline, BitExactWithMonolithicMode) {
 }
 
 TEST(SchedulerPipeline, StageOrderRespectsDependencies) {
-  // One worker makes the dispatch order deterministic; the dependency
-  // assertions themselves hold for any worker count.
+  // The dependency assertions hold for any fabric count.
   SchedulerConfig cfg;
   cfg.fabrics = 1;
   cfg.queue.mode = DispatchMode::kStagePipeline;
@@ -138,8 +137,9 @@ TEST(SchedulerPipeline, HeterogeneousPoolRoutesStagesByKernel) {
   EXPECT_EQ(report.total_frames, 16u);
   for (const StreamJob& s : jobs) {
     for (const FrameRecord& r : s.records) {
-      if (r.frame_index > 0)
+      if (r.frame_index > 0) {
         EXPECT_EQ(r.me_fabric_id, 0) << "ME stage must run on the ME-capable fabric";
+      }
       EXPECT_EQ(r.tq_fabric_id, 1) << "DCT stage must run on the DCT-capable fabric";
       EXPECT_EQ(r.fabric_id, 1) << "reconstruct must run on the DCT-capable fabric";
     }

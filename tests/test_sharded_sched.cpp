@@ -1,10 +1,11 @@
-// Sharded scheduling core: bit-exact equivalence of one-way vs N-way
-// runs (JobQueueConfig.shards sub-shards per context) across both
-// dispatch modes, both policies and under admission control (no dropped,
-// duplicated or reordered frames and identical bitstreams), steal
-// accounting, and dependency order of the sharded dispatch timeline.
+// Sharded scheduling core (one ready-set shard per context): repeated
+// multi-fabric runs are identical — timeline, modeled makespan and
+// encoded output — across both dispatch modes, both policies and under
+// admission control, whatever the ignored JobQueueConfig.shards says;
+// steal accounting; and dependency order of the dispatch timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <tuple>
@@ -67,8 +68,9 @@ void expect_bit_exact(const StreamJob& a, const StreamJob& b) {
   EXPECT_EQ(a.recon_state.data(), b.recon_state.data()) << a.config.name;
 }
 
-/// `single` is the one-way run (one sub-shard per context), `sharded`
-/// the N-way run over the identical workload.
+/// `single` runs with JobQueueConfig.shards = 1, `sharded` with @p shards
+/// over the identical workload. The queue ignores the field and plans in
+/// modeled time, so the two runs must be identical.
 struct ShardCompare {
   std::vector<StreamJob> single_jobs;
   std::vector<StreamJob> sharded_jobs;
@@ -84,14 +86,28 @@ ShardCompare run_both(SchedulerConfig cfg, int shards, int streams, int frames) 
   cfg.queue.shards = shards;
   out.sharded_jobs = mixed_workload(streams, frames, 32);
   out.sharded = MultiStreamScheduler(library(), cfg).run(out.sharded_jobs);
-  // Ready-set shards are contexts x ways.
-  EXPECT_EQ(out.sharded.queue_shards, out.single.queue_shards * shards);
+  // One ready-set shard per context.
+  EXPECT_EQ(out.sharded.queue_shards, out.single.queue_shards);
   EXPECT_GT(out.sharded.queue_shards, 1);
   EXPECT_EQ(out.single.total_frames, out.sharded.total_frames);
   EXPECT_EQ(out.single.dispatches, out.sharded.dispatches);
-  // Batching amortizes, never inflates, the lock rounds.
+  // Batching amortizes, never inflates, the acquires.
   EXPECT_LE(out.sharded.dispatch_batches, out.sharded.dispatches);
   EXPECT_GT(out.sharded.dispatch_batches, 0u);
+  // The same dispatch sequence and modeled schedule, event for event.
+  EXPECT_EQ(out.single.timeline.size(), out.sharded.timeline.size());
+  for (std::size_t e = 0; e < std::min(out.single.timeline.size(), out.sharded.timeline.size());
+       ++e) {
+    const StageEvent& a = out.single.timeline[e];
+    const StageEvent& b = out.sharded.timeline[e];
+    EXPECT_EQ(std::tuple(a.tick, a.start, a.stream_id, a.frame_index, a.fabric_id, a.stage,
+                         a.reconfig_cycles),
+              std::tuple(b.tick, b.start, b.stream_id, b.frame_index, b.fabric_id, b.stage,
+                         b.reconfig_cycles))
+        << "event " << e;
+  }
+  EXPECT_EQ(out.single.sim_makespan_cycles, out.sharded.sim_makespan_cycles);
+  EXPECT_EQ(out.single.total_switches, out.sharded.total_switches);
   for (std::size_t s = 0; s < out.single_jobs.size(); ++s)
     expect_bit_exact(out.single_jobs[s], out.sharded_jobs[s]);
   return out;
@@ -155,16 +171,13 @@ TEST(ShardedSched, BitExactWithAdmissionShedding) {
     expect_bit_exact(single[s], sharded[s]);
 }
 
-TEST(ShardedSched, WorkStealingHappensAndIsCounted) {
-  // Every stream shares one context (one fixed condition), split over 4
-  // sub-shards served by only 2 fabrics: ways 2 and 3 are nobody's home
-  // shard, so their streams can complete only through sibling steals —
-  // steals must occur under ANY thread interleaving, not just a lucky
-  // one (the suite runs under TSan, whose serialization would defeat a
-  // timing-dependent steal setup).
+TEST(ShardedSched, SwitchStealsAreCounted) {
+  // A steal is a batch served from a context other than the fabric's
+  // active one. Twelve streams on one context never make a warm fabric
+  // leave it; the mixed workload on two fabrics must, and a cold
+  // fabric's first batch never counts.
   SchedulerConfig cfg;
   cfg.fabrics = 2;
-  cfg.queue.shards = 4;
   std::vector<StreamJob> jobs;
   for (int k = 0; k < 12; ++k) {
     StreamConfig sc;
@@ -177,15 +190,23 @@ TEST(ShardedSched, WorkStealingHappensAndIsCounted) {
     sc.seed = 50 + static_cast<std::uint64_t>(k);
     jobs.push_back(make_synthetic_job(k, sc));
   }
-  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
-  EXPECT_EQ(report.total_frames, 36u);
-  EXPECT_GT(report.queue_steals, 0u);
-  EXPECT_GT(report.queue_shards, 1);
+  const RunReport one_context = MultiStreamScheduler(library(), cfg).run(jobs);
+  EXPECT_EQ(one_context.total_frames, 36u);
+  EXPECT_EQ(one_context.queue_steals, 0u);
+  EXPECT_EQ(one_context.queue_shards, 1);
   for (const StreamJob& s : jobs) {
     ASSERT_EQ(s.records.size(), 3u) << s.config.name;
     for (std::size_t k = 0; k < s.records.size(); ++k)
       EXPECT_EQ(s.records[k].frame_index, static_cast<int>(k)) << s.config.name;
   }
+
+  auto mixed = mixed_workload(8, 3, 32);
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(mixed);
+  EXPECT_GT(report.queue_steals, 0u);
+  // Every steal switched the fabric's bitstream; a cold fabric's first
+  // load is a switch but not a steal.
+  EXPECT_LE(report.queue_steals + 2, static_cast<std::uint64_t>(report.total_switches));
+  EXPECT_EQ(report.queue_shards, 4);
 }
 
 TEST(ShardedSched, TimelineRespectsStageDependencies) {
