@@ -64,7 +64,7 @@ std::vector<StreamJob> burst_workload(std::uint64_t full_cost) {
 RunReport run(const KernelLibrary& library, std::vector<StreamJob>& jobs, bool admission,
               telemetry::MetricsRegistry* metrics) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.admission.enabled = admission;
   cfg.metrics = metrics;
   return MultiStreamScheduler(library, cfg).run(jobs);

@@ -1,22 +1,25 @@
-// Health monitoring overhead: the flight recorder and live sampler must
-// observe, never perturb.
+// Health monitoring overhead: the flight recorder and the epoch ticks
+// must observe, never perturb.
 //
 // Runs the hetero-pool mixed workload twice per round — health off, then
-// health on (flight recorder + live sampler thread at a 1 ms epoch) —
-// for several interleaved rounds, and compares:
+// health on (flight recorder + a tick every 1/40 of the makespan, in
+// modeled cycles) — for several interleaved rounds, and compares:
 //
 //  * host wall time: the monitored minimum over rounds must stay within
-//    2% of the unmonitored minimum (the ISSUE bar; min-of-N suppresses
-//    scheduler noise on a loaded host);
+//    2% of the unmonitored minimum (min-of-N suppresses scheduler noise
+//    on a loaded host);
 //  * modeled array cycles: bit-exact on the full pool — every run,
 //    monitored or not, plans the same makespan; monitoring only
 //    observes;
 //  * encoded outputs: bit-exact on the full pool;
+//  * verdicts: every monitored round writes the same health dump, byte
+//    for byte — snapshots, trips and flight records are functions of the
+//    plan, not of the host;
 //  * watchdog hygiene: a clean run trips NOTHING — zero anomalies — while
 //    still recording flight events and health epochs (the recorder is
 //    demonstrably on, not accidentally disabled);
 //  * artifact validity: HEALTH_health_overhead.json is written next to
-//    BENCH_health_overhead.json for tools/validate_health.py in CI.
+//    BENCH_health_overhead.json for tools/validate_trace.py in CI.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -66,11 +69,8 @@ SchedulerConfig pool_config(const std::vector<FabricConfig>& fabrics) {
   return cfg;
 }
 
-health::HealthMonitorConfig monitor_config() {
-  health::HealthMonitorConfig cfg;
-  cfg.epoch_host_ms = 1.0;  // live sampler thread racing the run
-  return cfg;
-}
+/// Health epochs per run: tens of ticks, each a full snapshot + watchdog pass.
+constexpr std::uint64_t kEpochsPerRun = 40;
 
 }  // namespace
 
@@ -96,7 +96,9 @@ int main() {
   };
   std::vector<StreamJob> off_jobs, on_jobs;
   std::uint64_t anomalies = 0, flight_events = 0, flight_dropped = 0, epochs = 0;
-  std::string health_dump;
+  std::uint64_t epoch_cycles = 0;
+  std::string health_dump, first_verdicts;
+  int dump_mismatches = 0;
 
   // Interleave off/on rounds so slow-host drift (thermal, competing
   // load) hits both variants alike; keep the per-variant minimum.
@@ -107,10 +109,14 @@ int main() {
       const RunReport report = scheduler.run(off_jobs);
       off_min_s = round == 0 ? report.wall_seconds : std::min(off_min_s, report.wall_seconds);
       note_makespan(report);
+      if (round == 0)
+        epoch_cycles = std::max<std::uint64_t>(report.sim_makespan_cycles / kEpochsPerRun, 1);
     }
     {
       on_jobs = mixed_workload();
-      health::HealthMonitor monitor(monitor_config());
+      health::HealthMonitorConfig monitor_cfg;
+      monitor_cfg.epoch_cycles = epoch_cycles;
+      health::HealthMonitor monitor(monitor_cfg);
       SchedulerConfig cfg = pool_config(fabrics);
       cfg.health = &monitor;
       MultiStreamScheduler scheduler(library, cfg);
@@ -122,6 +128,11 @@ int main() {
       flight_dropped = monitor.flight().dropped();
       epochs = monitor.epochs();
       health_dump = monitor.health_json(report.wall_seconds);
+      const std::string verdicts = monitor.health_json(0.0);
+      if (round == 0)
+        first_verdicts = verdicts;
+      else if (verdicts != first_verdicts)
+        ++dump_mismatches;
     }
   }
 
@@ -142,11 +153,13 @@ int main() {
               static_cast<unsigned long long>(max_makespan),
               static_cast<unsigned long long>(makespan_diff));
   std::printf("  encoded output mismatches: %d (bar: 0)\n", mismatches);
-  std::printf("  flight events: %llu recorded, %llu overwritten; health epochs: %llu; "
-              "anomalies: %llu (bar: 0)\n",
+  std::printf("  health dumps differing from round 1's: %d (bar: 0)\n", dump_mismatches);
+  std::printf("  flight events: %llu recorded, %llu overwritten; health epochs: %llu of "
+              "%llu cycles; anomalies: %llu (bar: 0)\n",
               static_cast<unsigned long long>(flight_events),
               static_cast<unsigned long long>(flight_dropped),
               static_cast<unsigned long long>(epochs),
+              static_cast<unsigned long long>(epoch_cycles),
               static_cast<unsigned long long>(anomalies));
 
   if (!bench_common::write_text_artifact("HEALTH_health_overhead.json", health_dump))
@@ -158,9 +171,11 @@ int main() {
   json.metric("flight_events_recorded", static_cast<double>(flight_events));
   json.metric("flight_events_overwritten", static_cast<double>(flight_dropped));
   json.metric("health_epochs", static_cast<double>(epochs));
+  json.metric("health_epoch_cycles", static_cast<double>(epoch_cycles));
   json.bar("host_overhead_pct", overhead_pct, "<=", 2.0);
   json.bar("modeled_makespan_diff_cycles", static_cast<double>(makespan_diff), "<=", 0.0);
   json.bar("output_mismatches", static_cast<double>(mismatches), "<=", 0.0);
+  json.bar("health_dump_mismatches", static_cast<double>(dump_mismatches), "<=", 0.0);
   json.bar("watchdog_trips_clean_run", static_cast<double>(anomalies), "<=", 0.0);
   json.bar("flight_events", static_cast<double>(flight_events), ">", 0.0);
   json.bar("health_epochs_bar", static_cast<double>(epochs), ">", 0.0);

@@ -51,11 +51,12 @@ std::vector<StreamJob> build_workload() {
 
 RunReport run_policy(const KernelLibrary& library, SchedulingPolicy policy, int fabrics) {
   SchedulerConfig cfg;
-  cfg.fabrics = fabrics;
-  cfg.queue.policy = policy;
   // Bound the context store to about half the library so the cache has to
   // work for its hits.
-  cfg.fabric.context_capacity_bytes = library.total_bytes() / 2;
+  FabricConfig fabric;
+  fabric.context_capacity_bytes = library.total_bytes() / 2;
+  cfg.fabric_configs.assign(fabrics, fabric);
+  cfg.queue.policy = policy;
   auto jobs = build_workload();
   return MultiStreamScheduler(library, cfg).run(jobs);
 }

@@ -214,7 +214,7 @@ int main() {
   };
   const auto run_encode = [&](DispatchMode mode, bool admission, std::vector<StreamJob>& jobs) {
     SchedulerConfig cfg;
-    cfg.fabrics = 4;
+    cfg.fabric_configs.assign(4, FabricConfig{});
     cfg.queue.mode = mode;
     cfg.admission.enabled = admission;
     jobs = encode_workload();

@@ -84,11 +84,12 @@ inline runtime::RunReport run_dynamic_policy(const runtime::KernelLibrary& libra
                                              double band = kHysteresisBand,
                                              bool partial_reconfig = false) {
   runtime::SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  runtime::FabricConfig fabric;
+  fabric.reconfig_port.width_bits = 2;
+  fabric.context_capacity_bytes = library.total_bytes() / 2;
+  fabric.partial_reconfig = partial_reconfig;
+  cfg.fabric_configs = {fabric};
   cfg.queue.policy = runtime::SchedulingPolicy::kAffinityBatched;
-  cfg.fabric.reconfig_port.width_bits = 2;
-  cfg.fabric.context_capacity_bytes = library.total_bytes() / 2;
-  cfg.fabric.partial_reconfig = partial_reconfig;
   jobs_out = build_dynamic_workload(policy, band);
   return runtime::MultiStreamScheduler(library, cfg).run(jobs_out);
 }

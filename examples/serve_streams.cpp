@@ -54,9 +54,10 @@
 // long runs past the default 32-epoch timeline cap).
 //
 // With --health the run carries the live health monitor: an always-on
-// flight recorder of scheduling events, epoch health snapshots (queue
-// depth/age, per-fabric utilization, SLA burn rates) and the four
-// anomaly watchdogs (stall, queue growth, starvation, SLA burn).
+// flight recorder of scheduling events, health snapshots at modeled-cycle
+// epochs (queue depth/age, per-fabric utilization, SLA burn rates) and
+// the four anomaly watchdogs (stall, queue growth, starvation, SLA burn),
+// all judged on the planner's clock, so one input gives one verdict.
 // --health-dump <file> writes the health post-mortem JSON at run end
 // (and immediately on any watchdog trip). A tripped watchdog makes the
 // exit code nonzero, as does an admitted-stream SLA violation under
@@ -149,10 +150,11 @@ int main(int argc, char** argv) {
   };
 
   // Whole-stream cost of one caller in modeled cycles, for writing the
-  // SLAs: the admission controller's analytic model is exact, so the
-  // deadlines below are multiples of real demand, not guesses.
+  // SLAs and sizing the health epochs: the admission controller's
+  // analytic model is exact, so the deadlines below are multiples of real
+  // demand, not guesses.
   std::uint64_t stream_cost = 0;
-  if (sla) {
+  if (sla || health) {
     StreamConfig probe_cfg;
     probe_cfg.width = 64;
     probe_cfg.height = 64;
@@ -236,10 +238,11 @@ int main(int argc, char** argv) {
     metrics.set_timeline_epoch_cap(static_cast<std::size_t>(metrics_epochs));
   }
 
-  // Live health: epoch sampler at 1ms host epochs, watchdog trips dump
-  // the post-mortem (flight recorder + snapshots) and flip the exit code.
+  // Live health: a tick every eighth of one phone's modeled cost (tens of
+  // epochs per run); watchdog trips dump the post-mortem (flight recorder
+  // + snapshots) and flip the exit code.
   health::HealthMonitorConfig health_cfg;
-  health_cfg.epoch_host_ms = 1.0;
+  health_cfg.epoch_cycles = stream_cost / 8;
   health_cfg.dump_path = health_dump_path;
   health::HealthMonitor monitor(health_cfg);
   if (health) {
@@ -354,9 +357,10 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   if (health) {
-    std::printf("health: %llu epochs sampled, %llu flight events (%llu dropped), "
+    std::printf("health: %llu epochs of %llu cycles, %llu flight events (%llu dropped), "
                 "%llu watchdog trips\n",
                 static_cast<unsigned long long>(monitor.epochs()),
+                static_cast<unsigned long long>(health_cfg.epoch_cycles),
                 static_cast<unsigned long long>(monitor.flight().recorded()),
                 static_cast<unsigned long long>(monitor.flight().dropped()),
                 static_cast<unsigned long long>(monitor.anomalies_total()));

@@ -1,5 +1,7 @@
 #include "cost/area.hpp"
 
+#include <utility>
+
 namespace dsra::cost {
 
 double cluster_area(const ClusterConfig& cfg, const DomainCost& c) {
@@ -64,7 +66,7 @@ AreaReport domain_fabric_area(const ArrayArch& arch, const DomainCost& c) {
         MemCfg m;
         m.words = 256;
         m.width = 8;
-        cfgs.push_back(m);
+        cfgs.emplace_back(std::in_place_type<MemCfg>, std::move(m));
         break;
       }
     }

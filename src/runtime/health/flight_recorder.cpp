@@ -14,92 +14,39 @@ std::size_t round_up_pow2(std::size_t n) {
   return p;
 }
 
-// w2 layout: kind in bits [0,8), ring-local spare in [8,16),
-// stream_id+1 in [16,40), frame_index+1 in [40,64). The +1 bias keeps
-// -1 ("no stream"/"no frame") representable in an unsigned field.
-std::uint64_t pack_identity(EventKind kind, int stream_id, int frame_index) {
-  const std::uint64_t stream =
-      static_cast<std::uint64_t>(stream_id + 1) & 0xFFFFFFULL;
-  const std::uint64_t frame =
-      static_cast<std::uint64_t>(frame_index + 1) & 0xFFFFFFULL;
-  return static_cast<std::uint64_t>(kind) | (stream << 16) | (frame << 40);
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : epoch_(std::chrono::steady_clock::now()),
-      capacity_(round_up_pow2(config.capacity_per_ring)),
-      mask_(capacity_ - 1) {}
+    : capacity_(round_up_pow2(config.capacity_per_ring)) {}
 
 void FlightRecorder::begin_run(int fabrics) {
-  ring_count_ = static_cast<std::size_t>(std::max(fabrics, 0)) + 1;
-  rings_ = std::make_unique<Ring[]>(ring_count_);
-  for (std::size_t r = 0; r < ring_count_; ++r) {
-    rings_[r].slots = std::make_unique<Slot[]>(capacity_);
-  }
-  seq_.store(0, std::memory_order_relaxed);
+  rings_.assign(static_cast<std::size_t>(std::max(fabrics, 0)) + 1, Ring{});
+  seq_ = 0;
 }
 
-void FlightRecorder::record(int ring, EventKind kind, int stream_id,
+void FlightRecorder::record(int ring, std::uint64_t t_cycles, EventKind kind, int stream_id,
                             int frame_index, std::uint64_t value) {
-  if (ring < 0 || static_cast<std::size_t>(ring) >= ring_count_) return;
+  if (ring < 0 || static_cast<std::size_t>(ring) >= rings_.size()) return;
   Ring& r = rings_[static_cast<std::size_t>(ring)];
-  const std::uint64_t head = r.head.load(std::memory_order_relaxed);
-  Slot& slot = r.slots[head & mask_];
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Seqlock write: invalidate, fill payload, publish. A concurrent
-  // snapshot() that lands mid-write sees seq 0 (or a changed seq) and
-  // skips the slot instead of returning torn words.
-  slot.w0.store(0, std::memory_order_release);
-  slot.w1.store(static_cast<std::uint64_t>(now_ns()),
-                std::memory_order_relaxed);
-  slot.w2.store(pack_identity(kind, stream_id, frame_index),
-                std::memory_order_relaxed);
-  slot.w3.store(value, std::memory_order_relaxed);
-  slot.w0.store(seq, std::memory_order_release);
-  r.head.store(head + 1, std::memory_order_release);
+  const FlightEvent ev{++seq_, t_cycles, kind, ring, stream_id, frame_index, value};
+  if (r.slots.size() < capacity_)
+    r.slots.push_back(ev);
+  else
+    r.slots[r.head % capacity_] = ev;
+  ++r.head;
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
-  if (rings_ == nullptr) return out;
-  out.reserve(ring_count_ * 16);
-  for (std::size_t r = 0; r < ring_count_; ++r) {
-    const Ring& ring = rings_[r];
-    for (std::size_t i = 0; i < capacity_; ++i) {
-      const Slot& slot = ring.slots[i];
-      const std::uint64_t before = slot.w0.load(std::memory_order_acquire);
-      if (before == 0) continue;  // never written, or mid-write
-      const std::uint64_t t = slot.w1.load(std::memory_order_relaxed);
-      const std::uint64_t identity = slot.w2.load(std::memory_order_relaxed);
-      const std::uint64_t value = slot.w3.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.w0.load(std::memory_order_relaxed) != before) continue;
-      FlightEvent ev;
-      ev.seq = before;
-      ev.t_ns = static_cast<std::int64_t>(t);
-      ev.kind = static_cast<EventKind>(identity & 0xFF);
-      ev.ring = static_cast<int>(r);
-      ev.stream_id = static_cast<int>((identity >> 16) & 0xFFFFFF) - 1;
-      ev.frame_index = static_cast<int>((identity >> 40) & 0xFFFFFF) - 1;
-      ev.value = value;
-      out.push_back(ev);
-    }
-  }
+  for (const Ring& ring : rings_) out.insert(out.end(), ring.slots.begin(), ring.slots.end());
   std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.seq < b.seq;
-            });
+            [](const FlightEvent& a, const FlightEvent& b) { return a.seq < b.seq; });
   return out;
 }
 
 std::uint64_t FlightRecorder::dropped() const {
   std::uint64_t total = 0;
-  for (std::size_t r = 0; r < ring_count_; ++r) {
-    const std::uint64_t head = rings_[r].head.load(std::memory_order_relaxed);
-    if (head > capacity_) total += head - capacity_;
-  }
+  for (const Ring& ring : rings_) total += ring.head - ring.slots.size();
   return total;
 }
 
@@ -112,7 +59,7 @@ std::string FlightRecorder::json() const {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& ev = events[i];
     if (i != 0) os << ", ";
-    os << "{\"seq\": " << ev.seq << ", \"t_ns\": " << ev.t_ns
+    os << "{\"seq\": " << ev.seq << ", \"t_cycles\": " << ev.t_cycles
        << ", \"kind\": \"" << to_string(ev.kind) << "\", \"ring\": " << ev.ring
        << ", \"stream\": " << ev.stream_id
        << ", \"frame\": " << ev.frame_index << ", \"value\": " << ev.value

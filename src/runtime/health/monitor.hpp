@@ -2,40 +2,36 @@
 //
 // Owns the three health parts and wires them together:
 //   - a FlightRecorder the scheduler's planner appends scheduling events
-//     to (one ring per fabric, so each ring keeps one writer);
-//   - per-fabric and per-stream progress counters fed by lock-free
-//     hooks: the planner calls on_prepare when it acquires a job, the
-//     lanes call on_job_done / on_frame_done when they have encoded it,
-//     so a job counts as in flight from acquire to encoded;
-//   - an epoch sampler that assembles HealthSnapshots (pulling the queue
-//     sample the planner last published through an attached callback)
-//     and runs the Watchdogs over them.
+//     to (one ring per fabric, plus a control ring);
+//   - per-fabric and per-stream progress counters fed by the planner's
+//     hooks: on_prepare when a fabric acquires a job, on_job_done and
+//     on_frame_done when its batch completes at its modeled end, so a
+//     job counts as in flight from acquire to batch end;
+//   - epoch ticks that assemble a HealthSnapshot from those counters and
+//     the queue sample the planner passes in, and run the Watchdogs over
+//     it.
+//
+// Everything runs in modeled array cycles on the planner's thread: the
+// planner ticks the monitor at every epoch_cycles boundary its clock
+// crosses and once more at the makespan, so one input gives one set of
+// snapshots, trips and flight records on any host.
 //
 // When a watchdog trips, the monitor records a kWatchdogTrip flight
-// event, increments anomalies_total (exported by the scheduler as the
+// event, counts it in anomalies_total (exported by the scheduler as the
 // `health_anomalies_total` metric), invokes the user callback, and —
 // when a dump path is configured — writes the full health post-mortem
 // (snapshots + trips + flight recorder) as schema-stamped JSON.
 //
-// Epoch ticks can be driven by the built-in sampler thread
-// (epoch_host_ms > 0) for live runs, or manually via tick() for
-// deterministic tests. The scheduler treats the monitor exactly like
-// the trace/metrics sinks: a single null-guarded pointer, so health off
-// is zero-cost and bit-exact.
-//
-// Thread-safety: the hooks and flight recording are lock-free and
-// callable from any thread; tick()/attach_queue()/dump() serialize on
-// one internal mutex that no hot path ever touches.
+// The scheduler treats the monitor exactly like the trace/metrics sinks:
+// a single null-guarded pointer, so health off is zero-cost and
+// bit-exact. The monitor is single-threaded: read its accessors after
+// run() returns, or from the trip callback, which runs on the planner's
+// thread mid-run.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/health/flight_recorder.hpp"
@@ -59,9 +55,10 @@ struct StreamBudget {
 struct HealthMonitorConfig {
   FlightRecorderConfig flight;
   WatchdogConfig watchdogs;
-  /// Sampler thread epoch period in host milliseconds; 0 disables the
-  /// thread (epochs then only advance via manual tick()).
-  double epoch_host_ms = 0.0;
+  /// Epoch length in modeled array cycles: the scheduler's planner ticks
+  /// the monitor at every multiple of it that its clock crosses, then
+  /// once more at the makespan. 0 = only that final tick.
+  std::uint64_t epoch_cycles = 0;
   /// When non-empty, every watchdog trip rewrites this file with the
   /// full health post-mortem JSON.
   std::string dump_path;
@@ -76,50 +73,39 @@ class HealthMonitor {
       std::function<void(const WatchdogTrip&, const HealthSnapshot&)>;
 
   explicit HealthMonitor(HealthMonitorConfig config = {});
-  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Reset all state for a new run: allocate per-fabric counters and
-  /// flight rings, install the stream budgets, and (if configured)
-  /// start the sampler thread.
+  /// Reset all state for a new run: per-fabric counters, flight rings,
+  /// and the stream budgets.
   void begin_run(int fabrics, std::vector<StreamBudget> budgets);
 
-  /// Install the queue sampler the epoch tick pulls depth/age/steal
-  /// state through. The callback must stay valid until finish_run().
-  void attach_queue(std::function<QueueHealthSample()> sampler);
-
-  /// Final tick, stop the sampler thread, drop the queue sampler.
-  /// Must be called before the queue the sampler reads is destroyed.
-  void finish_run();
-
-  // ---- lock-free worker hooks -------------------------------------
+  // ---- planner hooks ------------------------------------------------
   void on_prepare(int fabric, bool cache_hit, bool switched);
-  void on_job_done(int fabric, std::int64_t busy_ns);
+  void on_job_done(int fabric, std::uint64_t busy_cycles);
   void on_frame_done(int stream_index);
 
-  /// Advance one epoch now: assemble a snapshot, run the watchdogs,
-  /// handle any trips. Returns the snapshot. Safe to call concurrently
-  /// with the sampler thread and the worker hooks.
-  HealthSnapshot tick();
+  /// Close one epoch at modeled cycle @p now_cycles: assemble a snapshot
+  /// from the counters and @p queue, run the watchdogs, handle any
+  /// trips. Returns the snapshot.
+  HealthSnapshot tick(std::uint64_t now_cycles, QueueHealthSample queue);
 
   void set_on_trip(TripCallback cb) { on_trip_ = std::move(cb); }
 
+  [[nodiscard]] std::uint64_t epoch_cycles() const { return config_.epoch_cycles; }
+
+  // Read these after run() returns, or from the trip callback.
   [[nodiscard]] FlightRecorder& flight() { return flight_; }
   [[nodiscard]] const FlightRecorder& flight() const { return flight_; }
 
-  [[nodiscard]] std::uint64_t anomalies_total() const {
-    return anomalies_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::vector<WatchdogTrip> trips() const;
-  [[nodiscard]] std::vector<HealthSnapshot> snapshots() const;
-  [[nodiscard]] std::uint64_t epochs() const {
-    return epoch_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t anomalies_total() const { return trips_.size(); }
+  [[nodiscard]] const std::vector<WatchdogTrip>& trips() const { return trips_; }
+  [[nodiscard]] const std::vector<HealthSnapshot>& snapshots() const { return snapshots_; }
+  [[nodiscard]] std::uint64_t epochs() const { return epoch_; }
 
   /// Schema version of the health dump JSON ("kind": "health").
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
 
   /// The full post-mortem: config, anomaly count, retained snapshots,
   /// trips, and the flight recorder contents.
@@ -130,52 +116,37 @@ class HealthMonitor {
 
  private:
   struct FabricCounters {
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> jobs_done{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> switches{0};
+    std::uint64_t busy_cycles = 0;
+    std::uint64_t jobs_done = 0;
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
+    std::uint64_t switches = 0;
   };
   struct StreamState {
     StreamBudget budget;
     std::vector<double> prefix;  ///< prefix[i] = cycles of first i frames
-    std::atomic<int> frames_done{0};
+    int frames_done = 0;
   };
 
-  HealthSnapshot assemble_locked();
-  void handle_trips(const std::vector<WatchdogTrip>& fired,
-                    const HealthSnapshot& snap);
-  void stop_sampler();
+  HealthSnapshot assemble(std::uint64_t now_cycles, QueueHealthSample queue);
 
   HealthMonitorConfig config_;
   FlightRecorder flight_;
   Watchdogs dogs_;
   TripCallback on_trip_;
 
-  int fabric_count_ = 0;
-  std::unique_ptr<FabricCounters[]> fabric_counters_;
-  std::vector<std::unique_ptr<StreamState>> streams_;
+  std::vector<FabricCounters> fabrics_;
+  std::vector<FabricCounters> at_prev_tick_;  ///< fabrics_ as the last tick saw them
+  std::vector<StreamState> streams_;
 
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> anomalies_{0};
-  /// prepares (planner) minus encoded jobs (lanes) — the stall
-  /// watchdog's slow-vs-wedged discriminator.
-  std::atomic<std::int64_t> inflight_{0};
-
-  mutable std::mutex m_;
-  std::function<QueueHealthSample()> queue_sampler_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t prev_tick_cycles_ = 0;
+  /// Jobs acquired minus jobs completed — the stall watchdog's
+  /// slow-vs-wedged discriminator.
+  std::int64_t inflight_ = 0;
   std::vector<HealthSnapshot> snapshots_;
   std::uint64_t snapshots_evicted_ = 0;
   std::vector<WatchdogTrip> trips_;
-  std::int64_t prev_t_ns_ = 0;
-  std::vector<std::uint64_t> prev_busy_ns_;
-  std::vector<std::uint64_t> prev_hits_;
-  std::vector<std::uint64_t> prev_misses_;
-
-  std::thread sampler_;
-  std::mutex sampler_m_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
 };
 
 }  // namespace dsra::runtime::health

@@ -8,8 +8,8 @@ namespace dsra::runtime::health {
 
 std::string to_json(const HealthSnapshot& snap) {
   std::ostringstream os;
-  os << "{\"epoch\": " << snap.epoch << ", \"t_ns\": " << snap.t_ns
-     << ", \"modeled_now_cycles\": " << json_number(snap.modeled_now_cycles)
+  os << "{\"epoch\": " << snap.epoch
+     << ", \"modeled_now_cycles\": " << snap.modeled_now_cycles
      << ", \"inflight_jobs\": " << snap.inflight_jobs
      << ", \"queue\": {\"depth\": " << snap.queue.depth
      << ", \"oldest_age\": " << snap.queue.oldest_age

@@ -4,9 +4,9 @@
 // ask "is this run healthy right now?": per-shard queue depth and the
 // age of the oldest queued job, cumulative steal/batch/dispatch rates,
 // per-fabric utilization and context-cache pressure, and per-stream SLA
-// burn rate. Snapshots are assembled by the HealthMonitor once per
-// epoch from counters the hot paths already maintain and the queue
-// sample the planner publishes.
+// burn rate. The HealthMonitor assembles one per modeled epoch from the
+// counters the planner's hooks maintain and the queue sample the planner
+// hands to each tick.
 //
 // This header is intentionally dependency-free (stdlib only) so the
 // queue layer can expose a QueueHealthSample without pulling scheduler
@@ -26,9 +26,8 @@ struct ShardHealth {
   std::uint64_t oldest_age = 0;  ///< dispatches since the oldest job arrived
 };
 
-/// The queue's state as the JobQueue reports it. During a run the
-/// scheduler's planner publishes one after every dispatch round and the
-/// epoch sampler reads the latest published copy, never the live queue.
+/// The queue's state as the JobQueue reports it; the planner takes one
+/// at every health tick.
 struct QueueHealthSample {
   std::uint64_t depth = 0;        ///< total jobs queued across shards
   std::uint64_t oldest_age = 0;   ///< max shard oldest_age
@@ -42,7 +41,9 @@ struct QueueHealthSample {
 /// Per-fabric view over one epoch plus cumulative totals.
 struct FabricHealth {
   int fabric = 0;
-  double utilization = 0.0;     ///< busy fraction of this epoch, in [0,1]
+  /// Modeled busy cycles of the batches that completed this epoch over
+  /// the epoch's length, capped to [0,1].
+  double utilization = 0.0;
   double cache_pressure = 0.0;  ///< context-cache miss fraction this epoch
   std::uint64_t jobs_done = 0;  ///< cumulative
   std::uint64_t cache_hits = 0;
@@ -51,7 +52,8 @@ struct FabricHealth {
 };
 
 /// Per-stream SLA view. Budgets come from the admission cost model
-/// (analytic per-frame cycles), progress from the frames-done hook.
+/// (analytic per-frame cycles), progress from the frames the plan has
+/// completed by the tick.
 struct StreamHealth {
   int stream_id = 0;
   bool shed = false;
@@ -63,7 +65,7 @@ struct StreamHealth {
   /// SLA burn rate: fraction of the deadline the stream is projected to
   /// need, i.e. projected_completion / deadline. 1.0 = exactly on
   /// budget, > 1 = projected violation. Always finite and >= 0
-  /// (tools/validate_health.py enforces the range); 0 for best-effort
+  /// (tools/validate_trace.py enforces the range); 0 for best-effort
   /// and shed streams.
   double burn_rate = 0.0;
   double projected_completion_cycles = 0.0;
@@ -73,11 +75,10 @@ struct StreamHealth {
 /// serializes.
 struct HealthSnapshot {
   std::uint64_t epoch = 0;  ///< 1-based, strictly monotone within a run
-  std::int64_t t_ns = 0;    ///< host ns since the monitor's recorder epoch
-  double modeled_now_cycles = 0.0;  ///< analytic work done / fabric count
-  /// Jobs prepared but not yet completed on any worker. Distinguishes
-  /// "slow" from "stalled": a long-running job spans many epochs with
-  /// zero completions, which must not read as a wedged queue.
+  std::uint64_t modeled_now_cycles = 0;  ///< the planner's clock at the tick
+  /// Jobs acquired whose batch has not completed yet. Distinguishes
+  /// "slow" from "stalled": a long batch spans many epochs with zero
+  /// completions, which must not read as a wedged queue.
   std::uint64_t inflight_jobs = 0;
   QueueHealthSample queue;
   std::vector<FabricHealth> fabrics;

@@ -70,7 +70,8 @@ std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
   for (const StreamHealth& s : snap.streams) {
     if (s.shed || s.deadline_cycles <= 0.0) continue;
     if (s.frames_done >= s.frames_total && s.frames_total > 0) continue;
-    if (snap.modeled_now_cycles < config_.burn_warmup * s.deadline_cycles) {
+    if (static_cast<double>(snap.modeled_now_cycles) <
+        config_.burn_warmup * s.deadline_cycles) {
       continue;
     }
     if (s.burn_rate <= config_.burn_threshold) continue;

@@ -3,9 +3,10 @@
 // Each watchdog encodes one production failure smell as a threshold
 // over consecutive snapshots:
 //   - stall:      jobs are queued, nothing is in flight, and nothing
-//                 completed for N epochs (a wedged planner or lane, a
-//                 lost wakeup — but NOT a slow job: in-flight work
-//                 suppresses the verdict);
+//                 completed for N epochs (work no fabric takes — but NOT
+//                 a slow batch: in-flight work suppresses the verdict).
+//                 The planner has a batch in flight at every mid-run
+//                 tick, so it cannot fire inside a scheduler run;
 //   - queue growth: total depth grew strictly monotonically for N
 //                 epochs above a floor (arrival rate > service rate);
 //   - starvation: the oldest queued job's age exceeded a bound the
@@ -20,7 +21,7 @@
 // Watchdogs are pure state machines over the snapshot stream — they do
 // not read runtime state themselves, which makes every one of them
 // testable with synthetic snapshots (tests/test_health.cpp) and keeps
-// evaluation on the monitor's epoch thread, never a hot path. Each
+// evaluation at the epoch ticks, off the per-job path. Each
 // watchdog latches: one trip per run (per stream, for SLA burn), so a
 // persistent anomaly produces one post-mortem dump, not one per epoch.
 #pragma once

@@ -5,8 +5,6 @@
 #include <limits>
 #include <map>
 
-#include "runtime/health/flight_recorder.hpp"
-
 namespace dsra::runtime {
 
 std::string to_string(SchedulingPolicy policy) {
@@ -289,12 +287,7 @@ std::vector<FrameTask> JobQueue::acquire_batch(int fabric_id,
     slot.run_ctx = ctx;
     slot.run_length = popped;
   }
-  if (active_ctx >= 0 && ctx != active_ctx) {
-    ++steals_;
-    if (config_.flight != nullptr)
-      config_.flight->record(fabric_id, health::EventKind::kSteal, batch.front().stream_id,
-                             batch.front().frame_index, static_cast<std::uint64_t>(ctx));
-  }
+  if (active_ctx >= 0 && ctx != active_ctx) ++steals_;
   ++batches_;
   if (placement_skip) slot.placement_skips += batch.size();
   return batch;

@@ -74,10 +74,6 @@
 
 namespace dsra::runtime {
 
-namespace health {
-class FlightRecorder;
-}
-
 enum class SchedulingPolicy { kRoundRobin, kAffinityBatched };
 enum class DispatchMode { kMonolithicFrames, kStagePipeline };
 
@@ -96,9 +92,6 @@ struct JobQueueConfig {
   /// Jobs a fabric may pop per acquire, clamped to >= 1. A batch never
   /// takes more than half a shard.
   int max_batch = 8;
-  /// Optional flight recorder the queue appends steal events to, on the
-  /// acquiring fabric's ring. Null = off. Must outlive the queue.
-  health::FlightRecorder* flight = nullptr;
 };
 
 /// A finished task plus what its fabric paid to prepare the context —
@@ -155,12 +148,16 @@ class JobQueue {
 
   /// Ready-set shards: one per context.
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
+  /// The shard (interned context id) @p task queues in.
+  [[nodiscard]] int shard_of(const FrameTask& task) const {
+    return ctx_of(task.stage, task.stream_id, task.frame_index);
+  }
   /// Batches served from a context other than the fabric's active one.
   [[nodiscard]] std::uint64_t steals() const { return steals_; }
   /// Acquires that yielded at least one job.
   [[nodiscard]] std::uint64_t dispatch_batches() const { return batches_; }
 
-  /// Queue state for the health sampler: per-shard depth and oldest age,
+  /// Queue state for a health tick: per-shard depth and oldest age,
   /// dispatch / completion / steal / batch counts.
   [[nodiscard]] health::QueueHealthSample health_sample() const;
 

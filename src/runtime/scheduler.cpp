@@ -128,12 +128,6 @@ class Lanes {
   std::vector<std::thread> threads_;
 };
 
-/// The queue state the planner last published, for the health sampler.
-struct PublishedQueueSample {
-  std::mutex m;
-  health::QueueHealthSample sample;  ///< guarded by m
-};
-
 /// One frame as planned: its kernel cycles and its modeled span, from
 /// its first stage's readiness to its last stage's end.
 struct PlannedFrame {
@@ -237,7 +231,7 @@ void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& po
 /// burn-rate detector projects against (the admission cost model is
 /// content-independent, so they are exact before any frame is encoded).
 /// Shed streams get an empty budget (they dispatch nothing) and a kShed
-/// flight record; degraded ones a kRungTransition record.
+/// flight record; degraded ones a kRungTransition record, both at cycle 0.
 void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& streams,
                   const KernelLibrary& library, const FabricPool& pool,
                   const me::SystolicParams& me_params) {
@@ -263,7 +257,7 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
   for (std::size_t k = 0; k < streams.size(); ++k) {
     const DegradationRung rung = streams[k].admission_rung;
     if (rung == DegradationRung::kNone) continue;
-    hm.flight().record(ctl,
+    hm.flight().record(ctl, 0,
                        rung == DegradationRung::kReject ? health::EventKind::kShed
                                                         : health::EventKind::kRungTransition,
                        static_cast<int>(k), -1, static_cast<std::uint64_t>(rung));
@@ -279,12 +273,17 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
 /// its stage's modeled compute — and time advances to the earliest batch
 /// end, where every batch ending then completes and releases its
 /// successors. Throws when jobs remain that no fabric can take.
+///
+/// The planner is the health monitor's only caller: it records dispatch,
+/// steal and reconfig flight events at the instant it decides them,
+/// reports each batch's jobs and frames done at the batch's end, and
+/// ticks the monitor at every epoch boundary before the clock passes it
+/// (a tick sees every event up to and including its instant) and once
+/// more at the makespan.
 Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
-          const SchedulerConfig& config, health::HealthMonitor* hm,
-          PublishedQueueSample* published, Lanes& lanes, RunReport& report) {
-  JobQueueConfig qcfg = config.queue;
-  if (hm != nullptr) qcfg.flight = &hm->flight();
-  JobQueue queue(streams, qcfg);
+          const SchedulerConfig& config, health::HealthMonitor* hm, Lanes& lanes,
+          RunReport& report) {
+  JobQueue queue(streams, config.queue);
   const int lookahead = std::max(0, config.queue.pipeline_lookahead);
   const auto fabrics = static_cast<std::size_t>(pool.size());
 
@@ -324,23 +323,27 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   std::vector<std::uint64_t> port_free(static_cast<std::size_t>(pool.physical_count()), 0);
   std::vector<std::uint64_t> free_at(fabrics, 0);
   std::vector<std::vector<CompletedTask>> running(fabrics);  ///< each fabric's batch
+  std::vector<std::size_t> batch_first(fabrics, 0);  ///< its first job in schedule.jobs
   std::vector<int> stream_seq(streams.size(), 0);
   std::vector<PlannedJob> handoff;
-  const auto publish = [&] {
-    if (published == nullptr) return;
-    health::QueueHealthSample sample = queue.health_sample();
-    std::lock_guard lock(published->m);
-    published->sample = std::move(sample);
-  };
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t epoch = hm != nullptr ? hm->epoch_cycles() : 0;
+  std::uint64_t next_tick = epoch > 0 ? epoch : kNever;  ///< kNever without a monitor
 
   for (std::uint64_t now = 0;;) {
     for (std::size_t f = 0; f < fabrics; ++f) {
       if (!running[f].empty()) continue;
       Fabric& fabric = pool.at(static_cast<int>(f));
+      const std::uint64_t steals = queue.steals();
       const std::vector<FrameTask> tasks =
           queue.acquire_batch(fabric.id(), fabric.active(), fabric.capabilities(), can_host[f],
                               config.queue.max_batch);
       if (tasks.empty()) continue;
+      if (hm != nullptr && queue.steals() != steals)
+        hm->flight().record(fabric.id(), now, health::EventKind::kSteal, tasks.front().stream_id,
+                            tasks.front().frame_index,
+                            static_cast<std::uint64_t>(queue.shard_of(tasks.front())));
+      batch_first[f] = schedule.jobs.size();
       std::uint64_t clock = now;
       handoff.clear();
       for (const FrameTask& task : tasks) {
@@ -350,10 +353,10 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         const PrepareResult prep = fabric.prepare_detailed(context);
         const std::uint64_t reconfig = prep.total();
         if (hm != nullptr) {
-          hm->flight().record(fabric.id(), health::EventKind::kDispatch, task.stream_id, frame,
-                              static_cast<std::uint64_t>(task.stage));
+          hm->flight().record(fabric.id(), now, health::EventKind::kDispatch, task.stream_id,
+                              frame, static_cast<std::uint64_t>(task.stage));
           if (prep.switched)
-            hm->flight().record(fabric.id(), health::EventKind::kReconfig, task.stream_id,
+            hm->flight().record(fabric.id(), now, health::EventKind::kReconfig, task.stream_id,
                                 frame, reconfig);
           hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched);
         }
@@ -422,21 +425,32 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
       free_at[f] = clock;
       lanes.push(fabric.id(), handoff);
     }
-    publish();
 
-    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t next = kNever;
     for (std::size_t f = 0; f < fabrics; ++f)
       if (!running[f].empty()) next = std::min(next, free_at[f]);
-    if (next == std::numeric_limits<std::uint64_t>::max()) break;
+    if (next == kNever) break;
+    // Nothing changes before `next`: every epoch boundary up to it sees
+    // this state.
+    for (; next_tick < next; next_tick += epoch) hm->tick(next_tick, queue.health_sample());
     now = next;
     for (std::size_t f = 0; f < fabrics; ++f) {
       if (running[f].empty() || free_at[f] != now) continue;
       queue.complete_batch(running[f], static_cast<int>(f));
+      if (hm != nullptr) {
+        for (std::size_t j = 0; j < running[f].size(); ++j) {
+          const SimStageJob& job = schedule.jobs[batch_first[f] + j];
+          hm->on_job_done(job.fabric_id, job.end_cycles - job.start_cycles);
+          if (job.stage == StageKind::kWholeFrame || job.stage == StageKind::kReconstructEntropy)
+            hm->on_frame_done(job.stream_id);
+        }
+      }
       running[f].clear();
     }
   }
 
   const health::QueueHealthSample left = queue.health_sample();
+  if (hm != nullptr) hm->tick(schedule.makespan_cycles, left);
   if (left.depth > 0)
     throw std::logic_error(std::to_string(left.depth) +
                            " ready jobs remain that no fabric in the pool can take "
@@ -519,16 +533,15 @@ void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
 
 }  // namespace
 
-std::vector<FabricConfig> SchedulerConfig::resolved_fabrics() const {
-  if (!fabric_configs.empty()) return fabric_configs;
-  if (fabrics <= 0) throw std::invalid_argument("scheduler needs >= 1 fabric");
-  return std::vector<FabricConfig>(static_cast<std::size_t>(fabrics), fabric);
+const std::vector<FabricConfig>& SchedulerConfig::resolved_fabrics() const {
+  if (fabric_configs.empty()) throw std::invalid_argument("scheduler needs >= 1 fabric");
+  return fabric_configs;
 }
 
 MultiStreamScheduler::MultiStreamScheduler(const KernelLibrary& library,
                                            SchedulerConfig config)
     : library_(library), config_(std::move(config)) {
-  const std::vector<FabricConfig> resolved = config_.resolved_fabrics();
+  const std::vector<FabricConfig>& resolved = config_.resolved_fabrics();
   for (std::size_t k = 0; k < resolved.size(); ++k) {
     if (!library_.has_geometry(resolved[k].geometry))
       throw std::invalid_argument(
@@ -613,11 +626,6 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     }
     const auto lane_index = static_cast<std::size_t>(lane);
     busy_ms[lane_index] += std::chrono::duration<double, std::milli>(end - start).count();
-    if (hm != nullptr) {
-      hm->on_job_done(lane,
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count());
-      if (frame_done) hm->on_frame_done(task.stream_id);
-    }
     if (rec != nullptr) {
       telemetry::JobTrace t;
       t.stream_id = task.stream_id;
@@ -639,27 +647,13 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     lane_idle_since[lane_index] = end;
   };
 
-  PublishedQueueSample published;
-  if (hm != nullptr)
-    hm->attach_queue([&published] {
-      std::lock_guard lock(published.m);
-      return published.sample;
-    });
   Plan planned;
-  try {
+  {
     Lanes lanes(pool.size(), streams.size(), execute);
-    planned = plan(streams, pool, library_, config_, hm, hm != nullptr ? &published : nullptr,
-                   lanes, report);
+    planned = plan(streams, pool, library_, config_, hm, lanes, report);
     lanes.finish();
-  } catch (...) {
-    if (hm != nullptr) hm->finish_run();  // detach the sampler from `published`
-    throw;
   }
-  // Final tick + sampler stop; the final sample shows the drained queue.
-  if (hm != nullptr) {
-    hm->finish_run();
-    report.health_anomalies = hm->anomalies_total();
-  }
+  if (hm != nullptr) report.health_anomalies = hm->anomalies_total();
   report.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
 
   // The plan equals the execution: every frame encoded here must have

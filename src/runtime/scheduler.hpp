@@ -58,10 +58,9 @@ class HealthMonitor;  // health/monitor.hpp
 }  // namespace health
 
 struct SchedulerConfig {
-  int fabrics = 2;  ///< homogeneous pool size (ignored when fabric_configs set)
-  std::vector<FabricConfig> fabric_configs;  ///< heterogeneous pool, one per fabric
+  /// The pool, one entry per fabric; two default fabrics unless set.
+  std::vector<FabricConfig> fabric_configs = std::vector<FabricConfig>(2);
   JobQueueConfig queue;
-  FabricConfig fabric;    ///< template for the homogeneous pool
   me::SystolicParams me;  ///< ME array model the encodes search with and the plan costs
 
   /// Admission control. Disabled (the default) keeps the historical
@@ -92,27 +91,26 @@ struct SchedulerConfig {
   /// idiom as `trace`: every hook is guarded by this one pointer test and
   /// the monitor only observes, so modeled cycles and encoded output are
   /// bit-exact either way. When set, run() computes analytic per-stream
-  /// SLA budgets (the admission cost model) and starts the monitor's
-  /// epoch sampler over the queue sample the planner publishes; the
-  /// planner records dispatch, reconfig and steal flight events and
-  /// calls on_prepare, the lanes call on_job_done and on_frame_done;
+  /// SLA budgets (the admission cost model) and the planner is the
+  /// monitor's only caller, on the calling thread and in modeled cycles:
+  /// it records dispatch, steal and reconfig flight events, calls
+  /// on_prepare when a fabric acquires a job and on_job_done /
+  /// on_frame_done when the job's batch completes, and ticks the monitor
+  /// at every HealthMonitorConfig::epoch_cycles boundary and at the
+  /// makespan. The trip callback runs on that thread mid-run.
   /// `health_anomalies_total` is exported into `metrics`.
   health::HealthMonitor* health = nullptr;
 
-  /// The one normalization point of the two construction paths: the
-  /// explicit per-fabric list when set, otherwise `fabrics` copies of
-  /// the homogeneous `fabric` template. Everything downstream (the
-  /// scheduler, the pool, validation, reports) consumes this resolved
-  /// vector only. Throws std::invalid_argument on an empty resolution.
-  [[nodiscard]] std::vector<FabricConfig> resolved_fabrics() const;
+  /// The pool the scheduler builds: `fabric_configs`. Throws
+  /// std::invalid_argument when it is empty.
+  [[nodiscard]] const std::vector<FabricConfig>& resolved_fabrics() const;
 };
 
 class MultiStreamScheduler {
  public:
   /// @p library outlives the scheduler; it is shared read-only. The
-  /// config's fabric list is resolved and validated here (every fabric
-  /// geometry must be compiled into the library) — the single
-  /// validation site for both pool construction paths.
+  /// config's fabric list is validated here (every fabric geometry must
+  /// be compiled into the library).
   explicit MultiStreamScheduler(const KernelLibrary& library, SchedulerConfig config = {});
 
   /// Encode every stream to completion (blocking); @p streams is mutated

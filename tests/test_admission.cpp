@@ -54,7 +54,7 @@ TEST(Admission, FrameCyclesMatchesWhatTheEncoderCharges) {
   // estimate: encode a stream for real and compare the analytic
   // prediction against the cycles the codec charged per frame.
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   std::vector<StreamJob> jobs{make_synthetic_job(0, small_stream("probe", 7))};
   (void)MultiStreamScheduler(library(), cfg).run(jobs);
 
@@ -203,7 +203,7 @@ TEST(Admission, ImpossibleDeadlineRejectsAndStreamEncodesNothing) {
   cfg.sla.deadline_cycles = 1;  // no rung can make 4 frames fit one cycle
 
   SchedulerConfig cfg_run;
-  cfg_run.fabrics = 1;
+  cfg_run.fabric_configs.assign(1, FabricConfig{});
   cfg_run.admission.enabled = true;
   std::vector<StreamJob> jobs{make_synthetic_job(0, cfg)};
   jobs.push_back(make_synthetic_job(1, small_stream("fine", 15)));
@@ -328,7 +328,7 @@ TEST(AdmissionLadder, EveryRungPreservesTheFrameContract) {
     if (rungs >= 3) (void)ctl.apply_impl_swap(job);  // may already be cheapest
 
     SchedulerConfig cfg;
-    cfg.fabrics = 1;
+    cfg.fabric_configs.assign(1, FabricConfig{});
     std::vector<StreamJob> jobs;
     jobs.push_back(std::move(job));
     const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
@@ -345,7 +345,7 @@ TEST(AdmissionLadder, SameRungSequenceIsBitExact) {
     EXPECT_TRUE(AdmissionController::apply_resolution_drop(job, 16));
     (void)ctl.apply_impl_swap(job);
     SchedulerConfig cfg;
-    cfg.fabrics = 1;
+    cfg.fabric_configs.assign(1, FabricConfig{});
     std::vector<StreamJob> jobs;
     jobs.push_back(std::move(job));
     (void)MultiStreamScheduler(library(), cfg).run(jobs);
@@ -385,7 +385,7 @@ TEST(AdmissionLadder, RungTransitionsLandInTelemetryCounters) {
   doomed.sla.deadline_cycles = 1;
 
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.admission.enabled = true;
   telemetry::MetricsRegistry metrics;
   cfg.metrics = &metrics;
@@ -547,7 +547,7 @@ TEST(AdmissionLadder, DisabledAdmissionIsBitExactWithHistoricalRuns) {
   cfg.sla.deadline_cycles = 1;  // would be shed if admission were on
 
   SchedulerConfig off;
-  off.fabrics = 1;
+  off.fabric_configs.assign(1, FabricConfig{});
   std::vector<StreamJob> jobs{make_synthetic_job(0, cfg)};
   const RunReport report = MultiStreamScheduler(library(), off).run(jobs);
   EXPECT_FALSE(report.admission.enabled);

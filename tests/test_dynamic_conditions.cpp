@@ -208,7 +208,7 @@ TEST(DynamicConditions, RebucketingNeverDropsDuplicatesOrReordersFrames) {
   // every frame exactly once, in order, with identical output — the
   // mid-flight context changes may only affect *when* work runs.
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
 
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
@@ -263,7 +263,7 @@ TEST(DynamicConditions, MidFlightSwitchChargesTheConfigurationPort) {
   ASSERT_EQ(jobs[0].condition_switches, 2);  // cordic1 -> cordic2 -> scc_full
 
   SchedulerConfig scfg;
-  scfg.fabrics = 1;
+  scfg.fabric_configs.assign(1, FabricConfig{});
   const RunReport report = MultiStreamScheduler(library(), scfg).run(jobs);
 
   ASSERT_EQ(jobs[0].records.size(), 4u);
@@ -293,7 +293,7 @@ TEST(DynamicConditions, MidFlightSwitchChargesTheConfigurationPort) {
 
 TEST(DynamicConditions, HysteresisBeatsNaiveOnSwitchCount) {
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   auto naive_jobs = dynamic_workload(soc::ConditionPolicy::kPerFrame, 12);
   const RunReport naive = MultiStreamScheduler(library(), cfg).run(naive_jobs);
   auto hyst_jobs = dynamic_workload(soc::ConditionPolicy::kHysteresis, 12);
@@ -317,7 +317,7 @@ TEST(DynamicConditions, SchedulerValidatesTheUnionOfTrajectoryContexts) {
   ASSERT_GE(jobs[0].frame_impls.size(), 3u);
   jobs[0].frame_impls[2] = "not_an_impl";
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   MultiStreamScheduler scheduler(library(), cfg);
   try {
     (void)scheduler.run(jobs);
@@ -343,7 +343,7 @@ TEST(DynamicConditions, QueueResolvesHandBuiltTrajectoryJobs) {
   job.impl_name = "da_basic";  // wrong on purpose: resolution must override
 
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
   EXPECT_EQ(report.total_frames, 20u);
   ASSERT_EQ(job.frame_impls, expected);

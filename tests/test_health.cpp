@@ -1,14 +1,15 @@
-// Live health subsystem: flight-recorder ring semantics (wrap keeps the
-// newest records, snapshots are tear-free), watchdog trips on injected
-// anomalies (stall, queue growth, starvation, SLA burn — each
-// demonstrably fires, and the burn detector fires *before* the deadline
-// passes), zero-cost-off bit-exactness, a clean monitored run tripping
-// nothing, and the metrics timeline epoch cap accounting its drops.
+// Live health subsystem: flight-recorder ring semantics (wrap keeps each
+// ring's newest records, the merge is in global order, records carry
+// their modeled cycle), watchdog trips on injected anomalies (stall,
+// queue growth, starvation, SLA burn — each demonstrably fires, and the
+// burn detector fires *before* the deadline passes), modeled epochs (one
+// tick per epoch_cycles boundary, then the makespan), verdicts that
+// repeat exactly across runs, zero-cost-off bit-exactness, a clean
+// monitored run tripping nothing, and the metrics timeline epoch cap
+// accounting its drops.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/health/flight_recorder.hpp"
@@ -16,6 +17,7 @@
 #include "runtime/health/snapshot.hpp"
 #include "runtime/health/watchdog.hpp"
 #include "runtime/job_queue.hpp"
+#include "runtime/partition.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/telemetry/export.hpp"
 #include "runtime/telemetry/metrics.hpp"
@@ -28,7 +30,14 @@ const KernelLibrary& library() {
   return lib;
 }
 
-std::vector<StreamJob> mixed_workload(int streams, int frames, int size) {
+/// Both array geometries, for pools with co-tenant 8x4 slots.
+const KernelLibrary& two_geometry_library() {
+  static const KernelLibrary lib(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
+  return lib;
+}
+
+std::vector<StreamJob> mixed_workload(int streams, int frames, int size,
+                                      std::uint64_t deadline_cycles = 0) {
   const soc::RuntimeCondition conditions[] = {
       {1.0, 1.0},  // -> cordic1
       {0.5, 0.9},  // -> cordic2
@@ -46,9 +55,20 @@ std::vector<StreamJob> mixed_workload(int streams, int frames, int size) {
     cfg.condition = conditions[k % 4];
     cfg.codec.me_range = 4;
     cfg.seed = 9300 + static_cast<std::uint64_t>(k);
+    cfg.sla.deadline_cycles = deadline_cycles;
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   return jobs;
+}
+
+/// Whole-stream analytic cost of @p job in modeled cycles.
+std::uint64_t stream_cost(const StreamJob& job, const KernelLibrary& lib) {
+  const FabricPool pool(1, lib);
+  const AdmissionController model(lib, pool, me::SystolicParams{});
+  std::uint64_t cycles = 0;
+  for (int f = 0; f < static_cast<int>(job.frames.size()); ++f)
+    cycles += model.frame_cycles(job, f);
+  return cycles;
 }
 
 void expect_bit_exact(const StreamJob& a, const StreamJob& b) {
@@ -66,77 +86,86 @@ void expect_bit_exact(const StreamJob& a, const StreamJob& b) {
   EXPECT_EQ(a.recon_state.data(), b.recon_state.data()) << a.config.name;
 }
 
+std::string describe(const std::vector<health::WatchdogTrip>& trips) {
+  std::string out;
+  for (const health::WatchdogTrip& t : trips)
+    out += "\n  " + std::string(to_string(t.kind)) + " at epoch " + std::to_string(t.epoch) +
+           ": " + t.detail;
+  return out;
+}
+
 // ---- flight recorder --------------------------------------------------
 
-TEST(FlightRecorder, WrapKeepsNewestRecords) {
+TEST(FlightRecorder, WrapKeepsEachRingsNewestRecordsStampedInCycles) {
   health::FlightRecorderConfig cfg;
   cfg.capacity_per_ring = 64;  // already a power of two
   health::FlightRecorder rec(cfg);
-  rec.begin_run(/*fabrics=*/1);
+  rec.begin_run(/*fabrics=*/2);
+  // Ring 0 wraps (200 records), ring 1 does not (10): each keeps its own
+  // newest records, whatever the other ring does.
   const int total = 200;
-  for (int i = 0; i < total; ++i)
-    rec.record(0, health::EventKind::kDispatch, /*stream=*/i, /*frame=*/i % 7,
+  for (int i = 0; i < total; ++i) {
+    const std::uint64_t t = 1000 + 10 * static_cast<std::uint64_t>(i);
+    rec.record(0, t, health::EventKind::kDispatch, /*stream=*/i, /*frame=*/i % 7,
                /*value=*/static_cast<std::uint64_t>(i));
+    if (i % 20 == 0) rec.record(1, t, health::EventKind::kReconfig, /*stream=*/i, -1, 7);
+  }
 
-  EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(total));
+  EXPECT_EQ(rec.recorded(), static_cast<std::uint64_t>(total + 10));
   EXPECT_EQ(rec.dropped(), static_cast<std::uint64_t>(total - 64));
 
-  const std::vector<health::FlightEvent> events = rec.snapshot();
-  ASSERT_EQ(events.size(), 64u);
-  // Overwrite-oldest: exactly the last 64 records survive, in sequence
-  // order, payloads intact.
-  for (std::size_t k = 0; k < events.size(); ++k) {
+  std::vector<health::FlightEvent> ring0, ring1;
+  for (const health::FlightEvent& ev : rec.snapshot())
+    (ev.ring == 0 ? ring0 : ring1).push_back(ev);
+  // Overwrite-oldest: exactly ring 0's last 64 records survive, payloads
+  // and modeled cycles intact.
+  ASSERT_EQ(ring0.size(), 64u);
+  for (std::size_t k = 0; k < ring0.size(); ++k) {
     const int i = total - 64 + static_cast<int>(k);
-    EXPECT_EQ(events[k].seq, static_cast<std::uint64_t>(i + 1));
-    EXPECT_EQ(events[k].stream_id, i);
-    EXPECT_EQ(events[k].frame_index, i % 7);
-    EXPECT_EQ(events[k].value, static_cast<std::uint64_t>(i));
-    EXPECT_EQ(events[k].kind, health::EventKind::kDispatch);
+    EXPECT_EQ(ring0[k].stream_id, i);
+    EXPECT_EQ(ring0[k].frame_index, i % 7);
+    EXPECT_EQ(ring0[k].value, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(ring0[k].t_cycles, 1000 + 10 * static_cast<std::uint64_t>(i));
+    EXPECT_EQ(ring0[k].kind, health::EventKind::kDispatch);
   }
+  // Ring 1 never filled: all ten survive, the oldest included.
+  ASSERT_EQ(ring1.size(), 10u);
+  EXPECT_EQ(ring1.front().stream_id, 0);
+  EXPECT_EQ(ring1.front().t_cycles, 1000u);
+  EXPECT_EQ(ring1.back().stream_id, 180);
+  EXPECT_EQ(ring1.back().t_cycles, 2800u);
 }
 
-TEST(FlightRecorder, MergesRingsInGlobalOrderAndSurvivesConcurrentReads) {
+TEST(FlightRecorder, MergesRingsInGlobalOrder) {
   health::FlightRecorder rec({256});
   rec.begin_run(/*fabrics=*/2);  // rings 0, 1 + control ring 2
   EXPECT_EQ(rec.control_ring(), 2);
 
-  // Two writer threads (one per ring) race a snapshotting reader; every
-  // event a snapshot returns must be untorn (stream == value here) and
-  // in strictly increasing global sequence order.
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const auto events = rec.snapshot();
-      std::uint64_t prev_seq = 0;
-      for (const health::FlightEvent& ev : events) {
-        EXPECT_GT(ev.seq, prev_seq);
-        prev_seq = ev.seq;
-        EXPECT_EQ(static_cast<std::uint64_t>(ev.stream_id), ev.value);
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int ring = 0; ring < 2; ++ring)
-    writers.emplace_back([&rec, ring] {
-      for (int i = 0; i < 4000; ++i)
-        rec.record(ring, health::EventKind::kSteal, /*stream=*/i, /*frame=*/0,
-                   /*value=*/static_cast<std::uint64_t>(i));
-    });
-  for (std::thread& w : writers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
+  // Writes interleaved over every ring merge back in strictly increasing
+  // global sequence order.
+  for (int i = 0; i < 600; ++i)
+    rec.record(i % 3, static_cast<std::uint64_t>(i), health::EventKind::kSteal, /*stream=*/i,
+               /*frame=*/0, /*value=*/static_cast<std::uint64_t>(i));
+  const std::vector<health::FlightEvent> events = rec.snapshot();
+  ASSERT_EQ(events.size(), 600u);
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    EXPECT_EQ(events[k].seq, k + 1);
+    EXPECT_EQ(events[k].ring, static_cast<int>(k % 3));
+    EXPECT_EQ(static_cast<std::uint64_t>(events[k].stream_id), events[k].value);
+  }
 
-  EXPECT_EQ(rec.recorded(), 8000u);
+  EXPECT_EQ(rec.recorded(), 600u);
   const std::string json = rec.json();
   EXPECT_NE(json.find("\"capacity_per_ring\": 256"), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"steal\""), std::string::npos);
+  EXPECT_NE(json.find("\"t_cycles\": 599"), std::string::npos);
 }
 
 TEST(FlightRecorder, OutOfRangeRingIsDroppedNotFatal) {
   health::FlightRecorder rec({64});
   rec.begin_run(1);
-  rec.record(7, health::EventKind::kDispatch, 0, 0, 0);   // no such ring
-  rec.record(-1, health::EventKind::kDispatch, 0, 0, 0);  // negative
+  rec.record(7, 0, health::EventKind::kDispatch, 0, 0, 0);   // no such ring
+  rec.record(-1, 0, health::EventKind::kDispatch, 0, 0, 0);  // negative
   EXPECT_TRUE(rec.snapshot().empty());
 }
 
@@ -181,11 +210,10 @@ TEST(Watchdogs, CompletionsProgressPreventsStall) {
 }
 
 TEST(Watchdogs, InflightWorkSuppressesStall) {
-  // One long job spanning many epochs with zero completions is SLOW,
-  // not stalled (think a sanitizer-instrumented or heavily loaded
-  // host): as long as something is in flight the stall verdict must
-  // stay suppressed, and the run counter must restart when work picks
-  // back up.
+  // One long batch spanning many epochs with zero completions is SLOW,
+  // not stalled: as long as something is in flight the stall verdict
+  // must stay suppressed, and the run counter must restart when work
+  // picks back up.
   health::WatchdogConfig cfg;
   cfg.stall_epochs = 3;
   health::Watchdogs dogs(cfg);
@@ -197,7 +225,7 @@ TEST(Watchdogs, InflightWorkSuppressesStall) {
   };
   for (int i = 0; i < 8; ++i)
     EXPECT_TRUE(dogs.evaluate(inflight_snap(1)).empty());
-  // The worker wedges for real: in-flight drains to zero, no progress.
+  // The work wedges for real: in-flight drains to zero, no progress.
   EXPECT_TRUE(dogs.evaluate(inflight_snap(0)).empty());
   EXPECT_TRUE(dogs.evaluate(inflight_snap(0)).empty());
   const auto trips = dogs.evaluate(inflight_snap(0));
@@ -245,39 +273,43 @@ TEST(Watchdogs, StarvationTripsPastAgeBound) {
 
 TEST(HealthMonitor, StalledQueueTripsStallWatchdog) {
   // A real queue full of seeded jobs that nothing drives: depth stays
-  // positive, completions stay zero — the wedged-planner shape.
+  // positive, completions stay zero — the wedged-queue shape.
   auto jobs = mixed_workload(4, 3, 16);
   JobQueue queue(jobs);
 
   health::HealthMonitorConfig cfg;
   cfg.watchdogs.stall_epochs = 3;
-  health::HealthMonitor monitor(cfg);  // manual ticks: deterministic
+  health::HealthMonitor monitor(cfg);
   monitor.begin_run(/*fabrics=*/2, {});
-  monitor.attach_queue([&queue] { return queue.health_sample(); });
 
-  for (int i = 0; i < 4; ++i) {
-    const health::HealthSnapshot snap = monitor.tick();
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    const health::HealthSnapshot snap = monitor.tick(k * 1000, queue.health_sample());
+    EXPECT_EQ(snap.modeled_now_cycles, k * 1000);
     EXPECT_GT(snap.queue.depth, 0u);
     EXPECT_EQ(snap.queue.completions, 0u);
   }
-  monitor.finish_run();
 
-  const auto trips = monitor.trips();
+  const std::vector<health::WatchdogTrip>& trips = monitor.trips();
   ASSERT_FALSE(trips.empty());
   EXPECT_EQ(trips[0].kind, health::WatchdogKind::kStall);
   EXPECT_EQ(monitor.anomalies_total(), trips.size());
-  // The trip landed in the flight recorder's control ring too.
+  // The trip landed in the flight recorder's control ring too, stamped
+  // with the tick that fired it (the fourth epoch).
   bool saw_trip_event = false;
   for (const health::FlightEvent& ev : monitor.flight().snapshot())
-    if (ev.kind == health::EventKind::kWatchdogTrip) saw_trip_event = true;
+    if (ev.kind == health::EventKind::kWatchdogTrip) {
+      saw_trip_event = true;
+      EXPECT_EQ(ev.ring, monitor.flight().control_ring());
+      EXPECT_EQ(ev.t_cycles, 4000u);
+    }
   EXPECT_TRUE(saw_trip_event);
 }
 
 TEST(HealthMonitor, OverloadWaveTripsBurnRateBeforeDeadline) {
   // Stream 0 holds a deadline exactly equal to its own analytic cost —
   // feasible alone, hopeless once an overload wave (stream 1's traffic)
-  // soaks the pool. Stream 0 finishes 1 frame while the wave burns 5
-  // frames of modeled time: projected completion 5x the deadline.
+  // soaks the pool. Stream 0 finishes 1 frame in the 500 modeled cycles
+  // the wave's 4 frames also took: projected completion 5x the deadline.
   health::StreamBudget constrained;
   constrained.stream_id = 0;
   constrained.deadline_cycles = 1000.0;
@@ -295,15 +327,14 @@ TEST(HealthMonitor, OverloadWaveTripsBurnRateBeforeDeadline) {
 
   monitor.on_frame_done(0);
   for (int i = 0; i < 4; ++i) monitor.on_frame_done(1);
-  const health::HealthSnapshot snap = monitor.tick();
-  monitor.finish_run();
+  const health::HealthSnapshot snap = monitor.tick(500, {});
 
   ASSERT_EQ(snap.streams.size(), 2u);
   // Tripped BEFORE the deadline passed: the detector predicts the
   // violation while there is still budget left.
-  EXPECT_LT(snap.modeled_now_cycles, 1000.0);
-  EXPECT_GT(snap.streams[0].burn_rate, 1.25);
-  const auto trips = monitor.trips();
+  EXPECT_LT(snap.modeled_now_cycles, 1000u);
+  EXPECT_DOUBLE_EQ(snap.streams[0].burn_rate, 5.0);
+  const std::vector<health::WatchdogTrip>& trips = monitor.trips();
   ASSERT_FALSE(trips.empty());
   EXPECT_EQ(trips[0].kind, health::WatchdogKind::kSlaBurn);
   EXPECT_EQ(trips[0].stream_id, 0);
@@ -318,9 +349,10 @@ TEST(HealthMonitor, BurnRatesAreAlwaysFiniteAndNonNegative) {
   b.frame_cycles.assign(4, 50.0);
   health::HealthMonitor monitor;
   monitor.begin_run(1, {b});
-  // Epoch with zero progress, partial progress, and completion.
-  for (int i = 0; i < 5; ++i) {
-    const health::HealthSnapshot snap = monitor.tick();
+  // Epochs with zero progress, partial progress, and completion: one
+  // 50-cycle frame per 50-cycle epoch.
+  for (std::uint64_t k = 0; k < 5; ++k) {
+    const health::HealthSnapshot snap = monitor.tick(50 * k, {});
     for (const health::StreamHealth& s : snap.streams) {
       EXPECT_GE(s.burn_rate, 0.0);
       EXPECT_TRUE(s.burn_rate == s.burn_rate);  // not NaN
@@ -328,7 +360,6 @@ TEST(HealthMonitor, BurnRatesAreAlwaysFiniteAndNonNegative) {
     }
     monitor.on_frame_done(0);
   }
-  monitor.finish_run();
   EXPECT_EQ(monitor.anomalies_total(), 0u);  // on-budget throughout
 }
 
@@ -341,17 +372,19 @@ TEST(HealthScheduler, ZeroCostOffIsBitExact) {
   auto monitored_jobs = mixed_workload(4, 3, 16);
 
   SchedulerConfig cfg;
-  cfg.fabrics = 3;
+  cfg.fabric_configs.assign(3, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   const RunReport plain = MultiStreamScheduler(library(), cfg).run(plain_jobs);
 
   health::HealthMonitorConfig mon_cfg;
-  mon_cfg.epoch_host_ms = 0.25;  // live sampler thread racing the run
+  mon_cfg.epoch_cycles = plain.sim_makespan_cycles / 50;
   health::HealthMonitor monitor(mon_cfg);
   cfg.health = &monitor;
   const RunReport monitored = MultiStreamScheduler(library(), cfg).run(monitored_jobs);
 
+  EXPECT_GE(monitor.epochs(), 50u);
   EXPECT_EQ(plain.sim_makespan_cycles, monitored.sim_makespan_cycles);
+  EXPECT_EQ(plain.dispatches, monitored.dispatches);
   ASSERT_EQ(plain_jobs.size(), monitored_jobs.size());
   for (std::size_t s = 0; s < plain_jobs.size(); ++s)
     expect_bit_exact(plain_jobs[s], monitored_jobs[s]);
@@ -360,10 +393,10 @@ TEST(HealthScheduler, ZeroCostOffIsBitExact) {
 TEST(HealthScheduler, CleanRunTripsNothingAndRecordsFlightEvents) {
   auto jobs = mixed_workload(6, 3, 16);
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   health::HealthMonitorConfig mon_cfg;
-  mon_cfg.epoch_host_ms = 0.25;
+  mon_cfg.epoch_cycles = stream_cost(jobs[0], library()) / 10;
   health::HealthMonitor monitor(mon_cfg);
   telemetry::MetricsRegistry metrics;
   cfg.health = &monitor;
@@ -372,17 +405,14 @@ TEST(HealthScheduler, CleanRunTripsNothingAndRecordsFlightEvents) {
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
   // On failure, say which watchdog fired and why.
-  std::string trip_details;
-  for (const health::WatchdogTrip& t : monitor.trips())
-    trip_details += "\n  " + std::string(to_string(t.kind)) + " at epoch " +
-                    std::to_string(t.epoch) + ": " + t.detail;
+  const std::string trip_details = describe(monitor.trips());
   EXPECT_EQ(monitor.anomalies_total(), 0u) << trip_details;
   EXPECT_EQ(report.health_anomalies, 0u);
   EXPECT_TRUE(monitor.trips().empty()) << trip_details;
-  // The run produced dispatch flight events and at least the final tick.
+  // The run produced dispatch flight events and tens of epochs.
   EXPECT_GT(monitor.flight().recorded(), 0u);
-  EXPECT_GE(monitor.epochs(), 1u);
-  const auto snaps = monitor.snapshots();
+  EXPECT_GE(monitor.epochs(), 10u);
+  const std::vector<health::HealthSnapshot>& snaps = monitor.snapshots();
   ASSERT_FALSE(snaps.empty());
   // Epochs strictly monotone; the final snapshot sees the drained queue.
   for (std::size_t i = 1; i < snaps.size(); ++i)
@@ -396,10 +426,144 @@ TEST(HealthScheduler, CleanRunTripsNothingAndRecordsFlightEvents) {
   // The dump is well-formed enough to carry its schema stamp.
   const std::string json = monitor.health_json(report.wall_seconds);
   EXPECT_NE(json.find("\"kind\": \"health\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"flight_recorder\""), std::string::npos);
 }
 
-// ---- metrics timeline cap (satellite fix) ------------------------------
+TEST(HealthScheduler, TicksAtEveryEpochBoundaryAndTheMakespan) {
+  auto jobs = mixed_workload(5, 4, 16);
+  SchedulerConfig cfg;
+  cfg.fabric_configs.assign(2, FabricConfig{});
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+  const std::uint64_t epoch = stream_cost(jobs[0], library()) / 8;
+  health::HealthMonitorConfig mon_cfg;
+  mon_cfg.epoch_cycles = epoch;
+  health::HealthMonitor monitor(mon_cfg);
+  cfg.health = &monitor;
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  const std::uint64_t makespan = report.sim_makespan_cycles;
+  const std::vector<health::HealthSnapshot>& snaps = monitor.snapshots();
+  // One tick per boundary strictly before the makespan, then the makespan.
+  const std::uint64_t boundaries = (makespan - 1) / epoch;
+  ASSERT_EQ(snaps.size(), boundaries + 1);
+  ASSERT_GE(snaps.size(), 10u);
+  for (std::size_t k = 0; k + 1 < snaps.size(); ++k) {
+    EXPECT_EQ(snaps[k].epoch, k + 1);
+    EXPECT_EQ(snaps[k].modeled_now_cycles, (k + 1) * epoch);
+    // Mid-run the planner always has a batch in flight.
+    EXPECT_GT(snaps[k].inflight_jobs, 0u);
+    for (const health::FabricHealth& f : snaps[k].fabrics) {
+      EXPECT_GE(f.utilization, 0.0);
+      EXPECT_LE(f.utilization, 1.0);
+    }
+  }
+  const health::HealthSnapshot& last = snaps.back();
+  EXPECT_EQ(last.modeled_now_cycles, makespan);
+  EXPECT_EQ(last.queue.depth, 0u);
+  EXPECT_EQ(last.inflight_jobs, 0u);
+  EXPECT_EQ(last.queue.completions, last.queue.dispatches);
+  std::uint64_t jobs_done = 0;
+  for (const health::FabricHealth& f : last.fabrics) jobs_done += f.jobs_done;
+  EXPECT_EQ(jobs_done, report.dispatches);
+  for (const health::StreamHealth& s : last.streams) EXPECT_EQ(s.frames_done, s.frames_total);
+
+  // Every flight record is stamped with the planner's clock at the
+  // decision, so the records never go back in modeled time.
+  std::uint64_t prev = 0;
+  for (const health::FlightEvent& ev : monitor.flight().snapshot()) {
+    EXPECT_GE(ev.t_cycles, prev);
+    EXPECT_LE(ev.t_cycles, makespan);
+    prev = ev.t_cycles;
+  }
+}
+
+/// A monitored run's verdicts and the dump that explains them.
+struct MonitoredRun {
+  std::string dump;
+  std::vector<health::WatchdogTrip> trips;
+  RunReport report;
+};
+
+MonitoredRun run_monitored(const KernelLibrary& lib, SchedulerConfig cfg,
+                           std::vector<StreamJob> jobs, std::uint64_t epoch_cycles) {
+  health::HealthMonitorConfig mon_cfg;
+  mon_cfg.epoch_cycles = epoch_cycles;
+  health::HealthMonitor monitor(mon_cfg);
+  cfg.health = &monitor;
+  MonitoredRun out;
+  out.report = MultiStreamScheduler(lib, cfg).run(jobs);
+  out.dump = monitor.health_json(0.0);
+  out.trips = monitor.trips();
+  return out;
+}
+
+TEST(HealthScheduler, VerdictsRepeatExactlyOnATenancyPoolUnderAdmission) {
+  // The richest dispatch path at test size: stage mode over one ME
+  // fabric, one exclusive transform fabric and one split into two
+  // co-tenant slots, partial reconfiguration on, and deadlines that make
+  // admission degrade some arrivals and shed others. Two runs must give
+  // one dump, byte for byte, and one set of trips.
+  FabricConfig me_fabric;
+  me_fabric.capabilities = kCapMotionEstimation;
+  me_fabric.partial_reconfig = true;
+  FabricConfig dct_fabric;
+  dct_fabric.capabilities = kCapDctTransform;
+  dct_fabric.partial_reconfig = true;
+  FabricConfig tenant = dct_fabric;
+  tenant.partitions = static_partition_plan(kDefaultGeometry);
+  SchedulerConfig cfg;
+  cfg.fabric_configs = {me_fabric, dct_fabric, tenant};
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+  cfg.admission.enabled = true;
+
+  const KernelLibrary& lib = two_geometry_library();
+  const std::uint64_t cost = stream_cost(mixed_workload(1, 4, 32)[0], lib);
+  const std::vector<StreamJob> jobs = mixed_workload(16, 4, 32, 3 * cost);
+
+  const MonitoredRun first = run_monitored(lib, cfg, jobs, cost / 8);
+  const MonitoredRun second = run_monitored(lib, cfg, jobs, cost / 8);
+
+  ASSERT_GT(first.report.admission.rejected, 0u);
+  ASSERT_GT(first.report.admission.admitted, first.report.admission.admitted_clean);
+  EXPECT_GT(first.report.port_contention_cycles, 0u);
+  EXPECT_GT(first.report.partial_reloads, 0u);
+  EXPECT_EQ(first.dump, second.dump);
+  ASSERT_EQ(first.trips.size(), second.trips.size()) << describe(first.trips);
+  for (std::size_t t = 0; t < first.trips.size(); ++t) {
+    EXPECT_EQ(first.trips[t].kind, second.trips[t].kind);
+    EXPECT_EQ(first.trips[t].epoch, second.trips[t].epoch);
+    EXPECT_EQ(first.trips[t].stream_id, second.trips[t].stream_id);
+    EXPECT_EQ(first.trips[t].detail, second.trips[t].detail);
+  }
+}
+
+TEST(HealthScheduler, SlaBurnTripLandsOnTheSameEpochEveryRun) {
+  // Admission off: stream 0's deadline is its own analytic cost, which it
+  // cannot meet while five best-effort streams share the pool. The burn
+  // detector must name it, at one epoch, run after run.
+  const KernelLibrary& lib = library();
+  std::vector<StreamJob> jobs = mixed_workload(6, 4, 32);
+  const std::uint64_t deadline = stream_cost(jobs[0], lib);
+  jobs[0].config.sla.deadline_cycles = deadline;
+  SchedulerConfig cfg;
+  cfg.fabric_configs.assign(2, FabricConfig{});
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+
+  const MonitoredRun first = run_monitored(lib, cfg, jobs, deadline / 10);
+  const MonitoredRun second = run_monitored(lib, cfg, jobs, deadline / 10);
+
+  ASSERT_EQ(first.trips.size(), 1u) << describe(first.trips);
+  EXPECT_EQ(first.trips[0].kind, health::WatchdogKind::kSlaBurn);
+  EXPECT_EQ(first.trips[0].stream_id, 0);
+  ASSERT_EQ(second.trips.size(), 1u) << describe(second.trips);
+  EXPECT_EQ(second.trips[0].epoch, first.trips[0].epoch);
+  EXPECT_EQ(second.trips[0].detail, first.trips[0].detail);
+  EXPECT_EQ(first.dump, second.dump);
+  EXPECT_EQ(first.report.health_anomalies, 1u);
+}
+
+// ---- metrics timeline cap ----------------------------------------------
 
 TEST(MetricsTimelines, EpochCapIsConfigurableAndDropsAreAccounted) {
   telemetry::MetricsRegistry m;

@@ -197,24 +197,18 @@ TEST(FabricPool, AtRejectsOutOfRangeIndicesWithExactDiagnostics) {
   }
 }
 
-TEST(SchedulerConfigNormalization, BothConstructionPathsResolveToOneVector) {
-  SchedulerConfig homogeneous;
-  homogeneous.fabrics = 3;
-  homogeneous.fabric.context_capacity_bytes = 1234;
-  const std::vector<FabricConfig> resolved = homogeneous.resolved_fabrics();
-  ASSERT_EQ(resolved.size(), 3u);
-  for (const FabricConfig& cfg : resolved)
-    EXPECT_EQ(cfg.context_capacity_bytes, 1234u);
+TEST(SchedulerConfigNormalization, FabricListIsThePool) {
+  // A default config is two default fabrics.
+  EXPECT_EQ(SchedulerConfig{}.resolved_fabrics().size(), 2u);
 
   SchedulerConfig heterogeneous;
-  heterogeneous.fabrics = 99;  // ignored: the explicit list wins
   heterogeneous.fabric_configs = {fabric_with_geometry(kDefaultGeometry),
                                   fabric_with_geometry(kSmallSccGeometry)};
   ASSERT_EQ(heterogeneous.resolved_fabrics().size(), 2u);
   EXPECT_EQ(heterogeneous.resolved_fabrics()[1].geometry, kSmallSccGeometry);
 
   SchedulerConfig empty;
-  empty.fabrics = 0;
+  empty.fabric_configs.clear();
   EXPECT_THROW((void)empty.resolved_fabrics(), std::invalid_argument);
 
   // The scheduler is the single validation site: a fabric geometry the
@@ -424,7 +418,7 @@ TEST(HeteroDispatch, EncodedOutputIsBitExactAcrossPoolShapes) {
   (void)MultiStreamScheduler(library(), hetero).run(hetero_jobs);
 
   SchedulerConfig homog;
-  homog.fabrics = 3;
+  homog.fabric_configs.assign(3, FabricConfig{});
   auto homog_jobs = workload();
   (void)MultiStreamScheduler(library(), homog).run(homog_jobs);
 

@@ -266,14 +266,15 @@ std::vector<runtime::StreamJob> dynamic_workload(int frames) {
 
 TEST(PartialReconfig, SchedulerRunIsBitExactAndCheaper) {
   runtime::SchedulerConfig cfg;
-  cfg.fabrics = 1;
-  cfg.fabric.reconfig_port.width_bits = 4;
+  runtime::FabricConfig fabric;
+  fabric.reconfig_port.width_bits = 4;
+  cfg.fabric_configs = {fabric};
 
   auto full_jobs = dynamic_workload(6);
   const runtime::RunReport full =
       runtime::MultiStreamScheduler(library(), cfg).run(full_jobs);
 
-  cfg.fabric.partial_reconfig = true;
+  cfg.fabric_configs[0].partial_reconfig = true;
   auto part_jobs = dynamic_workload(6);
   const runtime::RunReport part =
       runtime::MultiStreamScheduler(library(), cfg).run(part_jobs);

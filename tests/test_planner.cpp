@@ -94,9 +94,10 @@ std::string span_digest(const std::vector<telemetry::Span>& spans) {
 
 SchedulerConfig one_fabric_config(DispatchMode mode, SchedulingPolicy policy) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
-  cfg.fabric.partial_reconfig = true;
-  cfg.fabric.context_capacity_bytes = library().total_bytes(kDefaultGeometry) / 3;
+  FabricConfig fabric;
+  fabric.partial_reconfig = true;
+  fabric.context_capacity_bytes = library().total_bytes(kDefaultGeometry) / 3;
+  cfg.fabric_configs = {fabric};
   cfg.queue.mode = mode;
   cfg.queue.policy = policy;
   cfg.queue.max_affinity_run = 3;
@@ -341,7 +342,7 @@ TEST(PlanCost, ResolutionDroppedStreamIsCostedAtItsNewSize) {
   // And run() plans the dropped stream at the same cycles it encodes.
   std::vector<StreamJob> jobs{job};
   SchedulerConfig sched;
-  sched.fabrics = 2;
+  sched.fabric_configs.assign(2, FabricConfig{});
   sched.queue.mode = DispatchMode::kStagePipeline;
   EXPECT_NO_THROW(MultiStreamScheduler(library(), sched).run(jobs));
   EXPECT_EQ(jobs[0].records.size(), 3u);

@@ -206,7 +206,7 @@ TEST(Fabric, PrepareChargesFetchPlusSwitchOnceThenNothing) {
 
 TEST(Scheduler, AffinityBatchingBeatsRoundRobin) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
 
   cfg.queue.policy = SchedulingPolicy::kRoundRobin;
   auto rr_jobs = mixed_workload(6, 4, 32);
@@ -254,7 +254,7 @@ TEST(Scheduler, RunCapRotatesAwayFromDominantConfiguration) {
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 2;
   cfg.queue.aging_threshold = 50;  // never reached: 8 dispatches total
@@ -268,7 +268,7 @@ TEST(Scheduler, RunCapRotatesAwayFromDominantConfiguration) {
 
 TEST(Scheduler, NoStreamStarvesUnderAgeing) {
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 1000;  // batching alone would starve the rest
   cfg.queue.aging_threshold = 6;
@@ -288,11 +288,12 @@ TEST(Scheduler, NoStreamStarvesUnderAgeing) {
 
 TEST(Scheduler, BoundedContextCacheEvictsAndStillCompletes) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  FabricConfig fabric;
+  // Room for roughly one and a half contexts -> every switch evicts.
+  fabric.context_capacity_bytes = library().bitstream("scc_full").size() * 3 / 2;
+  cfg.fabric_configs = {fabric};
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 2;  // force frequent switching
-  // Room for roughly one and a half contexts -> every switch evicts.
-  cfg.fabric.context_capacity_bytes = library().bitstream("scc_full").size() * 3 / 2;
 
   auto jobs = mixed_workload(4, 3, 32);
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
@@ -306,7 +307,7 @@ TEST(Scheduler, RejectsUnknownImplementation) {
   auto jobs = mixed_workload(1, 1, 32);
   jobs[0].impl_name = "not_an_impl";
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   MultiStreamScheduler scheduler(library(), cfg);
   EXPECT_THROW((void)scheduler.run(jobs), std::invalid_argument);
 }
@@ -331,7 +332,7 @@ TEST(Scheduler, StarvingLowAffinityStreamIsServedMidBatch) {
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 1000000;  // the batch never ends by itself
   cfg.queue.aging_threshold = 4;
@@ -507,7 +508,7 @@ TEST(Scheduler, HardAgeBoundServesMidCohortMinorityAtHighQueueDepth) {
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 1000000;  // batching never rotates by itself
   cfg.queue.aging_threshold = 8;
@@ -529,7 +530,7 @@ TEST(QueuePolicy, RoundRobinServesTheLongestWaitingJob) {
   // the other streams — never behind the larger context's whole backlog.
   auto jobs = majority_and_minority(5, 4, 32);
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kRoundRobin;
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
@@ -557,7 +558,7 @@ TEST(QueuePolicy, EquallyOldJobsDispatchTightestDeadlineFirst) {
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
 
@@ -604,7 +605,7 @@ TEST(QueuePolicy, RunCapHoldsInsideABatch) {
   // is served after at most one run.
   auto jobs = majority_and_minority(16, 1, 16);
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.max_affinity_run = 1;
   cfg.queue.aging_threshold = 1000;  // never reached
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);

@@ -64,7 +64,7 @@ IntervalMap intervals_of(const std::vector<StageEvent>& timeline) {
 
 TEST(SchedulerPipeline, BitExactWithMonolithicMode) {
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
 
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   auto mono_jobs = mixed_workload(4, 4, 32);
@@ -100,7 +100,7 @@ TEST(SchedulerPipeline, BitExactWithMonolithicMode) {
 TEST(SchedulerPipeline, StageOrderRespectsDependencies) {
   // The dependency assertions hold for any fabric count.
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   auto jobs = mixed_workload(3, 5, 32);
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
@@ -251,7 +251,7 @@ TEST(SchedulerPipeline, ResumesPartiallyEncodedStreams) {
   }
 
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   const RunReport full = MultiStreamScheduler(library(), cfg).run(full_jobs);
   const RunReport resumed = MultiStreamScheduler(library(), cfg).run(resumed_jobs);

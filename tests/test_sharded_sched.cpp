@@ -115,21 +115,21 @@ ShardCompare run_both(SchedulerConfig cfg, int shards, int streams, int frames) 
 
 TEST(ShardedSched, BitExactMonolithicMode) {
   SchedulerConfig cfg;
-  cfg.fabrics = 3;
+  cfg.fabric_configs.assign(3, FabricConfig{});
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   run_both(cfg, 4, /*streams=*/8, /*frames=*/3);
 }
 
 TEST(ShardedSched, BitExactStagePipeline) {
   SchedulerConfig cfg;
-  cfg.fabrics = 3;
+  cfg.fabric_configs.assign(3, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   run_both(cfg, 4, /*streams=*/6, /*frames=*/4);
 }
 
 TEST(ShardedSched, BitExactRoundRobinPolicy) {
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   cfg.queue.policy = SchedulingPolicy::kRoundRobin;
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   run_both(cfg, 2, /*streams=*/6, /*frames=*/3);
@@ -137,7 +137,7 @@ TEST(ShardedSched, BitExactRoundRobinPolicy) {
 
 TEST(ShardedSched, BitExactWithAdmissionEnabled) {
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   cfg.queue.mode = DispatchMode::kMonolithicFrames;
   cfg.admission.enabled = true;
   // Admission (and its pilot) runs before the queue is built and decides
@@ -152,7 +152,7 @@ TEST(ShardedSched, BitExactWithAdmissionEnabled) {
 
 TEST(ShardedSched, BitExactWithAdmissionShedding) {
   SchedulerConfig cfg;
-  cfg.fabrics = 1;
+  cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.admission.enabled = true;
   cfg.queue.shards = 1;
   auto single = mixed_workload(4, 3, 32);
@@ -177,7 +177,7 @@ TEST(ShardedSched, SwitchStealsAreCounted) {
   // leave it; the mixed workload on two fabrics must, and a cold
   // fabric's first batch never counts.
   SchedulerConfig cfg;
-  cfg.fabrics = 2;
+  cfg.fabric_configs.assign(2, FabricConfig{});
   std::vector<StreamJob> jobs;
   for (int k = 0; k < 12; ++k) {
     StreamConfig sc;
@@ -211,7 +211,7 @@ TEST(ShardedSched, SwitchStealsAreCounted) {
 
 TEST(ShardedSched, TimelineRespectsStageDependencies) {
   SchedulerConfig cfg;
-  cfg.fabrics = 3;
+  cfg.fabric_configs.assign(3, FabricConfig{});
   cfg.queue.mode = DispatchMode::kStagePipeline;
   cfg.queue.shards = 4;
   auto jobs = mixed_workload(5, 4, 32);

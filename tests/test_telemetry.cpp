@@ -49,7 +49,7 @@ SchedulerConfig traced_config(DispatchMode mode, telemetry::TraceRecorder* rec,
                               telemetry::MetricsRegistry* metrics = nullptr,
                               int fabrics = 2) {
   SchedulerConfig cfg;
-  cfg.fabrics = fabrics;
+  cfg.fabric_configs.assign(fabrics, FabricConfig{});
   cfg.queue.mode = mode;
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.trace = rec;
@@ -117,7 +117,7 @@ TEST(Telemetry, TracingIsZeroCostOffAndBitExactOn) {
   // multi-fabric pool: recording only observes.
   auto plain_jobs = mixed_workload(4, 4, 16);
   SchedulerConfig plain;
-  plain.fabrics = 2;
+  plain.fabric_configs.assign(2, FabricConfig{});
   plain.queue.mode = DispatchMode::kStagePipeline;
   plain.queue.policy = SchedulingPolicy::kAffinityBatched;
   const RunReport off = MultiStreamScheduler(library(), plain).run(plain_jobs);

@@ -1,14 +1,32 @@
 #!/usr/bin/env python3
-"""Schema validator for the repo's telemetry and bench JSON artifacts.
+"""Schema validator for the repo's telemetry, bench and health JSON artifacts.
 
 Dispatches on content:
 
+  * ``"kind": "health"``       -> health dump (health schema v2)
   * ``traceEvents``            -> Chrome trace-event JSON (telemetry schema v1)
   * ``counters``               -> metrics JSON (telemetry schema v1)
   * ``bench``                  -> BENCH_*.json (bench schema v2)
 
+A health dump is what ``HealthMonitor::dump`` / ``serve_streams
+--health-dump`` writes: the watchdog configuration, the per-epoch
+HealthSnapshot sequence, every watchdog trip, and the flight recorder's
+surviving events, all stamped in modeled array cycles. Beyond shape
+checks it enforces the invariants the runtime promises:
+
+  * snapshot epochs and snapshot times (modeled_now_cycles) strictly
+    increase;
+  * queue completions and dispatches never move backwards across epochs;
+  * SLA burn rates are finite and in [0, inf); utilization and cache
+    pressure are fractions in [0, 1];
+  * anomalies_total equals the number of recorded trips, and every trip
+    names a known watchdog;
+  * flight-recorder sequence numbers strictly increase, their modeled
+    cycles never go backwards nor past the last snapshot, and the
+    surviving event count respects the per-ring capacity.
+
 Usage:
-    python3 tools/validate_trace.py BENCH_*.json TRACE_*.json METRICS_*.json
+    python3 tools/validate_trace.py BENCH_*.json TRACE_*.json METRICS_*.json HEALTH_*.json
 
 Exits non-zero if any file is malformed; CI runs this over every artifact
 the bench step produced so a schema regression fails the build instead of
@@ -16,10 +34,12 @@ silently shipping a trace Perfetto cannot open.
 """
 
 import json
+import math
 import sys
 
 TELEMETRY_SCHEMA_VERSION = 1
 BENCH_SCHEMA_VERSION = 2
+HEALTH_SCHEMA_VERSION = 2
 SPAN_NAMES = {
     "dispatch",
     "queue_wait",
@@ -29,6 +49,11 @@ SPAN_NAMES = {
     "stage_compute",
 }
 PID_MODELED_FABRICS = 1
+EVENT_KINDS = {"dispatch", "steal", "reconfig", "shed", "rung_transition",
+               "watchdog_trip"}
+WATCHDOG_KINDS = {"stall", "queue_growth", "starvation", "sla_burn"}
+WATCHDOG_CONFIG_KEYS = ("stall_epochs", "growth_epochs", "growth_min_depth",
+                        "starvation_age_bound", "burn_threshold", "burn_warmup")
 
 
 class Invalid(Exception):
@@ -42,6 +67,10 @@ def require(cond, msg):
 
 def is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def validate_trace(doc):
@@ -186,11 +215,166 @@ def validate_bench(doc):
     require(isinstance(doc.get("pass"), bool), "pass must be bool")
 
 
+def validate_queue(q, where):
+    require(isinstance(q, dict), f"{where}: queue must be an object")
+    for key in ("depth", "oldest_age", "dispatches", "completions", "steals",
+                "batches"):
+        require(is_count(q.get(key)),
+                f"{where}: queue.{key} must be a non-negative int")
+    shards = q.get("shards")
+    require(isinstance(shards, list), f"{where}: queue.shards must be a list")
+    for s in shards:
+        require(isinstance(s, dict) and is_count(s.get("depth")) and
+                is_count(s.get("oldest_age")) and is_count(s.get("shard")),
+                f"{where}: malformed shard entry")
+
+
+def validate_snapshot(snap, i, fabric_count):
+    where = f"snapshot {i}"
+    require(isinstance(snap, dict), f"{where} is not an object")
+    require(is_count(snap.get("epoch")) and snap["epoch"] >= 1,
+            f"{where}: epoch must be an int >= 1")
+    require(is_count(snap.get("modeled_now_cycles")),
+            f"{where}: modeled_now_cycles must be a non-negative int")
+    require(is_count(snap.get("inflight_jobs")),
+            f"{where}: inflight_jobs must be a non-negative int")
+    validate_queue(snap.get("queue"), where)
+
+    fabrics = snap.get("fabrics")
+    require(isinstance(fabrics, list) and len(fabrics) == fabric_count,
+            f"{where}: fabrics must be a list of {fabric_count} entries")
+    for f in fabrics:
+        require(isinstance(f, dict), f"{where}: fabric entry is not an object")
+        for key in ("utilization", "cache_pressure"):
+            v = f.get(key)
+            require(is_num(v) and 0.0 <= v <= 1.0,
+                    f"{where}: fabric {f.get('fabric')}: {key} must be in [0, 1]")
+        for key in ("jobs_done", "cache_hits", "cache_misses", "switches"):
+            require(is_count(f.get(key)),
+                    f"{where}: fabric {f.get('fabric')}: {key} must be a "
+                    f"non-negative int")
+
+    streams = snap.get("streams")
+    require(isinstance(streams, list), f"{where}: streams must be a list")
+    for s in streams:
+        require(isinstance(s, dict), f"{where}: stream entry is not an object")
+        sid = s.get("stream")
+        require(is_count(sid), f"{where}: stream id must be a non-negative int")
+        require(isinstance(s.get("shed"), bool), f"{where}: stream {sid}: shed must be bool")
+        burn = s.get("burn_rate")
+        require(is_num(burn) and math.isfinite(burn) and burn >= 0.0,
+                f"{where}: stream {sid}: burn_rate must be finite and in [0, inf)")
+        for key in ("consumed_cycles", "total_cycles", "deadline_cycles",
+                    "projected_completion_cycles"):
+            require(is_num(s.get(key)) and s[key] >= 0,
+                    f"{where}: stream {sid}: {key} must be non-negative")
+        require(is_count(s.get("frames_done")) and is_count(s.get("frames_total")),
+                f"{where}: stream {sid}: frame counts must be non-negative ints")
+        require(s["frames_done"] <= s["frames_total"] or s["frames_total"] == 0,
+                f"{where}: stream {sid}: frames_done exceeds frames_total")
+
+
+def validate_flight(fr, fabric_count, last_tick):
+    require(isinstance(fr, dict), "flight_recorder must be an object")
+    capacity = fr.get("capacity_per_ring")
+    require(is_count(capacity) and capacity > 0,
+            "flight_recorder.capacity_per_ring must be a positive int")
+    require(is_count(fr.get("recorded")) and is_count(fr.get("dropped")),
+            "flight_recorder.recorded/dropped must be non-negative ints")
+    events = fr.get("events")
+    require(isinstance(events, list), "flight_recorder.events must be a list")
+    # fabric rings + one control ring bound the surviving event count.
+    require(len(events) <= capacity * (fabric_count + 1),
+            "flight_recorder: more surviving events than ring capacity allows")
+    prev_seq = prev_t = 0
+    for i, e in enumerate(events):
+        require(isinstance(e, dict), f"flight event {i} is not an object")
+        require(e.get("kind") in EVENT_KINDS,
+                f"flight event {i}: unknown kind {e.get('kind')!r}")
+        require(is_count(e.get("seq")) and e["seq"] > prev_seq,
+                f"flight event {i}: seq must be strictly increasing")
+        prev_seq = e["seq"]
+        # The planner records every event at its clock's current instant.
+        require(is_count(e.get("t_cycles")) and e["t_cycles"] >= prev_t,
+                f"flight event {i}: t_cycles must be a non-negative int that "
+                f"never goes backwards")
+        prev_t = e["t_cycles"]
+        require(last_tick is None or prev_t <= last_tick,
+                f"flight event {i}: t_cycles {prev_t} is later than the last "
+                f"snapshot ({last_tick})")
+        require(is_count(e.get("ring")) and e["ring"] <= fabric_count,
+                f"flight event {i}: ring out of range")
+        require(isinstance(e.get("stream"), int) and isinstance(e.get("frame"), int),
+                f"flight event {i}: stream/frame must be ints")
+        require(is_count(e.get("value")), f"flight event {i}: value must be non-negative")
+
+
+def validate_health(doc):
+    require(doc.get("schema_version") == HEALTH_SCHEMA_VERSION,
+            f"schema_version must be {HEALTH_SCHEMA_VERSION}")
+    require(is_num(doc.get("host_wall_seconds")) and doc["host_wall_seconds"] >= 0,
+            "host_wall_seconds must be a non-negative number")
+    fabric_count = doc.get("fabrics")
+    require(is_count(fabric_count), "fabrics must be a non-negative int")
+    require(is_count(doc.get("anomalies_total")),
+            "anomalies_total must be a non-negative int")
+    require(is_count(doc.get("snapshots_evicted")),
+            "snapshots_evicted must be a non-negative int")
+
+    cfg = doc.get("watchdog_config")
+    require(isinstance(cfg, dict), "watchdog_config must be an object")
+    for key in WATCHDOG_CONFIG_KEYS:
+        require(is_num(cfg.get(key)) and cfg[key] >= 0,
+                f"watchdog_config.{key} must be a non-negative number")
+
+    snapshots = doc.get("snapshots")
+    require(isinstance(snapshots, list), "snapshots must be a list")
+    prev_epoch = 0
+    prev_now = -1
+    prev_completions = prev_dispatches = 0
+    for i, snap in enumerate(snapshots):
+        validate_snapshot(snap, i, fabric_count)
+        require(snap["epoch"] > prev_epoch,
+                f"snapshot {i}: epoch {snap['epoch']} not strictly monotone "
+                f"after {prev_epoch}")
+        prev_epoch = snap["epoch"]
+        require(snap["modeled_now_cycles"] > prev_now,
+                f"snapshot {i}: modeled_now_cycles {snap['modeled_now_cycles']} "
+                f"not strictly monotone after {prev_now}")
+        prev_now = snap["modeled_now_cycles"]
+        q = snap["queue"]
+        require(q["completions"] >= prev_completions,
+                f"snapshot {i}: completions moved backwards")
+        require(q["dispatches"] >= prev_dispatches,
+                f"snapshot {i}: dispatches moved backwards")
+        prev_completions, prev_dispatches = q["completions"], q["dispatches"]
+
+    trips = doc.get("trips")
+    require(isinstance(trips, list), "trips must be a list")
+    require(doc["anomalies_total"] == len(trips),
+            f"anomalies_total {doc['anomalies_total']} disagrees with "
+            f"{len(trips)} recorded trips")
+    for i, t in enumerate(trips):
+        require(isinstance(t, dict), f"trip {i} is not an object")
+        require(t.get("kind") in WATCHDOG_KINDS,
+                f"trip {i}: unknown watchdog kind {t.get('kind')!r}")
+        require(is_count(t.get("epoch")) and t["epoch"] >= 1,
+                f"trip {i}: epoch must be an int >= 1")
+        require(isinstance(t.get("stream"), int), f"trip {i}: stream must be an int")
+        require(isinstance(t.get("detail"), str), f"trip {i}: detail must be a string")
+
+    validate_flight(doc.get("flight_recorder"), fabric_count,
+                    prev_now if snapshots else None)
+
+
 def validate_file(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     require(isinstance(doc, dict), "top level must be an object")
-    if "traceEvents" in doc:
+    if doc.get("kind") == "health":
+        kind = "health"
+        validate_health(doc)
+    elif "traceEvents" in doc:
         kind = "trace"
         validate_trace(doc)
     elif "counters" in doc:
@@ -200,7 +384,7 @@ def validate_file(path):
         kind = "bench"
         validate_bench(doc)
     else:
-        raise Invalid("unrecognized document: no traceEvents/counters/bench key")
+        raise Invalid("unrecognized document: no health kind or traceEvents/counters/bench key")
     return kind
 
 
