@@ -1,13 +1,14 @@
 // Telemetry overhead: tracing must observe, never perturb.
 //
 // Runs the hetero-pool workload (9 mixed-condition streams over a
-// 12x8 + 2x 8x4 fabric pool) twice per round — telemetry off, then
-// telemetry on (span tracing + metrics) — for several interleaved
-// rounds, and compares:
+// 12x8 + 2x 8x4 fabric pool) in several rounds. A round runs it back to
+// back on fresh copies, alternating telemetry off and telemetry on (span
+// tracing + metrics), until its untraced runs have lasted 200 ms: one
+// run takes only a few ms. It compares:
 //
-//  * host wall time: the traced run's minimum over rounds must stay
-//    within 10% of the untraced minimum (min-of-N suppresses scheduler
-//    noise on a loaded host);
+//  * host wall time: the traced side's mean run time, minimum over
+//    rounds, must stay within 10% of the untraced one (long rounds and
+//    min-of-N suppress scheduler noise on a loaded host);
 //  * modeled array cycles: bit-exact either way — every run on the pool,
 //    traced or not, must plan the same makespan to the cycle, because
 //    dispatch is planned in modeled time and recording only observes;
@@ -72,7 +73,7 @@ SchedulerConfig pool_config(const std::vector<FabricConfig>& fabrics) {
 int main() {
   BenchJson json("telemetry_overhead");
   bench_common::stamp_reproducibility(
-      json, 7100, "streams=9;frames=6;frame=32x32;me_range=4;rounds=3");
+      json, 7100, "streams=9;frames=6;frame=32x32;me_range=4;rounds=5;round_s=0.2");
   std::printf("compiling the kernel library for geometries 12x8 and 8x4...\n");
   const KernelLibrary library(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
 
@@ -82,40 +83,60 @@ int main() {
   small.geometry = kSmallSccGeometry;
   const std::vector<FabricConfig> fabrics = {large, small, small};
 
-  constexpr int kRounds = 3;
-  double off_min_s = 0.0, on_min_s = 0.0;
+  constexpr int kRounds = 5;
+  constexpr double kRoundSeconds = 0.2;  ///< untraced run time per round
+  const std::vector<StreamJob> pristine = mixed_workload();
   std::uint64_t off_makespan = 0, on_makespan = 0;
   std::uint64_t min_makespan = ~std::uint64_t{0}, max_makespan = 0;
   std::vector<StreamJob> off_jobs, on_jobs;
   RunReport traced;  // last traced report: spans + attribution + exports
   telemetry::MetricsRegistry metrics;
+  const auto note_makespan = [&](std::uint64_t m) {
+    min_makespan = std::min(min_makespan, m);
+    max_makespan = std::max(max_makespan, m);
+  };
+  const auto run_off = [&] {
+    off_jobs = pristine;
+    const RunReport report = MultiStreamScheduler(library, pool_config(fabrics)).run(off_jobs);
+    off_makespan = report.sim_makespan_cycles;
+    note_makespan(off_makespan);
+    return report.wall_seconds;
+  };
+  const auto run_on = [&] {
+    on_jobs = pristine;
+    telemetry::TraceRecorder recorder;
+    metrics.clear();
+    SchedulerConfig cfg = pool_config(fabrics);
+    cfg.trace = &recorder;
+    cfg.metrics = &metrics;
+    traced = MultiStreamScheduler(library, cfg).run(on_jobs);
+    on_makespan = traced.sim_makespan_cycles;
+    note_makespan(on_makespan);
+    return traced.wall_seconds;
+  };
 
-  // Interleave off/on rounds so slow-host drift (thermal, competing
-  // load) hits both variants alike; keep the per-variant minimum.
+  // Alternate off/on runs so slow-host drift (thermal, competing load)
+  // hits both variants alike; keep each variant's minimum over rounds of
+  // its mean run time.
+  double off_min_s = 0.0, on_min_s = 0.0;
+  int runs = 0;
   for (int round = 0; round < kRounds; ++round) {
-    {
-      off_jobs = mixed_workload();
-      MultiStreamScheduler scheduler(library, pool_config(fabrics));
-      const RunReport report = scheduler.run(off_jobs);
-      off_min_s = round == 0 ? report.wall_seconds : std::min(off_min_s, report.wall_seconds);
-      off_makespan = report.sim_makespan_cycles;
+    double off_s = 0.0, on_s = 0.0;
+    int n = 0;
+    for (; off_s < kRoundSeconds; ++n) {
+      // Swap which runs first every pair: the second run of a pair is
+      // the warmer one.
+      if (n % 2 == 0) {
+        off_s += run_off();
+        on_s += run_on();
+      } else {
+        on_s += run_on();
+        off_s += run_off();
+      }
     }
-    {
-      on_jobs = mixed_workload();
-      telemetry::TraceRecorder recorder;
-      metrics.clear();
-      SchedulerConfig cfg = pool_config(fabrics);
-      cfg.trace = &recorder;
-      cfg.metrics = &metrics;
-      MultiStreamScheduler scheduler(library, cfg);
-      traced = scheduler.run(on_jobs);
-      on_min_s = round == 0 ? traced.wall_seconds : std::min(on_min_s, traced.wall_seconds);
-      on_makespan = traced.sim_makespan_cycles;
-    }
-    for (const std::uint64_t m : {off_makespan, on_makespan}) {
-      min_makespan = std::min(min_makespan, m);
-      max_makespan = std::max(max_makespan, m);
-    }
+    runs += n;
+    off_min_s = round == 0 ? off_s / n : std::min(off_min_s, off_s / n);
+    on_min_s = round == 0 ? on_s / n : std::min(on_min_s, on_s / n);
   }
 
   const double overhead_pct =
@@ -133,8 +154,9 @@ int main() {
     if (a.components_sum() != a.end_to_end_cycles) ++attribution_mismatches;
 
   attribution_table(traced).print();
-  std::printf("\ntracing on vs off over %d interleaved rounds (min wall time):\n", kRounds);
-  std::printf("  host wall: off %.4fs, on %.4fs -> %+.1f%% overhead (bar: <= 10%%)\n",
+  std::printf("\ntracing on vs off over %d rounds, %d alternating run pairs (min over "
+              "rounds of the mean run):\n", kRounds, runs);
+  std::printf("  host wall per run: off %.5fs, on %.5fs -> %+.1f%% overhead (bar: <= 10%%)\n",
               off_min_s, on_min_s, overhead_pct);
   std::printf("  modeled makespan over every run: %llu..%llu cycles (diff %llu; bar: 0)\n",
               static_cast<unsigned long long>(min_makespan),
@@ -146,10 +168,11 @@ int main() {
               static_cast<unsigned long long>(attribution_mismatches));
 
   telemetry::write_chrome_trace("TRACE_telemetry_overhead.json", traced);
-  bench_common::write_metrics_artifact("telemetry_overhead", metrics, on_min_s,
+  bench_common::write_metrics_artifact("telemetry_overhead", metrics, traced.wall_seconds,
                                        {"TRACE_telemetry_overhead.json"});
 
   json.metric("rounds", kRounds);
+  json.metric("run_pairs", runs);
   json.metric("off_wall_seconds", off_min_s);
   json.metric("on_wall_seconds", on_min_s);
   json.metric("off_makespan_cycles", static_cast<double>(off_makespan));

@@ -19,6 +19,7 @@ void HealthMonitor::begin_run(int fabrics, std::vector<StreamBudget> budgets) {
   dogs_.reset();
   fabrics_.assign(fabric_count, FabricCounters{});
   at_prev_tick_.assign(fabric_count, FabricCounters{});
+  busy_.assign(fabric_count, {});
   streams_.clear();
   streams_.reserve(budgets.size());
   for (StreamBudget& b : budgets) {
@@ -38,9 +39,11 @@ void HealthMonitor::begin_run(int fabrics, std::vector<StreamBudget> budgets) {
   trips_.clear();
 }
 
-void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched) {
+void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched,
+                               std::uint64_t busy_start, std::uint64_t busy_end) {
   if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
   ++inflight_;
+  busy_[static_cast<std::size_t>(fabric)].push_back(BusyInterval{busy_start, busy_end});
   FabricCounters& c = fabrics_[static_cast<std::size_t>(fabric)];
   if (cache_hit) {
     ++c.cache_hits;
@@ -50,12 +53,10 @@ void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched) {
   if (switched) ++c.switches;
 }
 
-void HealthMonitor::on_job_done(int fabric, std::uint64_t busy_cycles) {
+void HealthMonitor::on_job_done(int fabric) {
   if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
   --inflight_;
-  FabricCounters& c = fabrics_[static_cast<std::size_t>(fabric)];
-  ++c.jobs_done;
-  c.busy_cycles += busy_cycles;
+  ++fabrics_[static_cast<std::size_t>(fabric)].jobs_done;
 }
 
 void HealthMonitor::on_frame_done(int stream_index) {
@@ -70,8 +71,9 @@ HealthSnapshot HealthMonitor::assemble(std::uint64_t now_cycles, QueueHealthSamp
   snap.inflight_jobs = static_cast<std::uint64_t>(std::max<std::int64_t>(inflight_, 0));
   snap.queue = std::move(queue);
 
+  const std::uint64_t epoch_start = prev_tick_cycles_;
   const auto epoch_len =
-      static_cast<double>(std::max<std::uint64_t>(now_cycles - prev_tick_cycles_, 1));
+      static_cast<double>(std::max<std::uint64_t>(now_cycles - epoch_start, 1));
   prev_tick_cycles_ = now_cycles;
   snap.fabrics.reserve(fabrics_.size());
   for (std::size_t f = 0; f < fabrics_.size(); ++f) {
@@ -83,8 +85,19 @@ HealthSnapshot HealthMonitor::assemble(std::uint64_t now_cycles, QueueHealthSamp
     fh.cache_hits = c.cache_hits;
     fh.cache_misses = c.cache_misses;
     fh.switches = c.switches;
-    fh.utilization =
-        std::min(static_cast<double>(c.busy_cycles - prev.busy_cycles) / epoch_len, 1.0);
+    // Credit the part of each acquired job's busy interval inside this
+    // epoch; keep the ones that run past it for the next tick.
+    std::uint64_t busy = 0;
+    std::vector<BusyInterval>& jobs = busy_[f];
+    std::size_t kept = 0;
+    for (const BusyInterval& b : jobs) {
+      const std::uint64_t from = std::max(b.start, epoch_start);
+      const std::uint64_t to = std::min(b.end, now_cycles);
+      if (to > from) busy += to - from;
+      if (b.end > now_cycles) jobs[kept++] = b;
+    }
+    jobs.resize(kept);
+    fh.utilization = static_cast<double>(busy) / epoch_len;
     const std::uint64_t misses = c.cache_misses - prev.cache_misses;
     const std::uint64_t prepares = c.cache_hits - prev.cache_hits + misses;
     fh.cache_pressure =

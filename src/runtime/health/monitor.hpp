@@ -4,9 +4,11 @@
 //   - a FlightRecorder the scheduler's planner appends scheduling events
 //     to (one ring per fabric, plus a control ring);
 //   - per-fabric and per-stream progress counters fed by the planner's
-//     hooks: on_prepare when a fabric acquires a job, on_job_done and
-//     on_frame_done when its batch completes at its modeled end, so a
-//     job counts as in flight from acquire to batch end;
+//     hooks: on_prepare when a fabric acquires a job (with the job's
+//     modeled [start, end), which each epoch's utilization is credited
+//     from), on_job_done and on_frame_done when its batch completes at
+//     its modeled end, so a job counts as in flight from acquire to
+//     batch end;
 //   - epoch ticks that assemble a HealthSnapshot from those counters and
 //     the queue sample the planner passes in, and run the Watchdogs over
 //     it.
@@ -82,8 +84,12 @@ class HealthMonitor {
   void begin_run(int fabrics, std::vector<StreamBudget> budgets);
 
   // ---- planner hooks ------------------------------------------------
-  void on_prepare(int fabric, bool cache_hit, bool switched);
-  void on_job_done(int fabric, std::uint64_t busy_cycles);
+  /// @p fabric acquired a job that keeps it busy over the modeled cycles
+  /// [@p busy_start, @p busy_end): every epoch is credited the part of
+  /// that interval it overlaps.
+  void on_prepare(int fabric, bool cache_hit, bool switched, std::uint64_t busy_start,
+                  std::uint64_t busy_end);
+  void on_job_done(int fabric);
   void on_frame_done(int stream_index);
 
   /// Close one epoch at modeled cycle @p now_cycles: assemble a snapshot
@@ -116,7 +122,6 @@ class HealthMonitor {
 
  private:
   struct FabricCounters {
-    std::uint64_t busy_cycles = 0;
     std::uint64_t jobs_done = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
@@ -135,8 +140,16 @@ class HealthMonitor {
   Watchdogs dogs_;
   TripCallback on_trip_;
 
+  struct BusyInterval {
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+  };
+
   std::vector<FabricCounters> fabrics_;
   std::vector<FabricCounters> at_prev_tick_;  ///< fabrics_ as the last tick saw them
+  /// Per fabric: the acquired jobs' busy intervals that end after the
+  /// last tick, so a later epoch still has cycles to credit.
+  std::vector<std::vector<BusyInterval>> busy_;
   std::vector<StreamState> streams_;
 
   std::uint64_t epoch_ = 0;

@@ -41,8 +41,9 @@ struct QueueHealthSample {
 /// Per-fabric view over one epoch plus cumulative totals.
 struct FabricHealth {
   int fabric = 0;
-  /// Modeled busy cycles of the batches that completed this epoch over
-  /// the epoch's length, capped to [0,1].
+  /// Modeled busy cycles of the fabric's jobs that fall inside this
+  /// epoch over the epoch's length, in [0,1]: a job that spans several
+  /// epochs credits each the cycles it overlaps.
   double utilization = 0.0;
   double cache_pressure = 0.0;  ///< context-cache miss fraction this epoch
   std::uint64_t jobs_done = 0;  ///< cumulative

@@ -24,7 +24,7 @@ std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
   // epoch, AND nothing in flight. The in-flight gate distinguishes slow
   // from wedged — on a loaded (or sanitizer-instrumented) host a single
   // job can span many epochs without a completion, which must not read
-  // as a stall while a lane is demonstrably executing it. The first
+  // as a stall while a fabric is demonstrably executing it. The first
   // snapshot establishes the completion baseline.
   if (seen_any_ && snap.queue.depth > 0 && snap.inflight_jobs == 0 &&
       snap.queue.completions == prev_completions_) {

@@ -1,16 +1,11 @@
 #include "runtime/scheduler.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
+#include "runtime/executor.hpp"
 #include "runtime/health/monitor.hpp"
 #include "runtime/sim_schedule.hpp"
 #include "runtime/telemetry/metrics.hpp"
@@ -22,111 +17,6 @@ namespace dsra::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// One planned job as its lane runs it: the task, the stream-order slot
-/// the lane waits for, the context and its DCT implementation (null for
-/// the ME context), and what the fabric paid to prepare the context.
-struct PlannedJob {
-  FrameTask task;
-  int stream_seq = 0;  ///< index among its stream's planned jobs
-  const std::string* context = nullptr;
-  const dct::DctImplementation* impl = nullptr;
-  PrepareResult prep;
-};
-
-/// The executor: one host thread ("lane") per fabric slot. A lane runs
-/// its slot's planned jobs in plan order, each once it is planned and
-/// every earlier-planned job of its stream has run — the only order the
-/// encode depends on. Lanes block on their own condition variable; the
-/// planner never waits for them.
-class Lanes {
- public:
-  using Run = std::function<void(int lane, const PlannedJob& job)>;
-
-  Lanes(int lanes, std::size_t streams, Run run)
-      : run_(std::move(run)), queues_(static_cast<std::size_t>(lanes)),
-        executed_(streams, 0), wake_(static_cast<std::size_t>(lanes)) {
-    threads_.reserve(static_cast<std::size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane) threads_.emplace_back([this, lane] { main(lane); });
-  }
-  Lanes(const Lanes&) = delete;
-  Lanes& operator=(const Lanes&) = delete;
-
-  /// Unblocks and joins the lanes when the planner threw before finish().
-  ~Lanes() { release(abort_); }
-
-  /// Append @p jobs, planned in this order, to @p lane's queue.
-  void push(int lane, std::vector<PlannedJob>& jobs) {
-    std::lock_guard lock(m_);
-    std::deque<PlannedJob>& queue = queues_[static_cast<std::size_t>(lane)];
-    const bool was_empty = queue.empty();
-    queue.insert(queue.end(), jobs.begin(), jobs.end());
-    if (was_empty) wake_[static_cast<std::size_t>(lane)].notify_one();
-  }
-
-  /// No more jobs: let the lanes drain, join them, rethrow a lane's error.
-  void finish() {
-    release(planned_all_);
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  /// Set @p flag (planned_all_ or abort_), wake every lane and join them.
-  void release(bool& flag) {
-    {
-      std::lock_guard lock(m_);
-      flag = true;
-    }
-    for (std::condition_variable& cv : wake_) cv.notify_one();
-    for (std::thread& t : threads_)
-      if (t.joinable()) t.join();
-  }
-
-  void main(int lane) {
-    const auto me = static_cast<std::size_t>(lane);
-    try {
-      for (;;) {
-        PlannedJob job;
-        {
-          std::unique_lock lock(m_);
-          std::deque<PlannedJob>& queue = queues_[me];
-          wake_[me].wait(lock, [&] {
-            if (abort_) return true;
-            if (queue.empty()) return planned_all_;
-            const PlannedJob& next = queue.front();
-            return executed_[static_cast<std::size_t>(next.task.stream_id)] == next.stream_seq;
-          });
-          if (abort_ || queue.empty()) return;
-          job = queue.front();
-          queue.pop_front();
-        }
-        run_(lane, job);
-        std::lock_guard lock(m_);
-        const int stream = job.task.stream_id;
-        ++executed_[static_cast<std::size_t>(stream)];
-        // Wake the lane whose next job is this stream's next one.
-        for (std::size_t other = 0; other < queues_.size(); ++other)
-          if (!queues_[other].empty() && queues_[other].front().task.stream_id == stream)
-            wake_[other].notify_one();
-      }
-    } catch (...) {
-      std::lock_guard lock(m_);
-      if (!error_) error_ = std::current_exception();
-      abort_ = true;
-      for (std::condition_variable& cv : wake_) cv.notify_one();
-    }
-  }
-
-  Run run_;
-  std::mutex m_;
-  std::vector<std::deque<PlannedJob>> queues_;  ///< per lane, guarded by m_
-  std::vector<int> executed_;                   ///< jobs run per stream, guarded by m_
-  bool planned_all_ = false;                    ///< guarded by m_
-  bool abort_ = false;                          ///< guarded by m_
-  std::exception_ptr error_;                    ///< guarded by m_
-  std::vector<std::condition_variable> wake_;   ///< one per lane
-  std::vector<std::thread> threads_;
-};
 
 /// One frame as planned: its kernel cycles and its modeled span, from
 /// its first stage's readiness to its last stage's end.
@@ -265,7 +155,7 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
 }
 
 /// Plan the run in modeled time on the calling thread and hand each
-/// fabric's jobs to its lane as they are planned. An event loop: at each
+/// batch to the executor as it is planned. An event loop: at each
 /// instant every idle fabric, lowest id first, acquires a batch through
 /// the queue policy and runs it back to back from that instant — each
 /// job paying Fabric::prepare_detailed's fetch + switch cycles (waiting
@@ -276,12 +166,13 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
 ///
 /// The planner is the health monitor's only caller: it records dispatch,
 /// steal and reconfig flight events at the instant it decides them,
-/// reports each batch's jobs and frames done at the batch's end, and
+/// reports each job's modeled busy interval when it acquires the job and
+/// the batch's jobs and frames done at the batch's end, and
 /// ticks the monitor at every epoch boundary before the clock passes it
 /// (a tick sees every event up to and including its instant) and once
 /// more at the makespan.
 Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
-          const SchedulerConfig& config, health::HealthMonitor* hm, Lanes& lanes,
+          const SchedulerConfig& config, health::HealthMonitor* hm, Executor& executor,
           RunReport& report) {
   JobQueue queue(streams, config.queue);
   const int lookahead = std::max(0, config.queue.pipeline_lookahead);
@@ -324,7 +215,6 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   std::vector<std::uint64_t> free_at(fabrics, 0);
   std::vector<std::vector<CompletedTask>> running(fabrics);  ///< each fabric's batch
   std::vector<std::size_t> batch_first(fabrics, 0);  ///< its first job in schedule.jobs
-  std::vector<int> stream_seq(streams.size(), 0);
   std::vector<PlannedJob> handoff;
   constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
   const std::uint64_t epoch = hm != nullptr ? hm->epoch_cycles() : 0;
@@ -358,7 +248,6 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
           if (prep.switched)
             hm->flight().record(fabric.id(), now, health::EventKind::kReconfig, task.stream_id,
                                 frame, reconfig);
-          hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched);
         }
 
         const std::size_t at =
@@ -417,13 +306,15 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         schedule.fabric_busy_cycles[f] += duration;
         schedule.makespan_cycles = std::max(schedule.makespan_cycles, job.end_cycles);
         schedule.jobs.push_back(job);
+        if (hm != nullptr)
+          hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched, job.start_cycles,
+                         job.end_cycles);
 
         running[f].push_back(CompletedTask{task, reconfig});
-        handoff.push_back(PlannedJob{task, stream_seq[static_cast<std::size_t>(task.stream_id)]++,
-                                     &context, library.impl(context), prep});
+        handoff.push_back(PlannedJob{task, fabric.id(), &context, library.impl(context), prep});
       }
       free_at[f] = clock;
-      lanes.push(fabric.id(), handoff);
+      executor.push(handoff);
     }
 
     std::uint64_t next = kNever;
@@ -440,7 +331,7 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
       if (hm != nullptr) {
         for (std::size_t j = 0; j < running[f].size(); ++j) {
           const SimStageJob& job = schedule.jobs[batch_first[f] + j];
-          hm->on_job_done(job.fabric_id, job.end_cycles - job.start_cycles);
+          hm->on_job_done(job.fabric_id);
           if (job.stage == StageKind::kWholeFrame || job.stage == StageKind::kReconstructEntropy)
             hm->on_frame_done(job.stream_id);
         }
@@ -470,10 +361,10 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   return out;
 }
 
-/// Encode one planned job on @p lane: the stage's encoder step under the
-/// job's context, in the stream state the earlier stages left.
-void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
-                const video::MotionSearchFn& me_fn) {
+/// Encode one planned job: the stage's encoder step under the job's
+/// context, in the stream state the earlier stages left. The frame
+/// records name the fabrics the plan put the stages on.
+void encode_job(const PlannedJob& job, StreamJob& stream, const video::MotionSearchFn& me_fn) {
   const FrameTask& task = job.task;
   const int f = task.frame_index;
   const video::Frame& frame = stream.frames[static_cast<std::size_t>(f)];
@@ -481,7 +372,7 @@ void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
   if (task.stage == StageKind::kWholeFrame) {
     FrameRecord record;
     record.frame_index = f;
-    record.fabric_id = lane;
+    record.fabric_id = job.fabric_id;
     record.impl = *job.context;
     record.wait_dispatches = task.wait_dispatches;
     record.reconfig_cycles = job.prep.total();
@@ -498,12 +389,12 @@ void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
   state.max_wait_dispatches = std::max(state.max_wait_dispatches, task.wait_dispatches);
   switch (task.stage) {
     case StageKind::kMotionEstimation:
-      state.me_fabric_id = lane;
+      state.me_fabric_id = job.fabric_id;
       state.motion =
           encoder.run_motion_stage(frame, &stream.frames[static_cast<std::size_t>(f - 1)]);
       break;
     case StageKind::kTransformQuant: {
-      state.tq_fabric_id = lane;
+      state.tq_fabric_id = job.fabric_id;
       const video::Frame* mc_ref = f > 0 ? &stream.recon_state : nullptr;
       state.transform = encoder.run_transform_stage(frame, mc_ref, state.motion);
       break;
@@ -511,7 +402,7 @@ void encode_job(int lane, const PlannedJob& job, StreamJob& stream,
     case StageKind::kReconstructEntropy: {
       FrameRecord record;
       record.frame_index = f;
-      record.fabric_id = lane;
+      record.fabric_id = job.fabric_id;
       record.me_fabric_id = state.me_fabric_id;
       record.tq_fabric_id = state.tq_fabric_id;
       record.impl = *job.context;  // DCT/quant + reconstruct share the frame's context
@@ -586,28 +477,29 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   if (hm != nullptr) begin_health(*hm, streams, library_, pool, config_.me);
   // Telemetry resolution: the caller's recorder, or — when only metrics
   // were requested — an internal one (histograms and timelines are
-  // derived from spans). Null `rec` is the zero-cost-off state: each
-  // lane's recording site reduces to one untaken pointer test.
+  // derived from spans). Null `rec` is the zero-cost-off state: the
+  // workers' recording site reduces to one untaken pointer test.
   telemetry::TraceRecorder local_recorder;
   telemetry::TraceRecorder* rec =
       config_.trace != nullptr ? config_.trace
                                : (config_.metrics != nullptr ? &local_recorder : nullptr);
-  if (rec != nullptr) rec->begin_run(pool.size());
+  // One host worker per fabric slot, plus this thread once it has planned.
+  const int workers = pool.size() + 1;
+  if (rec != nullptr) rec->begin_run(workers);
 
   // ---- plan + execute ----------------------------------------------------
-  // The lanes execute while this thread keeps planning. Each lane writes
-  // only its own busy/idle slots and trace buffer.
+  // The workers execute while this thread keeps planning. Each worker
+  // writes only its own busy/idle slots and trace buffer.
   const auto wall_start = Clock::now();
   std::vector<std::size_t> first_new_record(streams.size());
   for (std::size_t k = 0; k < streams.size(); ++k) first_new_record[k] = streams[k].records.size();
-  std::vector<double> busy_ms(static_cast<std::size_t>(pool.size()), 0.0);
-  std::vector<Clock::time_point> lane_idle_since(static_cast<std::size_t>(pool.size()),
-                                                 wall_start);
+  std::vector<double> busy_ms(static_cast<std::size_t>(workers), 0.0);
+  std::vector<Clock::time_point> idle_since(static_cast<std::size_t>(workers), wall_start);
   const video::MotionSearchFn me_fn = me::systolic_search_fn(config_.me);
-  const auto execute = [&](int lane, const PlannedJob& job) {
+  const auto execute = [&](int worker, const PlannedJob& job) {
     const auto start = Clock::now();
     StreamJob& stream = streams[static_cast<std::size_t>(job.task.stream_id)];
-    encode_job(lane, job, stream, me_fn);
+    encode_job(job, stream, me_fn);
     const auto end = Clock::now();
     const FrameTask& task = job.task;
     // Host latency: the frame's first stage (ME, or DCT/quant of the
@@ -624,16 +516,17 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
       stream.records.back().latency_ms =
           std::chrono::duration<double, std::milli>(end - first).count();
     }
-    const auto lane_index = static_cast<std::size_t>(lane);
-    busy_ms[lane_index] += std::chrono::duration<double, std::milli>(end - start).count();
+    const auto w = static_cast<std::size_t>(worker);
+    busy_ms[w] += std::chrono::duration<double, std::milli>(end - start).count();
     if (rec != nullptr) {
       telemetry::JobTrace t;
       t.stream_id = task.stream_id;
       t.frame_index = task.frame_index;
       t.stage = task.stage;
-      t.fabric_id = lane;
+      t.fabric_id = job.fabric_id;
+      t.worker = worker;
       t.context = *job.context;
-      t.ready_ns = rec->to_ns(lane_idle_since[lane_index]);
+      t.ready_ns = rec->to_ns(idle_since[w]);
       t.dispatch_ns = rec->to_ns(start);
       t.prepared_ns = t.dispatch_ns;  // the planner prepared the context
       t.done_ns = rec->to_ns(end);
@@ -642,16 +535,17 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
       t.cache_hit = job.prep.cache_hit;
       t.switched = job.prep.switched;
       t.partial_switch = job.prep.partial;
-      rec->worker(lane).push_back(std::move(t));
+      rec->worker(worker).push_back(std::move(t));
     }
-    lane_idle_since[lane_index] = end;
+    idle_since[w] = end;
   };
 
   Plan planned;
   {
-    Lanes lanes(pool.size(), streams.size(), execute);
-    planned = plan(streams, pool, library_, config_, hm, lanes, report);
-    lanes.finish();
+    Executor executor(pool.size(), streams.size(), execute);
+    planned = plan(streams, pool, library_, config_, hm, executor, report);
+    idle_since.back() = Clock::now();  // this thread is free to work from here
+    executor.finish();
   }
   if (hm != nullptr) report.health_anomalies = hm->anomalies_total();
   report.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
@@ -716,7 +610,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   report.delta_bytes = pool.delta_bytes_loaded();
   report.cache = pool.cache_totals();
   report.total_fetch_cycles = report.cache.fetch_cycles;
-  report.fabric_busy_ms = std::move(busy_ms);
+  report.worker_busy_ms = std::move(busy_ms);
 
   // Per-geometry breakdown: one entry per distinct fabric geometry, in
   // first-seen fabric order, folding in the queue's placement skips.

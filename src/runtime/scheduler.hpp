@@ -11,10 +11,15 @@
 //    plus its stage's analytic compute cycles, and the batch completes at
 //    its modeled end. The plan is the run's modeled schedule: the same
 //    inputs give the same timeline, makespan and latencies on any host.
-//  * execute — one host thread ("lane") per fabric slot encodes that
-//    slot's planned jobs in plan order, each once it is planned and its
-//    stream's earlier jobs have run. Lanes never decide anything; run()
-//    checks that every frame charged exactly the cycles the plan costed.
+//  * execute — a work-conserving executor (executor.hpp) encodes the
+//    planned jobs on host workers: one thread per fabric slot, joined by
+//    the planning thread once the plan is complete. A job is runnable
+//    once its stream's previous planned job has finished, and any idle
+//    worker takes the earliest-planned runnable job, whatever fabric it
+//    was planned on — the encoded bits depend only on each stream's job
+//    order. Workers never decide anything; the frame records name the
+//    planned fabrics, and run() checks that every frame charged exactly
+//    the cycles the plan costed.
 //
 // Two dispatch modes:
 //
@@ -33,9 +38,9 @@
 // cycles — charged per kernel, so the ME context loads are visible
 // separately — and every context-cache miss pays bus fetch cycles. The
 // returned RunReport carries per-stream latency percentiles, the stage
-// dispatch timeline, per-lane busy time and the aggregate throughput and
-// reconfiguration accounting the acceptance benches compare across
-// policies and modes.
+// dispatch timeline, per-worker host busy time and the aggregate
+// throughput and reconfiguration accounting the acceptance benches
+// compare across policies and modes.
 #pragma once
 
 #include <vector>
@@ -72,7 +77,7 @@ struct SchedulerConfig {
   AdmissionConfig admission;
 
   /// Span tracing. Null (the default) is the zero-cost-off state: the
-  /// lanes' recording site is guarded by this one pointer test, and
+  /// workers' recording site is guarded by this one pointer test, and
   /// modeled-cycle results are bit-exact either way — the recorder only
   /// observes. When set, the run's RunReport carries the
   /// typed span stream and per-stream stall attribution.
@@ -94,7 +99,8 @@ struct SchedulerConfig {
   /// SLA budgets (the admission cost model) and the planner is the
   /// monitor's only caller, on the calling thread and in modeled cycles:
   /// it records dispatch, steal and reconfig flight events, calls
-  /// on_prepare when a fabric acquires a job and on_job_done /
+  /// on_prepare with the job's modeled busy interval when a fabric
+  /// acquires a job and on_job_done /
   /// on_frame_done when the job's batch completes, and ticks the monitor
   /// at every HealthMonitorConfig::epoch_cycles boundary and at the
   /// makespan. The trip callback runs on that thread mid-run.

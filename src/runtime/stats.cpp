@@ -315,10 +315,8 @@ namespace {
 
 std::string format_busy(const RunReport& r) {
   std::string out;
-  for (std::size_t f = 0; f < r.fabric_busy_ms.size(); ++f) {
-    const double pct = r.wall_seconds > 0.0
-                           ? 100.0 * r.fabric_busy_ms[f] / (r.wall_seconds * 1000.0)
-                           : 0.0;
+  for (const double busy_ms : r.worker_busy_ms) {
+    const double pct = r.wall_seconds > 0.0 ? 100.0 * busy_ms / (r.wall_seconds * 1000.0) : 0.0;
     if (!out.empty()) out += " / ";
     out += format_double(pct, 0) + "%";
   }
@@ -340,7 +338,7 @@ ReportTable mode_compare_table(const RunReport& a, const RunReport& b) {
                  format_double(100.0 * b.sim_utilization, 0) + "%"});
   table.add_row({"wall seconds", format_double(a.wall_seconds, 3),
                  format_double(b.wall_seconds, 3)});
-  table.add_row({"host lane busy", format_busy(a), format_busy(b)});
+  table.add_row({"host worker busy", format_busy(a), format_busy(b)});
   row_u64("stage dispatches", a.dispatches, b.dispatches);
   row_u64("bitstream switches", static_cast<std::uint64_t>(a.total_switches),
           static_cast<std::uint64_t>(b.total_switches));

@@ -141,7 +141,9 @@ struct RunReport {
   std::uint64_t health_anomalies = 0;
   std::uint64_t condition_switches = 0;  ///< mid-flight context changes, all streams
   std::uint64_t stale_frames = 0;        ///< frames run under a wrong-for-condition impl
-  std::vector<double> fabric_busy_ms;     ///< per-lane host busy time
+  /// Host busy time per worker: one per fabric slot, then the thread
+  /// that called run(), which works once the plan is complete.
+  std::vector<double> worker_busy_ms;
   std::vector<StageEvent> timeline;       ///< dispatch/completion event log
   std::uint64_t sim_makespan_cycles = 0;  ///< modeled-array makespan (the plan)
   double sim_utilization = 0.0;           ///< mean busy fraction of the active fabrics

@@ -66,20 +66,22 @@ std::string chrome_trace_json(const RunReport& report, const TraceExportOptions&
     emit_metadata(os, first, kPidModeledStreams, s.stream_id, s.name, "thread_name");
   if (opts.include_host_tracks) {
     emit_metadata(os, first, kPidHostWorkers, 0, "host workers (wall time)", "process_name");
-    for (std::size_t f = 0; f < report.fabric_labels.size(); ++f)
-      emit_metadata(os, first, kPidHostWorkers, static_cast<int>(f),
-                    "worker " + std::to_string(f), "thread_name");
+    // worker_busy_ms has one entry per host worker of the run.
+    for (std::size_t w = 0; w < report.worker_busy_ms.size(); ++w)
+      emit_metadata(os, first, kPidHostWorkers, static_cast<int>(w),
+                    "worker " + std::to_string(w), "thread_name");
   }
 
   for (const Span& s : report.spans) {
     const int pid = s.track == TrackKind::kFabric ? kPidModeledFabrics : kPidModeledStreams;
     emit_span(os, first, s, pid, s.track_id, static_cast<double>(s.cycle_start),
               static_cast<double>(s.cycle_end - s.cycle_start));
-    // Host tracks carry only the whole-job occupancy: jobs on one worker
-    // are sequential, so the track stays overlap-free, while the
-    // fetch/switch sub-phases have no separately measured host interval.
-    if (opts.include_host_tracks && s.kind == SpanKind::kDispatch && s.fabric_id >= 0)
-      emit_span(os, first, s, kPidHostWorkers, s.fabric_id,
+    // Host tracks carry only the whole-job occupancy, keyed by the worker
+    // that ran the job: jobs on one worker are sequential, so the track
+    // stays overlap-free, while the fetch/switch sub-phases have no
+    // separately measured host interval.
+    if (opts.include_host_tracks && s.kind == SpanKind::kDispatch && s.worker >= 0)
+      emit_span(os, first, s, kPidHostWorkers, s.worker,
                 static_cast<double>(s.host_start_ns) / 1000.0,
                 static_cast<double>(s.host_end_ns - s.host_start_ns) / 1000.0);
   }

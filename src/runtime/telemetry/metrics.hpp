@@ -74,7 +74,7 @@ class FixedBucketHistogram {
 };
 
 /// Named metrics of one run. Not thread-safe: the scheduler fills it
-/// after the lanes have joined (per-lane data arrives through the
+/// after the workers have joined (per-worker data arrives through the
 /// TraceRecorder's buffers, not through shared counters).
 class MetricsRegistry {
  public:

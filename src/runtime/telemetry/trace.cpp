@@ -57,6 +57,7 @@ std::vector<Span> build_spans(const std::vector<JobTrace>& jobs, const SimSchedu
     dispatch.kind = SpanKind::kDispatch;
     dispatch.track = TrackKind::kStream;
     dispatch.track_id = j.stream_id;
+    dispatch.worker = t.worker;
     dispatch.cycle_start = j.start_cycles;
     dispatch.cycle_end = j.end_cycles;
     dispatch.host_start_ns = t.dispatch_ns;

@@ -1,18 +1,19 @@
 // Runtime span tracing.
 //
-// The scheduler's lanes (one host thread per fabric slot) record one
-// JobTrace per executed stage job into a per-lane append-only buffer —
-// no shared lock, no allocation beyond the buffer's own growth — and the
-// buffers are merged after the run has drained. A merged trace plus the
-// run's modeled-time plan yields typed spans in *two clock domains*:
+// The scheduler's host workers (one thread per fabric slot, plus the
+// planning thread once the plan is complete) record one JobTrace per
+// executed stage job into a per-worker append-only buffer — no shared
+// lock, no allocation beyond the buffer's own growth — and the buffers
+// are merged after the run has drained. A merged trace plus the run's
+// modeled-time plan yields typed spans in *two clock domains*:
 //
 //  * host wall time (steady-clock nanoseconds since the recorder epoch) —
-//    what the lanes actually did, useful for profiling the scheduler
+//    what the workers actually did, useful for profiling the scheduler
 //    itself;
 //  * modeled array cycles — where the simulated silicon spent the
 //    stream's latency. This domain is bit-deterministic: two identical
 //    runs produce byte-identical modeled-cycle span streams no matter
-//    how the host interleaved the lanes.
+//    how the host interleaved the workers.
 //
 // Zero cost when off: the scheduler holds a TraceRecorder pointer that is
 // null when telemetry is disabled, and every recording site is an inline
@@ -72,6 +73,8 @@ struct Span {
   int stream_id = 0;
   int frame_index = 0;
   int fabric_id = -1;
+  /// Host worker that ran the job (dispatch spans only; -1 otherwise).
+  int worker = -1;
   StageKind stage = StageKind::kWholeFrame;
   std::string context;  ///< bitstream the job ran under
   std::uint64_t cycle_start = 0;  ///< modeled array cycles (bit-deterministic)
@@ -80,20 +83,23 @@ struct Span {
   std::int64_t host_end_ns = 0;
 };
 
-/// What a lane records per executed stage job: the host-side timestamps
-/// of the job's phases and the modeled reconfiguration breakdown its
-/// fabric reported. The modeled start/end of the job itself is *not*
-/// recorded here — it comes from the plan, so host scheduling jitter
-/// never leaks into the cycle domain.
+/// What a worker records per executed stage job: the host-side
+/// timestamps of the job's phases and the modeled reconfiguration
+/// breakdown its fabric reported. The modeled start/end of the job itself
+/// is *not* recorded here — it comes from the plan, so host scheduling
+/// jitter never leaks into the cycle domain.
 struct JobTrace {
   int stream_id = 0;
   int frame_index = 0;
   StageKind stage = StageKind::kWholeFrame;
-  int fabric_id = -1;
+  int fabric_id = -1;  ///< the fabric the plan put the job on
+  int worker = -1;     ///< the host worker that ran it
   std::string context;
-  std::int64_t ready_ns = 0;     ///< the lane began waiting for it
-  std::int64_t dispatch_ns = 0;  ///< the lane started it
-  /// = dispatch_ns: the planner prepared the context before the lane ran
+  /// The worker went idle before it took this job: its previous job
+  /// ended, or it joined the run.
+  std::int64_t ready_ns = 0;
+  std::int64_t dispatch_ns = 0;  ///< the worker started it
+  /// = dispatch_ns: the planner prepared the context before the worker ran
   std::int64_t prepared_ns = 0;
   std::int64_t done_ns = 0;      ///< stage compute finished
   std::uint64_t fetch_cycles = 0;   ///< modeled bus cycles of the cache miss

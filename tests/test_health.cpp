@@ -3,7 +3,8 @@
 // their modeled cycle), watchdog trips on injected anomalies (stall,
 // queue growth, starvation, SLA burn — each demonstrably fires, and the
 // burn detector fires *before* the deadline passes), modeled epochs (one
-// tick per epoch_cycles boundary, then the makespan), verdicts that
+// tick per epoch_cycles boundary, then the makespan), per-epoch fabric
+// utilization credited from the jobs' modeled intervals, verdicts that
 // repeat exactly across runs, zero-cost-off bit-exactness, a clean
 // monitored run tripping nothing, and the metrics timeline epoch cap
 // accounting its drops.
@@ -21,6 +22,7 @@
 #include "runtime/scheduler.hpp"
 #include "runtime/telemetry/export.hpp"
 #include "runtime/telemetry/metrics.hpp"
+#include "runtime/telemetry/trace.hpp"
 
 namespace dsra::runtime {
 namespace {
@@ -475,6 +477,53 @@ TEST(HealthScheduler, TicksAtEveryEpochBoundaryAndTheMakespan) {
     EXPECT_GE(ev.t_cycles, prev);
     EXPECT_LE(ev.t_cycles, makespan);
     prev = ev.t_cycles;
+  }
+}
+
+TEST(HealthScheduler, UtilizationCreditsEachEpochTheBusyCyclesItOverlaps) {
+  // Epochs far shorter than a job: an epoch inside one job must read its
+  // fabric fully busy, and each fabric's utilization times epoch length,
+  // summed over the run, must give back the fabric's busy cycles.
+  auto jobs = mixed_workload(5, 4, 16);
+  SchedulerConfig cfg;
+  cfg.fabric_configs.assign(3, FabricConfig{});
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+  health::HealthMonitorConfig mon_cfg;
+  mon_cfg.epoch_cycles = stream_cost(jobs[0], library()) / 64;
+  health::HealthMonitor monitor(mon_cfg);
+  telemetry::TraceRecorder recorder;
+  cfg.health = &monitor;
+  cfg.trace = &recorder;
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  const std::vector<health::HealthSnapshot>& snaps = monitor.snapshots();
+  ASSERT_EQ(snaps.size(), monitor.epochs());  // none evicted
+  std::vector<double> credited(report.partitions.size(), 0.0);
+  std::size_t epochs_inside_a_job = 0;
+  std::uint64_t epoch_start = 0;
+  for (const health::HealthSnapshot& snap : snaps) {
+    const std::uint64_t epoch_end = snap.modeled_now_cycles;
+    for (const health::FabricHealth& fh : snap.fabrics) {
+      credited[static_cast<std::size_t>(fh.fabric)] +=
+          fh.utilization * static_cast<double>(epoch_end - epoch_start);
+      for (const telemetry::Span& job : report.spans) {
+        if (job.kind != telemetry::SpanKind::kDispatch || job.fabric_id != fh.fabric ||
+            job.cycle_start > epoch_start || job.cycle_end < epoch_end)
+          continue;
+        ++epochs_inside_a_job;
+        EXPECT_DOUBLE_EQ(fh.utilization, 1.0)
+            << "fabric " << fh.fabric << ", epoch " << snap.epoch << " inside stream "
+            << job.stream_id << " frame " << job.frame_index << "'s job";
+      }
+    }
+    epoch_start = epoch_end;
+  }
+  EXPECT_GT(epochs_inside_a_job, 0u);
+  for (const PartitionSummary& p : report.partitions) {
+    ASSERT_GT(p.busy_cycles, 0u) << "fabric " << p.slot;
+    const auto busy = static_cast<double>(p.busy_cycles);
+    EXPECT_NEAR(credited[static_cast<std::size_t>(p.slot)], busy, 1e-9 * busy)
+        << "fabric " << p.slot;
   }
 }
 

@@ -1,9 +1,10 @@
-// Runtime telemetry: span tracing determinism, fabric-track
-// well-formedness, exact stall attribution, zero-cost-off bit-exactness,
-// histogram percentiles against the shared sample-percentile code path,
-// and per-epoch timeline sanity.
+// Runtime telemetry: span tracing determinism, fabric-track and
+// host-worker-track well-formedness, exact stall attribution,
+// zero-cost-off bit-exactness, histogram percentiles against the shared
+// sample-percentile code path, and per-epoch timeline sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -96,6 +97,38 @@ TEST(Telemetry, FabricTrackSpansNestWithoutOverlap) {
     }
     prev = &s;
   }
+}
+
+TEST(Telemetry, HostWorkerSpansNeverOverlap) {
+  // Host time is keyed by the worker that ran each job, not by its
+  // planned fabric: one worker runs one job at a time, whatever fabric
+  // the job was planned on. Workers are the fabric slots plus the thread
+  // that called run().
+  const RunReport report = traced_run(DispatchMode::kStagePipeline, nullptr, /*fabrics=*/3);
+  ASSERT_EQ(report.worker_busy_ms.size(), 4u);
+  std::vector<std::vector<const telemetry::Span*>> by_worker(report.worker_busy_ms.size());
+  for (const telemetry::Span& s : report.spans) {
+    if (s.kind != telemetry::SpanKind::kDispatch) {
+      EXPECT_EQ(s.worker, -1);
+      continue;
+    }
+    ASSERT_GE(s.worker, 0);
+    ASSERT_LT(static_cast<std::size_t>(s.worker), by_worker.size());
+    EXPECT_LE(s.host_start_ns, s.host_end_ns);
+    by_worker[static_cast<std::size_t>(s.worker)].push_back(&s);
+  }
+  for (std::size_t w = 0; w < by_worker.size(); ++w) {
+    std::vector<const telemetry::Span*>& jobs = by_worker[w];
+    std::sort(jobs.begin(), jobs.end(), [](const auto* a, const auto* b) {
+      return a->host_start_ns < b->host_start_ns;
+    });
+    for (std::size_t j = 1; j < jobs.size(); ++j)
+      EXPECT_LE(jobs[j - 1]->host_end_ns, jobs[j]->host_start_ns) << "worker " << w;
+  }
+  // The export names one host track per worker.
+  const std::string json = telemetry::chrome_trace_json(report);
+  for (std::size_t w = 0; w < by_worker.size(); ++w)
+    EXPECT_NE(json.find("\"worker " + std::to_string(w) + "\""), std::string::npos);
 }
 
 TEST(Telemetry, AttributionComponentsSumExactlyToEndToEnd) {

@@ -25,6 +25,10 @@ checks it enforces the invariants the runtime promises:
     cycles never go backwards nor past the last snapshot, and the
     surviving event count respects the per-ring capacity.
 
+A trace's spans never overlap on one modeled fabric track (pid 1) nor on
+one host worker track (pid 3): a fabric and a host worker each run one
+job at a time.
+
 Usage:
     python3 tools/validate_trace.py BENCH_*.json TRACE_*.json METRICS_*.json HEALTH_*.json
 
@@ -49,6 +53,7 @@ SPAN_NAMES = {
     "stage_compute",
 }
 PID_MODELED_FABRICS = 1
+PID_HOST_WORKERS = 3
 EVENT_KINDS = {"dispatch", "steal", "reconfig", "shed", "rung_transition",
                "watchdog_trip"}
 WATCHDOG_KINDS = {"stall", "queue_growth", "starvation", "sla_burn"}
@@ -87,6 +92,7 @@ def validate_trace(doc):
         require(key in other, f"otherData.{key} missing")
 
     fabric_tracks = {}
+    worker_tracks = {}
     for i, e in enumerate(events):
         require(isinstance(e, dict), f"event {i} is not an object")
         ph = e.get("ph")
@@ -105,6 +111,8 @@ def validate_trace(doc):
                 f"event {i}: negative ts/dur")
         if e["pid"] == PID_MODELED_FABRICS:
             fabric_tracks.setdefault(e["tid"], []).append((e["ts"], e["dur"], i))
+        elif e["pid"] == PID_HOST_WORKERS:
+            worker_tracks.setdefault(e["tid"], []).append((e["ts"], e["dur"], i))
 
     # The modeled fabric does one thing at a time: spans on one fabric
     # track must not overlap.
@@ -113,6 +121,14 @@ def validate_trace(doc):
         for (a_ts, a_dur, a_i), (b_ts, _, b_i) in zip(spans, spans[1:]):
             require(a_ts + a_dur <= b_ts,
                     f"fabric track {tid}: events {a_i} and {b_i} overlap")
+    # A host worker runs one job at a time either. Its spans are wall-time
+    # microseconds printed to 10 significant digits, so allow their
+    # rounding: 1 ns plus 1e-9 of the timestamp.
+    for tid, spans in worker_tracks.items():
+        spans.sort()
+        for (a_ts, a_dur, a_i), (b_ts, _, b_i) in zip(spans, spans[1:]):
+            require(a_ts + a_dur <= b_ts + 1e-3 + 1e-9 * b_ts,
+                    f"host worker track {tid}: events {a_i} and {b_i} overlap")
 
 
 def validate_metrics(doc):
