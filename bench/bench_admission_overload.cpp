@@ -26,6 +26,7 @@
 #include "runtime/stats.hpp"
 #include "runtime/telemetry/export.hpp"
 #include "runtime/telemetry/metrics.hpp"
+#include "runtime/telemetry/trace.hpp"
 
 using namespace dsra;
 using namespace dsra::runtime;
@@ -66,8 +67,11 @@ RunReport run(const KernelLibrary& library, std::vector<StreamJob>& jobs, bool a
   SchedulerConfig cfg;
   cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.admission.enabled = admission;
-  cfg.metrics = metrics;
-  return MultiStreamScheduler(library, cfg).run(jobs);
+  telemetry::TraceRecorder recorder;
+  if (metrics != nullptr) cfg.trace = &recorder;
+  RunReport report = MultiStreamScheduler(library, cfg).run(jobs);
+  if (metrics != nullptr) telemetry::fill_metrics(report, jobs, *metrics);
+  return report;
 }
 
 }  // namespace

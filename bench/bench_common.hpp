@@ -1,6 +1,8 @@
 // Helpers shared by the acceptance benches (no Google Benchmark needed).
 #pragma once
 
+#include <time.h>
+
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +22,17 @@ inline void add_u64_row(ReportTable& table, const std::string& name, Values... v
   std::vector<std::string> row{name};
   (row.push_back(format_i64(static_cast<std::int64_t>(values))), ...);
   table.add_row(std::move(row));
+}
+
+/// Seconds of CPU time @p clock has counted so far: CLOCK_THREAD_CPUTIME_ID
+/// for the calling thread, CLOCK_PROCESS_CPUTIME_ID for every thread of
+/// the process. Unlike wall time it leaves out the spells the host runs
+/// other threads or tenants instead; the speed of the work itself still
+/// varies with the host's load.
+inline double cpu_seconds(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 /// Standard schema-v2 bench epilogue: write BENCH_<name>.json and map

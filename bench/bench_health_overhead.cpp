@@ -5,9 +5,12 @@
 // health on (flight recorder + a tick every 1/40 of the makespan, in
 // modeled cycles) — for several interleaved rounds, and compares:
 //
-//  * host wall time: the monitored minimum over rounds must stay within
-//    2% of the unmonitored minimum (min-of-N suppresses scheduler noise
-//    on a loaded host);
+//  * host CPU time: a run's process CPU time (every worker and the
+//    planner) with monitoring on over the same round's run with it off,
+//    median over rounds, must stay within 2% above 1. CPU time leaves
+//    out the spells a loaded host runs other work, which wall time
+//    charges to whichever run they hit; pairing and the median suppress
+//    the rest;
 //  * modeled array cycles: bit-exact on the full pool — every run,
 //    monitored or not, plans the same makespan; monitoring only
 //    observes;
@@ -48,8 +51,8 @@ std::vector<StreamJob> mixed_workload() {
     cfg.name = "s" + std::to_string(k);
     cfg.width = 32;
     cfg.height = 32;
-    // Long enough (~100 ms host) that min-of-N wall-clock jitter sits
-    // well under the 2% overhead bar instead of dominating it.
+    // Long enough (~100 ms host) that min-of-N timing jitter sits well
+    // under the 2% overhead bar instead of dominating it.
     cfg.frame_budget = 200;
     cfg.condition = conditions[k];
     cfg.codec.me_range = 4;
@@ -77,7 +80,7 @@ constexpr std::uint64_t kEpochsPerRun = 40;
 int main() {
   BenchJson json("health_overhead");
   bench_common::stamp_reproducibility(
-      json, 7100, "streams=9;frames=200;frame=32x32;me_range=4;rounds=7");
+      json, 7100, "streams=9;frames=200;frame=32x32;me_range=4;rounds=21");
   std::printf("compiling the kernel library for geometries 12x8 and 8x4...\n");
   const KernelLibrary library(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
 
@@ -87,8 +90,8 @@ int main() {
   small.geometry = kSmallSccGeometry;
   const std::vector<FabricConfig> fabrics = {large, small, small};
 
-  constexpr int kRounds = 7;
-  double off_min_s = 0.0, on_min_s = 0.0;
+  constexpr int kRounds = 21;
+  const auto cpu_now = [] { return bench_common::cpu_seconds(CLOCK_PROCESS_CPUTIME_ID); };
   std::uint64_t min_makespan = ~std::uint64_t{0}, max_makespan = 0;
   const auto note_makespan = [&](const RunReport& report) {
     min_makespan = std::min(min_makespan, report.sim_makespan_cycles);
@@ -100,54 +103,72 @@ int main() {
   std::string health_dump, first_verdicts;
   int dump_mismatches = 0;
 
-  // Interleave off/on rounds so slow-host drift (thermal, competing
-  // load) hits both variants alike; keep the per-variant minimum.
-  for (int round = 0; round < kRounds; ++round) {
-    {
-      off_jobs = mixed_workload();
-      MultiStreamScheduler scheduler(library, pool_config(fabrics));
-      const RunReport report = scheduler.run(off_jobs);
-      off_min_s = round == 0 ? report.wall_seconds : std::min(off_min_s, report.wall_seconds);
-      note_makespan(report);
-      if (round == 0)
-        epoch_cycles = std::max<std::uint64_t>(report.sim_makespan_cycles / kEpochsPerRun, 1);
-    }
-    {
-      on_jobs = mixed_workload();
-      health::HealthMonitorConfig monitor_cfg;
-      monitor_cfg.epoch_cycles = epoch_cycles;
-      health::HealthMonitor monitor(monitor_cfg);
-      SchedulerConfig cfg = pool_config(fabrics);
-      cfg.health = &monitor;
-      MultiStreamScheduler scheduler(library, cfg);
-      const RunReport report = scheduler.run(on_jobs);
-      on_min_s = round == 0 ? report.wall_seconds : std::min(on_min_s, report.wall_seconds);
-      note_makespan(report);
-      anomalies = monitor.anomalies_total();
-      flight_events = monitor.flight().recorded();
-      flight_dropped = monitor.flight().dropped();
-      epochs = monitor.epochs();
-      health_dump = monitor.health_json(report.wall_seconds);
-      const std::string verdicts = monitor.health_json(0.0);
-      if (round == 0)
-        first_verdicts = verdicts;
-      else if (verdicts != first_verdicts)
-        ++dump_mismatches;
-    }
-  }
+  const auto run_off = [&] {
+    off_jobs = mixed_workload();
+    MultiStreamScheduler scheduler(library, pool_config(fabrics));
+    const double cpu_start = cpu_now();
+    const RunReport report = scheduler.run(off_jobs);
+    const double cpu_s = cpu_now() - cpu_start;
+    note_makespan(report);
+    if (epoch_cycles == 0)
+      epoch_cycles = std::max<std::uint64_t>(report.sim_makespan_cycles / kEpochsPerRun, 1);
+    return cpu_s;
+  };
+  const auto run_on = [&] {
+    on_jobs = mixed_workload();
+    health::HealthMonitorConfig monitor_cfg;
+    monitor_cfg.epoch_cycles = epoch_cycles;
+    health::HealthMonitor monitor(monitor_cfg);
+    SchedulerConfig cfg = pool_config(fabrics);
+    cfg.health = &monitor;
+    MultiStreamScheduler scheduler(library, cfg);
+    const double cpu_start = cpu_now();
+    const RunReport report = scheduler.run(on_jobs);
+    const double cpu_s = cpu_now() - cpu_start;
+    note_makespan(report);
+    anomalies = monitor.anomalies_total();
+    flight_events = monitor.flight().recorded();
+    flight_dropped = monitor.flight().dropped();
+    epochs = monitor.epochs();
+    health_dump = monitor.health_json(report.wall_seconds);
+    const std::string verdicts = monitor.health_json(0.0);
+    if (first_verdicts.empty())
+      first_verdicts = verdicts;
+    else if (verdicts != first_verdicts)
+      ++dump_mismatches;
+    return cpu_s;
+  };
 
-  const double overhead_pct =
-      off_min_s > 0.0 ? 100.0 * (on_min_s - off_min_s) / off_min_s : 0.0;
+  // Each round runs one unmonitored and one monitored run back to back,
+  // swapping which goes first every round (the second run of a pair is
+  // the warmer one), so host drift (thermal, competing load) hits both
+  // alike. A run's CPU time still varies by up to ~15% on a shared host,
+  // so the overhead is the median over rounds of the pair's CPU-time
+  // ratio.
+  std::vector<double> off_s, on_s, ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round % 2 == 0) {
+      off_s.push_back(run_off());
+      on_s.push_back(run_on());
+    } else {
+      on_s.push_back(run_on());
+      off_s.push_back(run_off());
+    }
+    ratios.push_back(on_s.back() / off_s.back());
+  }
+  const double off_median_s = percentile(off_s, 50.0);
+  const double on_median_s = percentile(on_s, 50.0);
+  const double overhead_pct = 100.0 * (percentile(ratios, 50.0) - 1.0);
   const int mismatches = bench_common::count_output_mismatches(off_jobs, on_jobs);
 
   // Modeled bit-exactness: monitoring off and on, every round must plan
   // the same makespan to the cycle.
   const std::uint64_t makespan_diff = max_makespan - min_makespan;
 
-  std::printf("\nhealth monitoring on vs off over %d interleaved rounds (min wall time):\n",
-              kRounds);
-  std::printf("  host wall: off %.4fs, on %.4fs -> %+.1f%% overhead (bar: <= 2%%)\n",
-              off_min_s, on_min_s, overhead_pct);
+  std::printf("\nhealth monitoring on vs off over %d alternating run pairs (process CPU "
+              "time):\n", kRounds);
+  std::printf("  median run: off %.4fs, on %.4fs; median pair ratio -> %+.1f%% overhead "
+              "(bar: <= 2%%)\n", off_median_s, on_median_s, overhead_pct);
   std::printf("  modeled makespan over every run: %llu..%llu cycles (diff %llu; bar: 0)\n",
               static_cast<unsigned long long>(min_makespan),
               static_cast<unsigned long long>(max_makespan),
@@ -166,8 +187,8 @@ int main() {
     std::fprintf(stderr, "warning: failed to write HEALTH_health_overhead.json\n");
 
   json.metric("rounds", kRounds);
-  json.metric("off_wall_seconds", off_min_s);
-  json.metric("on_wall_seconds", on_min_s);
+  json.metric("off_cpu_seconds", off_median_s);
+  json.metric("on_cpu_seconds", on_median_s);
   json.metric("flight_events_recorded", static_cast<double>(flight_events));
   json.metric("flight_events_overwritten", static_cast<double>(flight_dropped));
   json.metric("health_epochs", static_cast<double>(epochs));

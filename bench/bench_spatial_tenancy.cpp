@@ -29,6 +29,8 @@
 #include "common/report.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/telemetry/metrics.hpp"
+#include "runtime/telemetry/trace.hpp"
 
 using namespace dsra;
 using namespace dsra::runtime;
@@ -75,9 +77,12 @@ RunReport run_pool(const KernelLibrary& library, const std::vector<FabricConfig>
   // anti-starvation churn.
   cfg.queue.max_affinity_run = 64;
   cfg.queue.aging_threshold = 96;
-  cfg.metrics = metrics;
+  runtime::telemetry::TraceRecorder recorder;
+  if (metrics != nullptr) cfg.trace = &recorder;
   jobs = scc_workload();
-  return MultiStreamScheduler(library, cfg).run(jobs);
+  RunReport report = MultiStreamScheduler(library, cfg).run(jobs);
+  if (metrics != nullptr) runtime::telemetry::fill_metrics(report, jobs, *metrics);
+  return report;
 }
 
 /// Frames per million modeled array cycles per *physical* cluster site.

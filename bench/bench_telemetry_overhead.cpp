@@ -108,8 +108,8 @@ int main() {
     metrics.clear();
     SchedulerConfig cfg = pool_config(fabrics);
     cfg.trace = &recorder;
-    cfg.metrics = &metrics;
     traced = MultiStreamScheduler(library, cfg).run(on_jobs);
+    telemetry::fill_metrics(traced, on_jobs, metrics);
     on_makespan = traced.sim_makespan_cycles;
     note_makespan(on_makespan);
     return traced.wall_seconds;

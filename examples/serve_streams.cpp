@@ -49,14 +49,14 @@
 // trace-event JSON (open in Perfetto or chrome://tracing: one track per
 // modeled fabric and per stream, plus host worker tracks), and the
 // per-stream stall attribution table is printed. --metrics <file> writes
-// the run's counters, latency histograms and per-epoch utilization /
-// queue-depth timelines as metrics JSON (--metrics-epochs N resolves
-// long runs past the default 32-epoch timeline cap).
+// the traced run's counters, latency histograms and per-epoch
+// utilization / queue-depth timelines as metrics JSON (--metrics-epochs N
+// samples the timelines at N epochs instead of the default 32).
 //
 // With --health the run carries the live health monitor: an always-on
 // flight recorder of scheduling events, health snapshots at modeled-cycle
 // epochs (queue depth/age, per-fabric utilization, SLA burn rates) and
-// the four anomaly watchdogs (stall, queue growth, starvation, SLA burn),
+// the three anomaly watchdogs (queue growth, starvation, SLA burn),
 // all judged on the planner's clock, so one input gives one verdict.
 // --health-dump <file> writes the health post-mortem JSON at run end
 // (and immediately on any watchdog trip). A tripped watchdog makes the
@@ -229,14 +229,11 @@ int main(int argc, char** argv) {
                         tenancy ? tenant_dct : (hetero ? small_dct : dct_fabric)};
   cfg.admission.enabled = sla;
 
+  // Metrics are a view of the traced run's report.
   telemetry::TraceRecorder recorder;
   telemetry::MetricsRegistry metrics;
-  if (!trace_path.empty()) cfg.trace = &recorder;
-  if (!metrics_path.empty() || !trace_path.empty()) cfg.metrics = &metrics;
-  if (metrics_epochs > 0) {
-    cfg.timeline_epochs = metrics_epochs;
-    metrics.set_timeline_epoch_cap(static_cast<std::size_t>(metrics_epochs));
-  }
+  if (!trace_path.empty() || !metrics_path.empty()) cfg.trace = &recorder;
+  if (metrics_epochs > 0) metrics.set_timeline_epoch_cap(static_cast<std::size_t>(metrics_epochs));
 
   // Live health: a tick every eighth of one phone's modeled cost (tens of
   // epochs per run); watchdog trips dump the post-mortem (flight recorder
@@ -351,9 +348,11 @@ int main(int argc, char** argv) {
   if (!trace_path.empty() && telemetry::write_chrome_trace(trace_path, report))
     std::printf("trace written to %s (%zu spans; open in Perfetto or chrome://tracing)\n",
                 trace_path.c_str(), report.spans.size());
-  if (!metrics_path.empty() &&
-      telemetry::write_metrics_json(metrics_path, metrics, report.wall_seconds))
-    std::printf("metrics written to %s\n", metrics_path.c_str());
+  if (!metrics_path.empty()) {
+    telemetry::fill_metrics(report, jobs, metrics);
+    if (telemetry::write_metrics_json(metrics_path, metrics, report.wall_seconds))
+      std::printf("metrics written to %s\n", metrics_path.c_str());
+  }
 
   int exit_code = 0;
   if (health) {

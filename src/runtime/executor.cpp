@@ -94,7 +94,7 @@ void Executor::work(int worker) {
 
     const auto stream = static_cast<std::size_t>(node->job.task.stream_id);
     try {
-      run_(worker, node->job);
+      run_(worker, node->seq, node->job);
     } catch (...) {
       lock.lock();
       --running_;

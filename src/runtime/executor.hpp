@@ -30,22 +30,33 @@
 
 namespace dsra::runtime {
 
-/// One planned job as the executor runs it: the task, the fabric the plan
-/// put it on, the context and its DCT implementation (null for the ME
-/// context), and what the fabric paid to prepare the context.
+/// Everything the planner decided about one job: the task, the fabric
+/// the plan put it on, the context and its DCT implementation (null for
+/// the ME context), what the fabric paid to prepare the context, and the
+/// job's modeled cycles. A traced run keeps these in plan order as its one
+/// record of the jobs; trace rows and spans join it by plan index.
 struct PlannedJob {
   FrameTask task;
   int fabric_id = -1;
   const std::string* context = nullptr;
   const dct::DctImplementation* impl = nullptr;
   PrepareResult prep;
+  /// Cycle at which the job's data dependencies were met; the gap up to
+  /// start_cycles is time spent waiting for its fabric.
+  std::uint64_t ready_cycles = 0;
+  std::uint64_t start_cycles = 0;
+  std::uint64_t end_cycles = 0;
+  /// Cycles the job waited for the physical configuration port while a
+  /// co-tenant slot was loading a context (part of ready..start).
+  std::uint64_t port_wait_cycles = 0;
 };
 
 class Executor {
  public:
-  /// Runs one job on worker @p worker (0..threads()). A throw aborts the
-  /// run: no further job starts and finish() rethrows it.
-  using Run = std::function<void(int worker, const PlannedJob& job)>;
+  /// Runs the job at plan index @p index on worker @p worker
+  /// (0..threads()). A throw aborts the run: no further job starts and
+  /// finish() rethrows it.
+  using Run = std::function<void(int worker, std::size_t index, const PlannedJob& job)>;
 
   /// Start @p threads worker threads for jobs of @p streams streams.
   Executor(int threads, std::size_t streams, Run run);
@@ -55,7 +66,8 @@ class Executor {
   /// Unblocks and joins the workers when the planner threw before finish().
   ~Executor();
 
-  /// Append @p jobs, planned in this order, after every job pushed so far.
+  /// Append @p jobs, planned in this order, after every job pushed so
+  /// far: the n-th job pushed has plan index n.
   void push(const std::vector<PlannedJob>& jobs);
 
   /// The plan is complete: work as one more worker until every job has
@@ -68,7 +80,7 @@ class Executor {
 
  private:
   struct Node {
-    std::uint64_t seq = 0;  ///< plan order
+    std::size_t seq = 0;  ///< plan index
     PlannedJob job;
     std::unique_ptr<Node> next;  ///< the stream's next waiting job
   };
@@ -92,7 +104,7 @@ class Executor {
   std::condition_variable wake_;
   std::vector<std::unique_ptr<Node>> runnable_;  ///< min-heap on seq, guarded by m_
   std::vector<Stream> streams_;                  ///< guarded by m_
-  std::uint64_t next_seq_ = 0;                   ///< guarded by m_
+  std::size_t next_seq_ = 0;                     ///< guarded by m_
   int running_ = 0;                              ///< jobs being run, guarded by m_
   bool planned_all_ = false;                     ///< guarded by m_
   bool abort_ = false;                           ///< guarded by m_

@@ -33,7 +33,6 @@ void HealthMonitor::begin_run(int fabrics, std::vector<StreamBudget> budgets) {
   }
   epoch_ = 0;
   prev_tick_cycles_ = 0;
-  inflight_ = 0;
   snapshots_.clear();
   snapshots_evicted_ = 0;
   trips_.clear();
@@ -42,7 +41,6 @@ void HealthMonitor::begin_run(int fabrics, std::vector<StreamBudget> budgets) {
 void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched,
                                std::uint64_t busy_start, std::uint64_t busy_end) {
   if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
-  ++inflight_;
   busy_[static_cast<std::size_t>(fabric)].push_back(BusyInterval{busy_start, busy_end});
   FabricCounters& c = fabrics_[static_cast<std::size_t>(fabric)];
   if (cache_hit) {
@@ -55,7 +53,6 @@ void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched,
 
 void HealthMonitor::on_job_done(int fabric) {
   if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
-  --inflight_;
   ++fabrics_[static_cast<std::size_t>(fabric)].jobs_done;
 }
 
@@ -68,7 +65,6 @@ HealthSnapshot HealthMonitor::assemble(std::uint64_t now_cycles, QueueHealthSamp
   HealthSnapshot snap;
   snap.epoch = ++epoch_;
   snap.modeled_now_cycles = now_cycles;
-  snap.inflight_jobs = static_cast<std::uint64_t>(std::max<std::int64_t>(inflight_, 0));
   snap.queue = std::move(queue);
 
   const std::uint64_t epoch_start = prev_tick_cycles_;
@@ -162,9 +158,7 @@ std::string HealthMonitor::health_json(double host_wall_seconds) const {
      << ", \"host_wall_seconds\": " << json_number(host_wall_seconds)
      << ", \"fabrics\": " << fabrics_.size()
      << ", \"anomalies_total\": " << anomalies_total()
-     << ", \"watchdog_config\": {\"stall_epochs\": "
-     << config_.watchdogs.stall_epochs
-     << ", \"growth_epochs\": " << config_.watchdogs.growth_epochs
+     << ", \"watchdog_config\": {\"growth_epochs\": " << config_.watchdogs.growth_epochs
      << ", \"growth_min_depth\": " << config_.watchdogs.growth_min_depth
      << ", \"starvation_age_bound\": " << config_.watchdogs.starvation_age_bound
      << ", \"burn_threshold\": " << json_number(config_.watchdogs.burn_threshold)

@@ -7,8 +7,7 @@
 //     hooks: on_prepare when a fabric acquires a job (with the job's
 //     modeled [start, end), which each epoch's utilization is credited
 //     from), on_job_done and on_frame_done when its batch completes at
-//     its modeled end, so a job counts as in flight from acquire to
-//     batch end;
+//     its modeled end;
 //   - epoch ticks that assemble a HealthSnapshot from those counters and
 //     the queue sample the planner passes in, and run the Watchdogs over
 //     it.
@@ -19,12 +18,13 @@
 // snapshots, trips and flight records on any host.
 //
 // When a watchdog trips, the monitor records a kWatchdogTrip flight
-// event, counts it in anomalies_total (exported by the scheduler as the
-// `health_anomalies_total` metric), invokes the user callback, and —
+// event, counts it in anomalies_total (the run's
+// RunReport::health_anomalies, exported by telemetry::fill_metrics as
+// `health_anomalies_total`), invokes the user callback, and —
 // when a dump path is configured — writes the full health post-mortem
 // (snapshots + trips + flight recorder) as schema-stamped JSON.
 //
-// The scheduler treats the monitor exactly like the trace/metrics sinks:
+// The scheduler treats the monitor exactly like the trace recorder:
 // a single null-guarded pointer, so health off is zero-cost and
 // bit-exact. The monitor is single-threaded: read its accessors after
 // run() returns, or from the trip callback, which runs on the planner's
@@ -111,7 +111,7 @@ class HealthMonitor {
   [[nodiscard]] std::uint64_t epochs() const { return epoch_; }
 
   /// Schema version of the health dump JSON ("kind": "health").
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
   /// The full post-mortem: config, anomaly count, retained snapshots,
   /// trips, and the flight recorder contents.
@@ -154,9 +154,6 @@ class HealthMonitor {
 
   std::uint64_t epoch_ = 0;
   std::uint64_t prev_tick_cycles_ = 0;
-  /// Jobs acquired minus jobs completed — the stall watchdog's
-  /// slow-vs-wedged discriminator.
-  std::int64_t inflight_ = 0;
   std::vector<HealthSnapshot> snapshots_;
   std::uint64_t snapshots_evicted_ = 0;
   std::vector<WatchdogTrip> trips_;

@@ -10,7 +10,6 @@ std::string to_json(const HealthSnapshot& snap) {
   std::ostringstream os;
   os << "{\"epoch\": " << snap.epoch
      << ", \"modeled_now_cycles\": " << snap.modeled_now_cycles
-     << ", \"inflight_jobs\": " << snap.inflight_jobs
      << ", \"queue\": {\"depth\": " << snap.queue.depth
      << ", \"oldest_age\": " << snap.queue.oldest_age
      << ", \"dispatches\": " << snap.queue.dispatches

@@ -77,10 +77,6 @@ struct StreamHealth {
 struct HealthSnapshot {
   std::uint64_t epoch = 0;  ///< 1-based, strictly monotone within a run
   std::uint64_t modeled_now_cycles = 0;  ///< the planner's clock at the tick
-  /// Jobs acquired whose batch has not completed yet. Distinguishes
-  /// "slow" from "stalled": a long batch spans many epochs with zero
-  /// completions, which must not read as a wedged queue.
-  std::uint64_t inflight_jobs = 0;
   QueueHealthSample queue;
   std::vector<FabricHealth> fabrics;
   std::vector<StreamHealth> streams;

@@ -7,11 +7,8 @@ namespace dsra::runtime::health {
 
 void Watchdogs::reset() {
   seen_any_ = false;
-  prev_completions_ = 0;
   prev_depth_ = 0;
-  stall_run_ = 0;
   growth_run_ = 0;
-  stall_latched_ = false;
   growth_latched_ = false;
   starvation_latched_ = false;
   burn_latched_streams_.clear();
@@ -20,27 +17,8 @@ void Watchdogs::reset() {
 std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
   std::vector<WatchdogTrip> trips;
 
-  // Stall: queued work, no completion progress since the previous
-  // epoch, AND nothing in flight. The in-flight gate distinguishes slow
-  // from wedged — on a loaded (or sanitizer-instrumented) host a single
-  // job can span many epochs without a completion, which must not read
-  // as a stall while a fabric is demonstrably executing it. The first
-  // snapshot establishes the completion baseline.
-  if (seen_any_ && snap.queue.depth > 0 && snap.inflight_jobs == 0 &&
-      snap.queue.completions == prev_completions_) {
-    ++stall_run_;
-  } else {
-    stall_run_ = 0;
-  }
-  if (!stall_latched_ && stall_run_ >= config_.stall_epochs) {
-    stall_latched_ = true;
-    std::ostringstream os;
-    os << "no completions for " << stall_run_ << " epochs with "
-       << snap.queue.depth << " jobs queued";
-    trips.push_back({WatchdogKind::kStall, snap.epoch, -1, os.str()});
-  }
-
   // Queue growth: strictly monotone depth increase, once past the floor.
+  // The first snapshot establishes the baseline.
   if (seen_any_ && snap.queue.depth > prev_depth_) {
     ++growth_run_;
   } else {
@@ -88,7 +66,6 @@ std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
   }
 
   seen_any_ = true;
-  prev_completions_ = snap.queue.completions;
   prev_depth_ = snap.queue.depth;
   return trips;
 }

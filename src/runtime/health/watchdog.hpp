@@ -1,12 +1,8 @@
 // Anomaly watchdogs: declarative per-epoch checks over HealthSnapshots.
 //
 // Each watchdog encodes one production failure smell as a threshold
-// over consecutive snapshots:
-//   - stall:      jobs are queued, nothing is in flight, and nothing
-//                 completed for N epochs (work no fabric takes — but NOT
-//                 a slow batch: in-flight work suppresses the verdict).
-//                 The planner has a batch in flight at every mid-run
-//                 tick, so it cannot fire inside a scheduler run;
+// over consecutive snapshots (work no fabric can take needs none: the
+// planner throws at the makespan when jobs are left):
 //   - queue growth: total depth grew strictly monotonically for N
 //                 epochs above a floor (arrival rate > service rate);
 //   - starvation: the oldest queued job's age exceeded a bound the
@@ -34,16 +30,15 @@
 
 namespace dsra::runtime::health {
 
+/// A kWatchdogTrip flight event records the value; keep each stable.
 enum class WatchdogKind : std::uint8_t {
-  kStall = 1,
-  kQueueGrowth,
+  kQueueGrowth = 2,
   kStarvation,
   kSlaBurn,
 };
 
 [[nodiscard]] constexpr const char* to_string(WatchdogKind kind) {
   switch (kind) {
-    case WatchdogKind::kStall: return "stall";
     case WatchdogKind::kQueueGrowth: return "queue_growth";
     case WatchdogKind::kStarvation: return "starvation";
     case WatchdogKind::kSlaBurn: return "sla_burn";
@@ -52,9 +47,6 @@ enum class WatchdogKind : std::uint8_t {
 }
 
 struct WatchdogConfig {
-  /// Trip the stall detector after this many consecutive epochs with
-  /// queued jobs, zero in-flight jobs, and zero completion progress.
-  int stall_epochs = 3;
   /// Trip the growth detector after this many consecutive epochs of
   /// strictly increasing total depth...
   int growth_epochs = 5;
@@ -75,7 +67,7 @@ struct WatchdogConfig {
 
 /// One tripped watchdog.
 struct WatchdogTrip {
-  WatchdogKind kind = WatchdogKind::kStall;
+  WatchdogKind kind = WatchdogKind::kQueueGrowth;
   std::uint64_t epoch = 0;   ///< snapshot epoch that tripped it
   int stream_id = -1;        ///< kSlaBurn only
   std::string detail;        ///< human-readable cause
@@ -98,11 +90,8 @@ class Watchdogs {
  private:
   WatchdogConfig config_;
   bool seen_any_ = false;
-  std::uint64_t prev_completions_ = 0;
   std::uint64_t prev_depth_ = 0;
-  int stall_run_ = 0;
   int growth_run_ = 0;
-  bool stall_latched_ = false;
   bool growth_latched_ = false;
   bool starvation_latched_ = false;
   std::vector<int> burn_latched_streams_;

@@ -8,7 +8,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/health/monitor.hpp"
 #include "runtime/sim_schedule.hpp"
-#include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
 #include "video/codec.hpp"
 
@@ -27,11 +26,15 @@ struct PlannedFrame {
   std::uint64_t end = 0;
 };
 
-/// What plan() hands the report besides the queue accounting it writes
-/// straight into it: the modeled schedule, every frame's plan (stream
+/// What plan() hands the report besides the queue and schedule totals it
+/// writes straight into it: for a traced run every job in plan order (the
+/// run's one record of its jobs; an untraced run keeps none), each
+/// fabric's modeled busy and port-wait cycles, every frame's plan (stream
 /// k's frame f at frame_offset[k] + f) and each fabric's placement skips.
 struct Plan {
-  SimSchedule schedule;
+  std::vector<PlannedJob> jobs;
+  std::vector<std::uint64_t> fabric_busy_cycles;
+  std::vector<std::uint64_t> port_wait_cycles;
   std::vector<std::size_t> frame_offset;
   std::vector<PlannedFrame> frames;
   std::vector<std::uint64_t> placement_skips;
@@ -170,10 +173,11 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
 /// the batch's jobs and frames done at the batch's end, and
 /// ticks the monitor at every epoch boundary before the clock passes it
 /// (a tick sees every event up to and including its instant) and once
-/// more at the makespan.
+/// more at the makespan. @p keep_jobs keeps every planned job in the
+/// returned plan, for a traced run.
 Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
-          const SchedulerConfig& config, health::HealthMonitor* hm, Executor& executor,
-          RunReport& report) {
+          const SchedulerConfig& config, health::HealthMonitor* hm, bool keep_jobs,
+          Executor& executor, RunReport& report) {
   JobQueue queue(streams, config.queue);
   const int lookahead = std::max(0, config.queue.pipeline_lookahead);
   const auto fabrics = static_cast<std::size_t>(pool.size());
@@ -207,14 +211,13 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
       };
   }
 
-  SimSchedule& schedule = out.schedule;
-  schedule.fabric_busy_cycles.assign(fabrics, 0);
-  schedule.port_wait_cycles.assign(fabrics, 0);
+  out.fabric_busy_cycles.assign(fabrics, 0);
+  out.port_wait_cycles.assign(fabrics, 0);
+  std::uint64_t makespan = 0;
   const std::vector<int>& physical_of = pool.physical_of();
   std::vector<std::uint64_t> port_free(static_cast<std::size_t>(pool.physical_count()), 0);
   std::vector<std::uint64_t> free_at(fabrics, 0);
   std::vector<std::vector<CompletedTask>> running(fabrics);  ///< each fabric's batch
-  std::vector<std::size_t> batch_first(fabrics, 0);  ///< its first job in schedule.jobs
   std::vector<PlannedJob> handoff;
   constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
   const std::uint64_t epoch = hm != nullptr ? hm->epoch_cycles() : 0;
@@ -233,7 +236,6 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         hm->flight().record(fabric.id(), now, health::EventKind::kSteal, tasks.front().stream_id,
                             tasks.front().frame_index,
                             static_cast<std::uint64_t>(queue.shard_of(tasks.front())));
-      batch_first[f] = schedule.jobs.size();
       std::uint64_t clock = now;
       handoff.clear();
       for (const FrameTask& task : tasks) {
@@ -261,12 +263,7 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
                                  config.me, pixels.width(), pixels.height(), frame == 0);
         }
 
-        SimStageJob job;
-        job.stream_id = task.stream_id;
-        job.frame_index = frame;
-        job.fabric_id = fabric.id();
-        job.stage = task.stage;
-        job.reconfig_cycles = reconfig;
+        PlannedJob job{task, fabric.id(), &context, library.impl(context), prep};
         switch (task.stage) {
           case StageKind::kWholeFrame:
             job.ready_cycles = end_at(task.stream_id, frame - 1, StageKind::kWholeFrame);
@@ -294,8 +291,7 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
           job.port_wait_cycles = port_start - job.start_cycles;
           job.start_cycles = port_start;
           port = port_start + reconfig;
-          schedule.port_wait_cycles[f] += job.port_wait_cycles;
-          schedule.contention_cycles += job.port_wait_cycles;
+          out.port_wait_cycles[f] += job.port_wait_cycles;
         }
         const std::uint64_t duration = stage_cycles(task.stage, planned.cycles) + reconfig;
         job.end_cycles = job.start_cycles + duration;
@@ -303,18 +299,18 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         end_of[at * kStages + static_cast<std::size_t>(task.stage)] = job.end_cycles;
         planned.ready = std::min(planned.ready, job.ready_cycles);
         planned.end = std::max(planned.end, job.end_cycles);
-        schedule.fabric_busy_cycles[f] += duration;
-        schedule.makespan_cycles = std::max(schedule.makespan_cycles, job.end_cycles);
-        schedule.jobs.push_back(job);
+        out.fabric_busy_cycles[f] += duration;
+        makespan = std::max(makespan, job.end_cycles);
         if (hm != nullptr)
           hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched, job.start_cycles,
                          job.end_cycles);
 
         running[f].push_back(CompletedTask{task, reconfig});
-        handoff.push_back(PlannedJob{task, fabric.id(), &context, library.impl(context), prep});
+        handoff.push_back(job);
       }
       free_at[f] = clock;
       executor.push(handoff);
+      if (keep_jobs) out.jobs.insert(out.jobs.end(), handoff.begin(), handoff.end());
     }
 
     std::uint64_t next = kNever;
@@ -329,11 +325,11 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
       if (running[f].empty() || free_at[f] != now) continue;
       queue.complete_batch(running[f], static_cast<int>(f));
       if (hm != nullptr) {
-        for (std::size_t j = 0; j < running[f].size(); ++j) {
-          const SimStageJob& job = schedule.jobs[batch_first[f] + j];
-          hm->on_job_done(job.fabric_id);
-          if (job.stage == StageKind::kWholeFrame || job.stage == StageKind::kReconstructEntropy)
-            hm->on_frame_done(job.stream_id);
+        for (const CompletedTask& done : running[f]) {
+          hm->on_job_done(static_cast<int>(f));
+          const StageKind stage = done.task.stage;
+          if (stage == StageKind::kWholeFrame || stage == StageKind::kReconstructEntropy)
+            hm->on_frame_done(done.task.stream_id);
         }
       }
       running[f].clear();
@@ -341,22 +337,20 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   }
 
   const health::QueueHealthSample left = queue.health_sample();
-  if (hm != nullptr) hm->tick(schedule.makespan_cycles, left);
+  if (hm != nullptr) hm->tick(makespan, left);
   if (left.depth > 0)
     throw std::logic_error(std::to_string(left.depth) +
                            " ready jobs remain that no fabric in the pool can take "
                            "(pool geometries: " + pool.geometry_list() + ")");
-  schedule.mean_utilization =
-      mean_utilization(schedule.fabric_busy_cycles, schedule.makespan_cycles);
   report.timeline = queue.timeline();
   report.dispatches = queue.dispatches();
   report.max_wait_dispatches = queue.max_wait_dispatches();
   report.queue_shards = queue.shard_count();
   report.queue_steals = queue.steals();
   report.dispatch_batches = queue.dispatch_batches();
-  report.sim_makespan_cycles = schedule.makespan_cycles;
-  report.sim_utilization = schedule.mean_utilization;
-  report.port_contention_cycles = schedule.contention_cycles;
+  report.sim_makespan_cycles = makespan;
+  report.sim_utilization = mean_utilization(out.fabric_busy_cycles, makespan);
+  for (const std::uint64_t wait : out.port_wait_cycles) report.port_contention_cycles += wait;
   out.placement_skips = queue.placement_skips();
   return out;
 }
@@ -475,28 +469,23 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
 
   health::HealthMonitor* const hm = config_.health;
   if (hm != nullptr) begin_health(*hm, streams, library_, pool, config_.me);
-  // Telemetry resolution: the caller's recorder, or — when only metrics
-  // were requested — an internal one (histograms and timelines are
-  // derived from spans). Null `rec` is the zero-cost-off state: the
-  // workers' recording site reduces to one untaken pointer test.
-  telemetry::TraceRecorder local_recorder;
-  telemetry::TraceRecorder* rec =
-      config_.trace != nullptr ? config_.trace
-                               : (config_.metrics != nullptr ? &local_recorder : nullptr);
+  // Null `rec` is the zero-cost-off state: the workers' recording site
+  // reduces to one untaken pointer test, and the plan keeps no jobs.
+  telemetry::TraceRecorder* const rec = config_.trace;
   // One host worker per fabric slot, plus this thread once it has planned.
   const int workers = pool.size() + 1;
   if (rec != nullptr) rec->begin_run(workers);
 
   // ---- plan + execute ----------------------------------------------------
   // The workers execute while this thread keeps planning. Each worker
-  // writes only its own busy/idle slots and trace buffer.
+  // writes only its own busy/idle slots and stamp buffer.
   const auto wall_start = Clock::now();
   std::vector<std::size_t> first_new_record(streams.size());
   for (std::size_t k = 0; k < streams.size(); ++k) first_new_record[k] = streams[k].records.size();
   std::vector<double> busy_ms(static_cast<std::size_t>(workers), 0.0);
   std::vector<Clock::time_point> idle_since(static_cast<std::size_t>(workers), wall_start);
   const video::MotionSearchFn me_fn = me::systolic_search_fn(config_.me);
-  const auto execute = [&](int worker, const PlannedJob& job) {
+  const auto execute = [&](int worker, std::size_t index, const PlannedJob& job) {
     const auto start = Clock::now();
     StreamJob& stream = streams[static_cast<std::size_t>(job.task.stream_id)];
     encode_job(job, stream, me_fn);
@@ -518,32 +507,16 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     }
     const auto w = static_cast<std::size_t>(worker);
     busy_ms[w] += std::chrono::duration<double, std::milli>(end - start).count();
-    if (rec != nullptr) {
-      telemetry::JobTrace t;
-      t.stream_id = task.stream_id;
-      t.frame_index = task.frame_index;
-      t.stage = task.stage;
-      t.fabric_id = job.fabric_id;
-      t.worker = worker;
-      t.context = *job.context;
-      t.ready_ns = rec->to_ns(idle_since[w]);
-      t.dispatch_ns = rec->to_ns(start);
-      t.prepared_ns = t.dispatch_ns;  // the planner prepared the context
-      t.done_ns = rec->to_ns(end);
-      t.fetch_cycles = job.prep.fetch_cycles;
-      t.switch_cycles = job.prep.switch_cycles;
-      t.cache_hit = job.prep.cache_hit;
-      t.switched = job.prep.switched;
-      t.partial_switch = job.prep.partial;
-      rec->worker(worker).push_back(std::move(t));
-    }
+    if (rec != nullptr)
+      rec->worker(worker).push_back(
+          {index, rec->to_ns(idle_since[w]), rec->to_ns(start), rec->to_ns(end)});
     idle_since[w] = end;
   };
 
   Plan planned;
   {
     Executor executor(pool.size(), streams.size(), execute);
-    planned = plan(streams, pool, library_, config_, hm, executor, report);
+    planned = plan(streams, pool, library_, config_, hm, rec != nullptr, executor, report);
     idle_since.back() = Clock::now();  // this thread is free to work from here
     executor.finish();
   }
@@ -579,7 +552,6 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   }
 
   // ---- report ------------------------------------------------------------
-  const SimSchedule& sim = planned.schedule;
   report.policy = to_string(config_.queue.policy);
   report.mode = to_string(config_.queue.mode);
   report.fabrics = pool.size();
@@ -655,11 +627,11 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     p.physical = fabric.physical_id();
     p.partition = fabric.partition();
     p.exclusive = fabric.exclusive();
-    p.busy_cycles = sim.fabric_busy_cycles[static_cast<std::size_t>(f)];
-    p.port_wait_cycles = sim.port_wait_cycles[static_cast<std::size_t>(f)];
-    if (sim.makespan_cycles > 0)
+    p.busy_cycles = planned.fabric_busy_cycles[static_cast<std::size_t>(f)];
+    p.port_wait_cycles = planned.port_wait_cycles[static_cast<std::size_t>(f)];
+    if (report.sim_makespan_cycles > 0)
       p.occupancy = static_cast<double>(p.busy_cycles) /
-                    static_cast<double>(sim.makespan_cycles);
+                    static_cast<double>(report.sim_makespan_cycles);
     p.switches = fabric.reconfig().switches_performed();
     p.region_deltas = fabric.region_deltas();
     p.region_blits = fabric.region_blits();
@@ -667,79 +639,12 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   }
 
   if (rec != nullptr) {
-    // Modeled-cycle span bounds come from the plan; the recorded buffers
-    // contribute host timestamps and the per-job fetch/switch breakdown.
-    // The attribution then decomposes each stream's end-to-end modeled
+    // One pass in plan order pairs each planned job with its worker's
+    // host stamps: the rows, and spans bounded by the plan's cycles. The
+    // attribution then decomposes each stream's end-to-end modeled
     // latency exactly.
-    report.spans = telemetry::build_spans(rec->merged(), sim);
+    report.spans = rec->join(planned.jobs);
     report.attribution = telemetry::attribute_streams(report.spans);
-  }
-
-  if (config_.metrics != nullptr) {
-    telemetry::MetricsRegistry& m = *config_.metrics;
-    m.count("dispatches", report.dispatches);
-    m.count("dispatch_batches", report.dispatch_batches);
-    m.count("queue_steals", report.queue_steals);
-    m.gauge("queue_shards", static_cast<double>(report.queue_shards));
-    m.count("frames", report.total_frames);
-    m.count("bitstream_switches", static_cast<std::uint64_t>(report.total_switches));
-    m.count("partial_reloads", report.partial_reloads);
-    m.count("full_reloads", report.full_reloads);
-    m.count("cache_hits", report.cache.hits);
-    m.count("cache_misses", report.cache.misses);
-    m.count("cache_evictions", report.cache.evictions);
-    m.count("cache_delta_fetches", report.cache.delta_fetches);
-    m.count("placement_rejections", report.placement_rejections);
-    m.count("port_contention_cycles", report.port_contention_cycles);
-    m.count("region_deltas_applied", pool.region_deltas_applied());
-    m.count("region_blits", pool.region_blits());
-    m.gauge("physical_fabrics", static_cast<double>(report.physical_fabrics));
-    m.count("condition_switches", report.condition_switches);
-    m.count("stale_frames", report.stale_frames);
-    if (report.admission.enabled) {
-      m.count("admission_arrived", report.admission.arrived);
-      m.count("admission_admitted", report.admission.admitted);
-      m.count("admission_admitted_clean", report.admission.admitted_clean);
-      m.count("admission_qp_bumps", report.admission.qp_bumps);
-      m.count("admission_resolution_drops", report.admission.resolution_drops);
-      m.count("admission_impl_swaps", report.admission.impl_swaps);
-      m.count("admission_rejected", report.admission.rejected);
-      m.gauge("admission_pool_pressure", report.admission.pool_pressure);
-    }
-    m.count("sla_violations", report.sla_violations);
-    m.count("goodput_frames", report.goodput_frames);
-    if (hm != nullptr) m.count("health_anomalies_total", hm->anomalies_total());
-    for (const StreamJob& s : streams)
-      for (const FrameRecord& r : s.records)
-        m.histogram("frame_latency_cycles").record(static_cast<double>(r.latency_cycles));
-    m.gauge("sim_makespan_cycles", static_cast<double>(report.sim_makespan_cycles));
-    m.gauge("sim_utilization", report.sim_utilization);
-    m.gauge("wall_seconds", report.wall_seconds);
-    m.gauge("frames_per_second", report.frames_per_second);
-    for (const telemetry::Span& s : report.spans) {
-      const auto cycles = static_cast<double>(s.cycle_end - s.cycle_start);
-      switch (s.kind) {
-        case telemetry::SpanKind::kQueueWait:
-          m.histogram("queue_wait_cycles").record(cycles);
-          break;
-        case telemetry::SpanKind::kCacheFetch:
-          m.histogram("cache_fetch_cycles").record(cycles);
-          break;
-        case telemetry::SpanKind::kReconfigFull:
-        case telemetry::SpanKind::kReconfigDelta:
-          m.histogram("reconfig_cycles").record(cycles);
-          break;
-        case telemetry::SpanKind::kStageCompute:
-          m.histogram("stage_compute_cycles").record(cycles);
-          break;
-        case telemetry::SpanKind::kDispatch:
-          m.histogram("job_host_ms")
-              .record(static_cast<double>(s.host_end_ns - s.host_start_ns) / 1e6);
-          break;
-      }
-    }
-    telemetry::sample_epoch_timelines(report.spans, pool.size(), report.sim_makespan_cycles,
-                                      std::max(1, config_.timeline_epochs), m);
   }
   return report;
 }

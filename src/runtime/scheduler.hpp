@@ -54,8 +54,7 @@
 namespace dsra::runtime {
 
 namespace telemetry {
-class TraceRecorder;   // telemetry/trace.hpp
-class MetricsRegistry;  // telemetry/metrics.hpp
+class TraceRecorder;  // telemetry/trace.hpp
 }  // namespace telemetry
 
 namespace health {
@@ -77,20 +76,12 @@ struct SchedulerConfig {
   AdmissionConfig admission;
 
   /// Span tracing. Null (the default) is the zero-cost-off state: the
-  /// workers' recording site is guarded by this one pointer test, and
-  /// modeled-cycle results are bit-exact either way — the recorder only
-  /// observes. When set, the run's RunReport carries the
-  /// typed span stream and per-stream stall attribution.
+  /// workers' recording site is guarded by this one pointer test and the
+  /// plan keeps no per-job record; modeled-cycle results are bit-exact
+  /// either way — the recorder only observes. When set, the RunReport
+  /// carries the typed span stream and per-stream stall attribution, from
+  /// which telemetry::fill_metrics() derives the metrics export.
   telemetry::TraceRecorder* trace = nullptr;
-  /// Metrics sink. When set, the scheduler fills it after the run with
-  /// counters, gauges, latency histograms and per-epoch timelines (an
-  /// internal recorder supplies the spans if `trace` is null).
-  telemetry::MetricsRegistry* metrics = nullptr;
-  /// Epochs the post-run timelines are sampled at. The registry's own
-  /// timeline cap still applies (it records epochs_dropped past it), so
-  /// long serve_streams runs can raise both instead of silently losing
-  /// the tail.
-  int timeline_epochs = 32;
 
   /// Live health monitor. Null (the default) is zero-cost-off, same
   /// idiom as `trace`: every hook is guarded by this one pointer test and
@@ -104,7 +95,7 @@ struct SchedulerConfig {
   /// on_frame_done when the job's batch completes, and ticks the monitor
   /// at every HealthMonitorConfig::epoch_cycles boundary and at the
   /// makespan. The trip callback runs on that thread mid-run.
-  /// `health_anomalies_total` is exported into `metrics`.
+  /// RunReport::health_anomalies carries its trip count.
   health::HealthMonitor* health = nullptr;
 
   /// The pool the scheduler builds: `fabric_configs`. Throws

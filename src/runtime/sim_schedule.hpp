@@ -1,10 +1,11 @@
-// Modeled-time schedule of a scheduler run, and the replay that rebuilds
-// one from a dispatch timeline.
+// Modeled-time schedule of a scheduler run, as the replay of its
+// dispatch timeline rebuilds it.
 //
 // The fabrics are simulated hardware, so throughput claims are made in
-// modeled array cycles, not host wall time. The scheduler's planner
-// produces a run's SimSchedule as it dispatches. simulate_timeline is the
-// independent oracle: it replays a dispatch timeline as a discrete-event
+// modeled array cycles, not host wall time. The scheduler's planner costs
+// every job as it dispatches (PlannedJob, executor.hpp) and fills the
+// run's modeled totals itself. simulate_timeline is the independent
+// oracle: it replays a dispatch timeline as a discrete-event
 // schedule in which jobs keep the fabric assignment and per-fabric order
 // the timeline records, every job costs the modeled array cycles its
 // encoded frame reported, and a job starts no earlier than its data

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,9 +137,9 @@ struct RunReport {
   /// Acquires that yielded at least one job; dispatches/batches
   /// measures the amortization.
   std::uint64_t dispatch_batches = 0;
-  /// Watchdog trips recorded by the attached HealthMonitor (0 when the
-  /// run had no monitor, or a clean run with one).
-  std::uint64_t health_anomalies = 0;
+  /// Watchdog trips recorded by the attached HealthMonitor (0 on a clean
+  /// run); empty when the run had no monitor.
+  std::optional<std::uint64_t> health_anomalies;
   std::uint64_t condition_switches = 0;  ///< mid-flight context changes, all streams
   std::uint64_t stale_frames = 0;        ///< frames run under a wrong-for-condition impl
   /// Host busy time per worker: one per fabric slot, then the thread

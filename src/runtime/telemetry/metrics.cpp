@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/job.hpp"
 #include "runtime/stats.hpp"
 
 namespace dsra::runtime::telemetry {
@@ -97,6 +98,8 @@ void MetricsRegistry::clear() {
   epochs_dropped_ = 0;  // the cap is configuration, not run state — kept
 }
 
+namespace {
+
 void sample_epoch_timelines(const std::vector<Span>& spans, int fabric_count,
                             std::uint64_t makespan_cycles, int epochs,
                             MetricsRegistry& registry) {
@@ -142,6 +145,81 @@ void sample_epoch_timelines(const std::vector<Span>& spans, int fabric_count,
     registry.timeline("fabric" + std::to_string(f) + "_utilization", std::move(samples));
   }
   registry.timeline("queue_depth", std::move(depth));
+}
+
+}  // namespace
+
+void fill_metrics(const RunReport& report, const std::vector<StreamJob>& streams,
+                  MetricsRegistry& m) {
+  m.count("dispatches", report.dispatches);
+  m.count("dispatch_batches", report.dispatch_batches);
+  m.count("queue_steals", report.queue_steals);
+  m.gauge("queue_shards", static_cast<double>(report.queue_shards));
+  m.count("frames", report.total_frames);
+  m.count("bitstream_switches", static_cast<std::uint64_t>(report.total_switches));
+  m.count("partial_reloads", report.partial_reloads);
+  m.count("full_reloads", report.full_reloads);
+  m.count("cache_hits", report.cache.hits);
+  m.count("cache_misses", report.cache.misses);
+  m.count("cache_evictions", report.cache.evictions);
+  m.count("cache_delta_fetches", report.cache.delta_fetches);
+  m.count("placement_rejections", report.placement_rejections);
+  m.count("port_contention_cycles", report.port_contention_cycles);
+  std::uint64_t region_deltas = 0, region_blits = 0;
+  for (const PartitionSummary& p : report.partitions) {
+    region_deltas += p.region_deltas;
+    region_blits += p.region_blits;
+  }
+  m.count("region_deltas_applied", region_deltas);
+  m.count("region_blits", region_blits);
+  m.gauge("physical_fabrics", static_cast<double>(report.physical_fabrics));
+  m.count("condition_switches", report.condition_switches);
+  m.count("stale_frames", report.stale_frames);
+  const AdmissionReport& adm = report.admission;
+  if (adm.enabled) {
+    m.count("admission_arrived", adm.arrived);
+    m.count("admission_admitted", adm.admitted);
+    m.count("admission_admitted_clean", adm.admitted_clean);
+    m.count("admission_qp_bumps", adm.qp_bumps);
+    m.count("admission_resolution_drops", adm.resolution_drops);
+    m.count("admission_impl_swaps", adm.impl_swaps);
+    m.count("admission_rejected", adm.rejected);
+    m.gauge("admission_pool_pressure", adm.pool_pressure);
+  }
+  m.count("sla_violations", report.sla_violations);
+  m.count("goodput_frames", report.goodput_frames);
+  if (report.health_anomalies) m.count("health_anomalies_total", *report.health_anomalies);
+  for (const StreamJob& s : streams)
+    for (const FrameRecord& r : s.records)
+      m.histogram("frame_latency_cycles").record(static_cast<double>(r.latency_cycles));
+  m.gauge("sim_makespan_cycles", static_cast<double>(report.sim_makespan_cycles));
+  m.gauge("sim_utilization", report.sim_utilization);
+  m.gauge("wall_seconds", report.wall_seconds);
+  m.gauge("frames_per_second", report.frames_per_second);
+  for (const Span& s : report.spans) {
+    const auto cycles = static_cast<double>(s.cycle_end - s.cycle_start);
+    switch (s.kind) {
+      case SpanKind::kQueueWait:
+        m.histogram("queue_wait_cycles").record(cycles);
+        break;
+      case SpanKind::kCacheFetch:
+        m.histogram("cache_fetch_cycles").record(cycles);
+        break;
+      case SpanKind::kReconfigFull:
+      case SpanKind::kReconfigDelta:
+        m.histogram("reconfig_cycles").record(cycles);
+        break;
+      case SpanKind::kStageCompute:
+        m.histogram("stage_compute_cycles").record(cycles);
+        break;
+      case SpanKind::kDispatch:
+        m.histogram("job_host_ms")
+            .record(static_cast<double>(s.host_end_ns - s.host_start_ns) / 1e6);
+        break;
+    }
+  }
+  sample_epoch_timelines(report.spans, report.fabrics, report.sim_makespan_cycles,
+                         static_cast<int>(m.timeline_epoch_cap()), m);
 }
 
 }  // namespace dsra::runtime::telemetry

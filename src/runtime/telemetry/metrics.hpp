@@ -18,6 +18,11 @@
 
 #include "runtime/telemetry/trace.hpp"
 
+namespace dsra::runtime {
+struct RunReport;  // stats.hpp
+struct StreamJob;  // job.hpp
+}  // namespace dsra::runtime
+
 namespace dsra::runtime::telemetry {
 
 /// Histogram over fixed bucket upper bounds (ascending; an implicit
@@ -73,9 +78,8 @@ class FixedBucketHistogram {
   double overflow_min_ = 0.0;  ///< smallest sample past the last bound
 };
 
-/// Named metrics of one run. Not thread-safe: the scheduler fills it
-/// after the workers have joined (per-worker data arrives through the
-/// TraceRecorder's buffers, not through shared counters).
+/// Named metrics of one run. Not thread-safe: fill_metrics() fills it
+/// from a finished run's report.
 class MetricsRegistry {
  public:
   void count(const std::string& name, std::uint64_t delta = 1) { counters_[name] += delta; }
@@ -98,8 +102,9 @@ class MetricsRegistry {
     timelines_[name] = std::move(samples);
   }
 
-  /// Epochs a timeline may hold (default 32). Raise it before the run
-  /// for long serve_streams sessions that want the full tail resolved.
+  /// Epochs a timeline may hold (default 32); fill_metrics() samples its
+  /// timelines at this many epochs. Raise it for long serve_streams
+  /// sessions that want the tail resolved finer.
   void set_timeline_epoch_cap(std::size_t cap) {
     timeline_epoch_cap_ = cap > 0 ? cap : 1;
   }
@@ -131,15 +136,18 @@ class MetricsRegistry {
   std::uint64_t epochs_dropped_ = 0;
 };
 
-/// Sample per-epoch timelines from a run's spans over @p epochs fixed
-/// windows of [0, makespan] in the modeled-cycle domain:
+/// Fill @p registry from a traced run: counters and gauges from
+/// @p report (`health_anomalies_total` only when a monitor watched the
+/// run), the frame-latency histogram from @p streams' records, and span
+/// histograms plus per-epoch timelines from report.spans. The timelines
+/// split the modeled makespan into the registry's timeline_epoch_cap()
+/// epochs:
 ///
 ///  * "fabric<k>_utilization" — busy fraction of fabric k per epoch
 ///    (every fabric-track span counts as busy: fetch, reconfig, compute);
 ///  * "queue_depth" — mean number of concurrently waiting jobs per epoch
 ///    (overlap-weighted queue_wait spans).
-void sample_epoch_timelines(const std::vector<Span>& spans, int fabric_count,
-                            std::uint64_t makespan_cycles, int epochs,
-                            MetricsRegistry& registry);
+void fill_metrics(const RunReport& report, const std::vector<StreamJob>& streams,
+                  MetricsRegistry& registry);
 
 }  // namespace dsra::runtime::telemetry

@@ -1,11 +1,12 @@
 // Runtime span tracing.
 //
 // The scheduler's host workers (one thread per fabric slot, plus the
-// planning thread once the plan is complete) record one JobTrace per
-// executed stage job into a per-worker append-only buffer — no shared
-// lock, no allocation beyond the buffer's own growth — and the buffers
-// are merged after the run has drained. A merged trace plus the run's
-// modeled-time plan yields typed spans in *two clock domains*:
+// planning thread once the plan is complete) record one HostStamp per
+// job they run into a per-worker append-only buffer — the job's plan
+// index and three host timestamps, no lock, no string, nothing the plan
+// already holds. After the workers have joined, one pass in plan order
+// pairs each planned job with its stamps: that pass yields the JobTrace
+// rows and typed spans in *two clock domains*:
 //
 //  * host wall time (steady-clock nanoseconds since the recorder epoch) —
 //    what the workers actually did, useful for profiling the scheduler
@@ -16,11 +17,9 @@
 //    how the host interleaved the workers.
 //
 // Zero cost when off: the scheduler holds a TraceRecorder pointer that is
-// null when telemetry is disabled, and every recording site is an inline
-// helper that reduces to a single pointer test — the null recorder is
-// compile-time-inlined away, so the hot path pays nothing but a
-// predictable untaken branch. Modeled-cycle results are bit-exact with
-// tracing on or off by construction: recording only *observes* the run.
+// null when telemetry is disabled, and the workers' recording site is one
+// untaken pointer test. Modeled-cycle results are bit-exact with tracing
+// on or off by construction: recording only *observes* the run.
 #pragma once
 
 #include <chrono>
@@ -32,6 +31,7 @@
 
 namespace dsra::runtime {
 
+struct PlannedJob;   // executor.hpp
 struct SimSchedule;  // sim_schedule.hpp
 
 namespace telemetry {
@@ -83,11 +83,11 @@ struct Span {
   std::int64_t host_end_ns = 0;
 };
 
-/// What a worker records per executed stage job: the host-side
-/// timestamps of the job's phases and the modeled reconfiguration
-/// breakdown its fabric reported. The modeled start/end of the job itself
-/// is *not* recorded here — it comes from the plan, so host scheduling
-/// jitter never leaks into the cycle domain.
+/// One job of a traced run: the plan's decisions about it (identity,
+/// fabric, context and the modeled reconfiguration breakdown) and the
+/// host timestamps of the worker that ran it. The modeled start/end of
+/// the job itself is *not* here — it comes from the plan, so host
+/// scheduling jitter never leaks into the cycle domain.
 struct JobTrace {
   int stream_id = 0;
   int frame_index = 0;
@@ -109,51 +109,67 @@ struct JobTrace {
   bool partial_switch = false;      ///< the switch took the delta path
 };
 
-/// Per-worker span buffers. begin_run() sizes one buffer per worker;
-/// during the run each worker appends only to its own buffer, so the hot
-/// path takes no lock and the merge happens once, after the workers have
-/// joined. Not thread-safe across runs: one recorder serves one
-/// scheduler run at a time.
+/// What a worker records per job it runs: host facts only.
+struct HostStamp {
+  std::size_t job = 0;        ///< plan index
+  std::int64_t ready_ns = 0;  ///< the worker went idle before taking it
+  std::int64_t start_ns = 0;
+  std::int64_t end_ns = 0;
+};
+
+/// Per-worker stamp buffers and, once the run has joined, its rows.
+/// begin_run() sizes one buffer per worker; during the run each worker
+/// appends only to its own buffer, so the hot path takes no lock. Not
+/// thread-safe across runs: one recorder serves one scheduler run at a
+/// time.
 class TraceRecorder {
  public:
   TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
-  /// Drop any previous run's buffers and size one buffer per worker.
+  /// Drop any previous run's stamps and rows and size one buffer per
+  /// worker.
   void begin_run(int workers) {
     buffers_.assign(workers > 0 ? static_cast<std::size_t>(workers) : 0, {});
+    rows_.clear();
   }
-
-  [[nodiscard]] int workers() const { return static_cast<int>(buffers_.size()); }
 
   /// Worker @p id's private buffer; only that worker's thread may touch it
   /// while the run is in flight.
-  [[nodiscard]] std::vector<JobTrace>& worker(int id) {
+  [[nodiscard]] std::vector<HostStamp>& worker(int id) {
     return buffers_[static_cast<std::size_t>(id)];
   }
 
   /// Nanoseconds since the recorder epoch.
-  [[nodiscard]] std::int64_t now_ns() const { return to_ns(std::chrono::steady_clock::now()); }
   [[nodiscard]] std::int64_t to_ns(std::chrono::steady_clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_).count();
   }
 
-  /// All workers' job traces in one deterministic order — (stream, frame,
-  /// stage) — independent of how the host interleaved the workers.
-  [[nodiscard]] std::vector<JobTrace> merged() const;
+  /// After the run's workers have joined: pair each job of @p plan, in
+  /// plan order, with the stamps its worker recorded under its plan
+  /// index. Keeps the rows merged() returns and returns the run's spans,
+  /// built as build_spans() builds them, on the plan's modeled cycles.
+  [[nodiscard]] std::vector<Span> join(const std::vector<PlannedJob>& plan);
+
+  /// Every job's row of the last joined run, in plan order.
+  [[nodiscard]] const std::vector<JobTrace>& merged() const { return rows_; }
 
  private:
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::vector<JobTrace>> buffers_;
+  std::vector<std::vector<HostStamp>> buffers_;
+  std::vector<JobTrace> rows_;
 };
 
-/// Build the typed two-domain span list from a merged trace and the
-/// modeled schedule of the same run. Per job: a queue_wait and a
+/// Build the typed two-domain span list from a run's rows and a modeled
+/// schedule of the same jobs in the same order: rows[i] is paired with
+/// sim.jobs[i] (the replay of a run's timeline lists its jobs in plan
+/// order). Throws std::invalid_argument when the counts or a pair's
+/// (stream, frame, stage, fabric) differ. Per job: a queue_wait and a
 /// dispatch span on the stream's track, and the cache_fetch ->
 /// reconfig_{full,delta} -> stage_compute breakdown on the fabric's track
 /// (sub-intervals of the job's modeled duration, in that order, so spans
 /// on one fabric track never overlap). Sorted deterministically by
 /// (track kind, track id, cycle_start, kind, stream, frame, stage).
-[[nodiscard]] std::vector<Span> build_spans(const std::vector<JobTrace>& jobs,
+[[nodiscard]] std::vector<Span> build_spans(const std::vector<JobTrace>& rows,
                                             const SimSchedule& sim);
 
 }  // namespace telemetry

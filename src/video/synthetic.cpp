@@ -40,28 +40,34 @@ std::uint8_t clamp_pixel(double v) {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
 }
 
+/// Pixel (x, y) of the smooth texture @p noise spans at feature size
+/// @p scale.
+std::uint8_t texel(const ValueNoise& noise, int scale, int x, int y) {
+  return clamp_pixel(64.0 + 128.0 * noise.sample(static_cast<double>(x) / scale,
+                                                  static_cast<double>(y) / scale));
+}
+
 }  // namespace
 
 Frame textured_frame(int width, int height, int scale, Rng& rng) {
-  ValueNoise noise(std::max(2, width / scale), std::max(2, height / scale), rng);
+  const ValueNoise noise(std::max(2, width / scale), std::max(2, height / scale), rng);
   Frame f(width, height);
   for (int y = 0; y < height; ++y)
-    for (int x = 0; x < width; ++x)
-      f.set(x, y,
-            clamp_pixel(64.0 + 128.0 * noise.sample(static_cast<double>(x) / scale,
-                                                    static_cast<double>(y) / scale)));
+    for (int x = 0; x < width; ++x) f.set(x, y, texel(noise, scale, x, y));
   return f;
 }
 
 std::vector<Frame> generate_sequence(const SyntheticConfig& config) {
   Rng rng(config.seed);
-  // Background larger than the frame so panning never runs out of texture.
+  // Background larger than the frame so panning never runs out of
+  // texture: every pixel a frame reads lies inside it. It is sampled only
+  // where a frame reads it.
   const int margin = (std::max(std::abs(config.pan_x), std::abs(config.pan_y)) + 1) *
                      (config.frames + 1);
+  const int scale = config.texture_scale;
   Rng bg_rng(config.seed ^ 0xb6cull);
-  const Frame background = textured_frame(config.width + 2 * margin,
-                                          config.height + 2 * margin,
-                                          config.texture_scale, bg_rng);
+  const ValueNoise background(std::max(2, (config.width + 2 * margin) / scale),
+                              std::max(2, (config.height + 2 * margin) / scale), bg_rng);
   Rng obj_rng(config.seed ^ 0x0b1ull);
   std::vector<ValueNoise> obj_noise;
   obj_noise.reserve(config.objects.size());
@@ -75,7 +81,8 @@ std::vector<Frame> generate_sequence(const SyntheticConfig& config) {
     const int ox = margin + k * config.pan_x;
     const int oy = margin + k * config.pan_y;
     for (int y = 0; y < config.height; ++y)
-      for (int x = 0; x < config.width; ++x) f.set(x, y, background.clamped_at(x + ox, y + oy));
+      for (int x = 0; x < config.width; ++x)
+        f.set(x, y, texel(background, scale, x + ox, y + oy));
 
     for (std::size_t i = 0; i < config.objects.size(); ++i) {
       const MovingObject& obj = config.objects[i];

@@ -18,6 +18,7 @@
 #include "runtime/admission.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/telemetry/metrics.hpp"
+#include "runtime/telemetry/trace.hpp"
 
 namespace dsra::runtime {
 namespace {
@@ -387,12 +388,14 @@ TEST(AdmissionLadder, RungTransitionsLandInTelemetryCounters) {
   SchedulerConfig cfg;
   cfg.fabric_configs.assign(1, FabricConfig{});
   cfg.admission.enabled = true;
-  telemetry::MetricsRegistry metrics;
-  cfg.metrics = &metrics;
+  telemetry::TraceRecorder recorder;
+  cfg.trace = &recorder;
   std::vector<StreamJob> jobs{make_synthetic_job(0, clean),
                               make_synthetic_job(1, tight),
                               make_synthetic_job(2, doomed)};
   const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+  telemetry::MetricsRegistry metrics;
+  telemetry::fill_metrics(report, jobs, metrics);
 
   EXPECT_EQ(jobs[1].admission_rung, DegradationRung::kResolutionDrop);
   EXPECT_EQ(report.admission.resolution_drops, 1u);

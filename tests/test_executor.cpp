@@ -1,6 +1,7 @@
 // Work-conserving executor: an idle worker takes another fabric's job,
 // each stream's jobs run in plan order and one at a time under host
-// jitter, a failing job stops its stream and surfaces from finish(), and
+// jitter, each under its plan index, a failing job stops its stream and
+// surfaces from finish(), and
 // the thread that calls finish() works once the plan is complete. The
 // jobs here are fakes: the executor only sees stream ids and plan order.
 #include <gtest/gtest.h>
@@ -42,7 +43,7 @@ TEST(Executor, IdleWorkerTakesAJobPlannedOnABusyFabric) {
   std::condition_variable cv;
   bool second_started = false;
   bool first_saw_second = false;
-  Executor executor(2, 2, [&](int, const PlannedJob& job) {
+  Executor executor(2, 2, [&](int, std::size_t, const PlannedJob& job) {
     std::unique_lock lock(m);
     if (job.task.stream_id == 1) {
       second_started = true;
@@ -63,10 +64,12 @@ TEST(Executor, EachStreamRunsInPlanOrderOneJobAtATime) {
   std::vector<std::atomic<bool>> running(kStreams);
   std::atomic<int> out_of_order{0};
   std::atomic<int> overlapping{0};
+  std::atomic<int> wrong_index{0};
   std::atomic<int> ran{0};
-  Executor executor(3, kStreams, [&](int, const PlannedJob& job) {
+  Executor executor(3, kStreams, [&](int, std::size_t index, const PlannedJob& job) {
     const auto s = static_cast<std::size_t>(job.task.stream_id);
     if (running[s].exchange(true)) ++overlapping;
+    if (index != job.task.wait_dispatches) ++wrong_index;
     if (next_frame[s].load() != job.task.frame_index) ++out_of_order;
     // Jitter: a pseudo-random 0-99 us, fixed per job.
     const auto mix = static_cast<std::uint32_t>(job.task.stream_id * 7919 +
@@ -83,6 +86,7 @@ TEST(Executor, EachStreamRunsInPlanOrderOneJobAtATime) {
   std::vector<int> planned(kStreams, 0);
   std::vector<PlannedJob> batch;
   int left = kStreams * kJobs;
+  std::uint64_t position = 0;  ///< carried in wait_dispatches, to check the plan index
   while (left > 0) {
     batch.clear();
     const int size = std::uniform_int_distribution<int>(1, 8)(rng);
@@ -91,6 +95,7 @@ TEST(Executor, EachStreamRunsInPlanOrderOneJobAtATime) {
       while (planned[static_cast<std::size_t>(s)] == kJobs) s = (s + 1) % kStreams;
       batch.push_back(job_of(s, planned[static_cast<std::size_t>(s)]++,
                              std::uniform_int_distribution<int>(0, 3)(rng)));
+      batch.back().task.wait_dispatches = position++;
       --left;
     }
     executor.push(batch);
@@ -100,13 +105,14 @@ TEST(Executor, EachStreamRunsInPlanOrderOneJobAtATime) {
   EXPECT_EQ(ran.load(), kStreams * kJobs);
   EXPECT_EQ(out_of_order.load(), 0);
   EXPECT_EQ(overlapping.load(), 0);
+  EXPECT_EQ(wrong_index.load(), 0);
   for (const std::atomic<int>& n : next_frame) EXPECT_EQ(n.load(), kJobs);
 }
 
 TEST(Executor, AThrowingJobStopsItsStreamAndFinishRethrows) {
   std::mutex m;
   std::set<std::pair<int, int>> ran;
-  Executor executor(2, 3, [&](int, const PlannedJob& job) {
+  Executor executor(2, 3, [&](int, std::size_t, const PlannedJob& job) {
     if (job.task.stream_id == 0 && job.task.frame_index == 1)
       throw std::runtime_error("encode failed");
     std::lock_guard lock(m);
@@ -131,7 +137,7 @@ TEST(Executor, CallingThreadWorksOnceThePlanIsComplete) {
   std::condition_variable cv;
   bool caller_ran = false;
   bool thread_saw_caller = true;
-  Executor executor(1, 2, [&](int worker, const PlannedJob&) {
+  Executor executor(1, 2, [&](int worker, std::size_t, const PlannedJob&) {
     std::unique_lock lock(m);
     if (std::this_thread::get_id() == caller) {
       EXPECT_EQ(worker, 1);

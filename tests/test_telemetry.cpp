@@ -1,15 +1,21 @@
 // Runtime telemetry: span tracing determinism, fabric-track and
 // host-worker-track well-formedness, exact stall attribution,
 // zero-cost-off bit-exactness, histogram percentiles against the shared
-// sample-percentile code path, and per-epoch timeline sanity.
+// sample-percentile code path, per-epoch timeline sanity, and pins of the
+// modeled content every observation artifact exports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/report.hpp"
+#include "plan_workloads.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/telemetry/export.hpp"
 #include "runtime/telemetry/metrics.hpp"
@@ -18,10 +24,7 @@
 namespace dsra::runtime {
 namespace {
 
-const KernelLibrary& library() {
-  static const KernelLibrary lib;
-  return lib;
-}
+using plan_workloads::library;
 
 std::vector<StreamJob> mixed_workload(int streams, int frames, int size) {
   const soc::RuntimeCondition conditions[] = {
@@ -47,14 +50,12 @@ std::vector<StreamJob> mixed_workload(int streams, int frames, int size) {
 }
 
 SchedulerConfig traced_config(DispatchMode mode, telemetry::TraceRecorder* rec,
-                              telemetry::MetricsRegistry* metrics = nullptr,
                               int fabrics = 2) {
   SchedulerConfig cfg;
   cfg.fabric_configs.assign(fabrics, FabricConfig{});
   cfg.queue.mode = mode;
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.trace = rec;
-  cfg.metrics = metrics;
   return cfg;
 }
 
@@ -62,8 +63,10 @@ RunReport traced_run(DispatchMode mode, telemetry::MetricsRegistry* metrics = nu
                      int fabrics = 2) {
   telemetry::TraceRecorder rec;
   auto jobs = mixed_workload(4, 4, 16);
-  MultiStreamScheduler scheduler(library(), traced_config(mode, &rec, metrics, fabrics));
-  return scheduler.run(jobs);
+  MultiStreamScheduler scheduler(library(), traced_config(mode, &rec, fabrics));
+  RunReport report = scheduler.run(jobs);
+  if (metrics != nullptr) telemetry::fill_metrics(report, jobs, *metrics);
+  return report;
 }
 
 TEST(Telemetry, ModeledCycleTraceIsByteDeterministic) {
@@ -160,8 +163,7 @@ TEST(Telemetry, TracingIsZeroCostOffAndBitExactOn) {
   telemetry::TraceRecorder rec;
   auto traced_jobs = mixed_workload(4, 4, 16);
   MultiStreamScheduler scheduler(
-      library(), traced_config(DispatchMode::kStagePipeline, &rec, nullptr,
-                               /*fabrics=*/2));
+      library(), traced_config(DispatchMode::kStagePipeline, &rec, /*fabrics=*/2));
   const RunReport on = scheduler.run(traced_jobs);
 
   EXPECT_EQ(off.sim_makespan_cycles, on.sim_makespan_cycles);
@@ -297,6 +299,93 @@ TEST(Telemetry, ChromeTraceExportCarriesTracksAndMetadata) {
   const std::string modeled_only = telemetry::chrome_trace_json(report, no_host);
   EXPECT_EQ(modeled_only.find("host workers"), std::string::npos);
   EXPECT_NE(modeled_only.find("modeled fabrics"), std::string::npos);
+}
+
+// ---- observation artifact pins --------------------------------------------
+
+/// What a traced run with metrics exports, reduced to its modeled content:
+/// the trace JSON without host tracks, every JobTrace row's modeled fields
+/// and the metrics JSON without host-time values.
+struct ArtifactDigests {
+  std::string trace;
+  std::string rows;
+  std::string metrics;
+};
+
+std::string rows_digest(std::vector<telemetry::JobTrace> rows) {
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return std::tuple(a.stream_id, a.frame_index, a.stage) <
+           std::tuple(b.stream_id, b.frame_index, b.stage);
+  });
+  std::string text;
+  for (const telemetry::JobTrace& t : rows) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%d,%d,%d,%d,%llu,%llu,%d%d%d,", t.stream_id, t.frame_index,
+                  static_cast<int>(t.stage), t.fabric_id,
+                  static_cast<unsigned long long>(t.fetch_cycles),
+                  static_cast<unsigned long long>(t.switch_cycles), t.cache_hit ? 1 : 0,
+                  t.switched ? 1 : 0, t.partial_switch ? 1 : 0);
+    text += buf + t.context + ";";
+  }
+  return fnv1a_hex(text);
+}
+
+/// The metrics JSON with every line that carries host time dropped.
+std::string metrics_digest(const telemetry::MetricsRegistry& metrics) {
+  std::istringstream json(telemetry::metrics_json(metrics, 0.0));
+  std::string text;
+  for (std::string line; std::getline(json, line);)
+    if (line.find("wall_seconds") == std::string::npos &&
+        line.find("frames_per_second") == std::string::npos &&
+        line.find("job_host_ms") == std::string::npos)
+      text += line + "\n";
+  return fnv1a_hex(text);
+}
+
+ArtifactDigests observe(const KernelLibrary& lib, SchedulerConfig cfg,
+                        std::vector<StreamJob> jobs) {
+  telemetry::TraceRecorder rec;
+  cfg.trace = &rec;
+  const RunReport report = MultiStreamScheduler(lib, cfg).run(jobs);
+  telemetry::MetricsRegistry metrics;
+  telemetry::fill_metrics(report, jobs, metrics);
+  telemetry::TraceExportOptions no_host;
+  no_host.include_host_tracks = false;
+  return {fnv1a_hex(telemetry::chrome_trace_json(report, no_host)), rows_digest(rec.merged()),
+          metrics_digest(metrics)};
+}
+
+void expect_digests(const ArtifactDigests& got, const ArtifactDigests& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.trace, want.trace) << label;
+  EXPECT_EQ(got.rows, want.rows) << label;
+  EXPECT_EQ(got.metrics, want.metrics) << label;
+}
+
+TEST(TelemetryPin, PlanPinArtifactsInBothModes) {
+  // Recorded before the trace rows, spans and metrics were derived from
+  // the plan's one record per job; the observed content must not move.
+  const std::pair<DispatchMode, ArtifactDigests> cases[] = {
+      {DispatchMode::kMonolithicFrames,
+       {"7ac7b8bcb30887d0", "a26a8dd1b8260d33", "37f6fc5bed877cbe"}},
+      {DispatchMode::kStagePipeline,
+       {"d632352bbab7f9f2", "742ccd38f96133ad", "46896bc1b6b3ee86"}},
+  };
+  for (const auto& [mode, want] : cases) {
+    const ArtifactDigests got =
+        observe(library(),
+                plan_workloads::one_fabric_config(mode, SchedulingPolicy::kAffinityBatched),
+                plan_workloads::pin_workload());
+    expect_digests(got, want, to_string(mode));
+  }
+}
+
+TEST(TelemetryPin, TenancyAdmissionArtifacts) {
+  const ArtifactDigests got = observe(plan_workloads::two_geometry_library(),
+                                      plan_workloads::tenancy_admission_config(),
+                                      plan_workloads::tenancy_admission_workload());
+  expect_digests(got, {"453c082f8f0dcd7b", "b9d9265322a16ae3", "2a126b3388870e45"},
+                 "tenancy + admission");
 }
 
 }  // namespace

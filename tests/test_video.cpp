@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "common/report.hpp"
 #include "common/rng.hpp"
 #include "me/fast_search.hpp"
 #include "me/systolic.hpp"
@@ -58,6 +61,45 @@ TEST(Synthetic, PanIsVisibleInFrameDifferences) {
     for (int x = 10; x < cfg.width - 10; ++x)
       if (frames[1].at(x, y) != frames[0].at(x + cfg.pan_x, y + cfg.pan_y)) ++mismatches;
   EXPECT_EQ(mismatches, 0);
+}
+
+std::string sequence_digest(const std::vector<Frame>& frames) {
+  std::string bytes;
+  for (const Frame& f : frames) bytes.append(f.data().begin(), f.data().end());
+  return fnv1a_hex(bytes);
+}
+
+TEST(Synthetic, SequencesMatchTheirRecordedDigests) {
+  // Recorded from the generator that rendered the whole panning
+  // background before cutting each frame out of it; sampling the same
+  // texture only where the frames read it must not move a pixel.
+  struct Case {
+    int width, height, frames, pan_x, pan_y;
+    std::vector<MovingObject> objects;
+    const char* digest;
+  };
+  const std::vector<MovingObject> small = {{2, 3, 8, 6, 1, 0, 45}, {10, 9, 5, 5, -1, -1, -30}};
+  const Case cases[] = {
+      {96, 96, 5, 2, 1, SyntheticConfig{}.objects, "58070259c03b2818"},
+      {16, 16, 100, -3, 1, small, "666c9394568a4d3b"},
+      {16, 16, 2000, 2, -1, small, "90e3f86811d1eea9"},
+      {40, 24, 7, -2, -3, {}, "85aaddebc75742dd"},
+  };
+  for (const Case& c : cases) {
+    SyntheticConfig cfg;
+    cfg.width = c.width;
+    cfg.height = c.height;
+    cfg.frames = c.frames;
+    cfg.pan_x = c.pan_x;
+    cfg.pan_y = c.pan_y;
+    cfg.objects = c.objects;
+    cfg.seed = 77 + static_cast<std::uint64_t>(c.frames);
+    const std::vector<Frame> frames = generate_sequence(cfg);
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(c.frames));
+    EXPECT_EQ(sequence_digest(frames), c.digest)
+        << c.width << "x" << c.height << " x " << c.frames << " frames, pan " << c.pan_x << ","
+        << c.pan_y;
+  }
 }
 
 TEST(Metrics, PsnrBehaviour) {

@@ -3,7 +3,7 @@
 
 Dispatches on content:
 
-  * ``"kind": "health"``       -> health dump (health schema v2)
+  * ``"kind": "health"``       -> health dump (health schema v3)
   * ``traceEvents``            -> Chrome trace-event JSON (telemetry schema v1)
   * ``counters``               -> metrics JSON (telemetry schema v1)
   * ``bench``                  -> BENCH_*.json (bench schema v2)
@@ -43,7 +43,7 @@ import sys
 
 TELEMETRY_SCHEMA_VERSION = 1
 BENCH_SCHEMA_VERSION = 2
-HEALTH_SCHEMA_VERSION = 2
+HEALTH_SCHEMA_VERSION = 3
 SPAN_NAMES = {
     "dispatch",
     "queue_wait",
@@ -56,9 +56,9 @@ PID_MODELED_FABRICS = 1
 PID_HOST_WORKERS = 3
 EVENT_KINDS = {"dispatch", "steal", "reconfig", "shed", "rung_transition",
                "watchdog_trip"}
-WATCHDOG_KINDS = {"stall", "queue_growth", "starvation", "sla_burn"}
-WATCHDOG_CONFIG_KEYS = ("stall_epochs", "growth_epochs", "growth_min_depth",
-                        "starvation_age_bound", "burn_threshold", "burn_warmup")
+WATCHDOG_KINDS = {"queue_growth", "starvation", "sla_burn"}
+WATCHDOG_CONFIG_KEYS = ("growth_epochs", "growth_min_depth", "starvation_age_bound",
+                        "burn_threshold", "burn_warmup")
 
 
 class Invalid(Exception):
@@ -252,8 +252,6 @@ def validate_snapshot(snap, i, fabric_count):
             f"{where}: epoch must be an int >= 1")
     require(is_count(snap.get("modeled_now_cycles")),
             f"{where}: modeled_now_cycles must be a non-negative int")
-    require(is_count(snap.get("inflight_jobs")),
-            f"{where}: inflight_jobs must be a non-negative int")
     validate_queue(snap.get("queue"), where)
 
     fabrics = snap.get("fabrics")
