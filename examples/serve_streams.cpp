@@ -53,15 +53,15 @@
 // utilization / queue-depth timelines as metrics JSON (--metrics-epochs N
 // samples the timelines at N epochs instead of the default 32).
 //
-// With --health the run carries the live health monitor: an always-on
-// flight recorder of scheduling events, health snapshots at modeled-cycle
-// epochs (queue depth/age, per-fabric utilization, SLA burn rates) and
-// the three anomaly watchdogs (queue growth, starvation, SLA burn),
-// all judged on the planner's clock, so one input gives one verdict.
-// --health-dump <file> writes the health post-mortem JSON at run end
-// (and immediately on any watchdog trip). A tripped watchdog makes the
-// exit code nonzero, as does an admitted-stream SLA violation under
-// --sla — so scripts and CI can gate on both.
+// With --health the run carries the health monitor: a flight recorder of
+// scheduling events, health snapshots at modeled-cycle epochs (queue
+// depth/age, per-fabric utilization, SLA burn rates) and the three
+// anomaly watchdogs (queue growth, starvation, SLA burn), all judged in
+// one pass over the plan on the planner's clock, so one input gives one
+// verdict. --health-dump <file> writes the health post-mortem JSON at run
+// end. A tripped watchdog makes the exit code nonzero, as does an
+// admitted-stream SLA violation under --sla — so scripts and CI can gate
+// on both.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -235,23 +235,12 @@ int main(int argc, char** argv) {
   if (!trace_path.empty() || !metrics_path.empty()) cfg.trace = &recorder;
   if (metrics_epochs > 0) metrics.set_timeline_epoch_cap(static_cast<std::size_t>(metrics_epochs));
 
-  // Live health: a tick every eighth of one phone's modeled cost (tens of
-  // epochs per run); watchdog trips dump the post-mortem (flight recorder
-  // + snapshots) and flip the exit code.
+  // Health: a tick every eighth of one phone's modeled cost (tens of
+  // epochs per run); watchdog trips flip the exit code.
   health::HealthMonitorConfig health_cfg;
   health_cfg.epoch_cycles = stream_cost / 8;
-  health_cfg.dump_path = health_dump_path;
   health::HealthMonitor monitor(health_cfg);
-  if (health) {
-    cfg.health = &monitor;
-    monitor.set_on_trip([](const health::WatchdogTrip& trip,
-                           const health::HealthSnapshot& snap) {
-      std::fprintf(stderr, "[health] %s watchdog tripped at epoch %llu: %s\n",
-                   health::to_string(trip.kind),
-                   static_cast<unsigned long long>(snap.epoch),
-                   trip.detail.c_str());
-    });
-  }
+  if (health) cfg.health = &monitor;
 
   std::printf("\nserving %zu streams%s, stage-pipelined over %zu fabrics "
               "(1 systolic ME + %s)%s...\n\n",
@@ -356,6 +345,10 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   if (health) {
+    for (const health::WatchdogTrip& trip : monitor.trips())
+      std::fprintf(stderr, "[health] %s watchdog tripped at epoch %llu: %s\n",
+                   health::to_string(trip.kind), static_cast<unsigned long long>(trip.epoch),
+                   trip.detail.c_str());
     std::printf("health: %llu epochs of %llu cycles, %llu flight events (%llu dropped), "
                 "%llu watchdog trips\n",
                 static_cast<unsigned long long>(monitor.epochs()),

@@ -33,8 +33,9 @@ namespace dsra::runtime {
 /// Everything the planner decided about one job: the task, the fabric
 /// the plan put it on, the context and its DCT implementation (null for
 /// the ME context), what the fabric paid to prepare the context, and the
-/// job's modeled cycles. A traced run keeps these in plan order as its one
-/// record of the jobs; trace rows and spans join it by plan index.
+/// job's modeled cycles. A traced or monitored run keeps these in plan
+/// order as its one record of the jobs: trace rows and spans join it by
+/// plan index, and the health pass walks it.
 struct PlannedJob {
   FrameTask task;
   int fabric_id = -1;

@@ -9,10 +9,9 @@
 // full, dumpable as schema-stamped JSON.
 //
 // Every record is stamped with the modeled array cycle it happened at.
-// The scheduler's planner is the only writer and the run's only clock,
-// so one input gives one recorder content on any host. The recorder is
-// single-threaded: read it after run() returns or from the monitor's
-// trip callback, which runs on the planner's thread.
+// The HealthMonitor's pass over the plan record is the only writer, so
+// one input gives one recorder content on any host. The recorder is
+// single-threaded: read it after run() returns.
 #pragma once
 
 #include <cstdint>

@@ -2,161 +2,231 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
+#include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/report.hpp"
 
 namespace dsra::runtime::health {
+
+namespace {
+
+/// Cycles @p fabrics take to run @p work between them (never, with none).
+double drain_cycles(double work, int fabrics) {
+  return work <= 0.0 ? 0.0 : fabrics > 0 ? work / fabrics : std::numeric_limits<double>::infinity();
+}
+
+/// Modeled compute cycles of @p job: its span without the context load.
+double compute_cycles(const PlannedJob& job) {
+  return static_cast<double>(job.end_cycles - job.start_cycles - job.prep.total());
+}
+
+/// One stream as the pass follows it.
+struct StreamWork {
+  std::vector<double> cycles;  ///< cycles[i]: compute cycles of its first i frames
+  std::size_t done = 0;        ///< frames finished
+  std::uint64_t last_end = 0;  ///< end of its last job
+};
+
+}  // namespace
 
 HealthMonitor::HealthMonitor(HealthMonitorConfig config)
     : config_(std::move(config)),
       flight_(config_.flight),
       dogs_(config_.watchdogs) {}
 
-void HealthMonitor::begin_run(int fabrics, std::vector<StreamBudget> budgets) {
-  const auto fabric_count = static_cast<std::size_t>(std::max(fabrics, 0));
-  flight_.begin_run(fabrics);
-  dogs_.reset();
-  fabrics_.assign(fabric_count, FabricCounters{});
-  at_prev_tick_.assign(fabric_count, FabricCounters{});
-  busy_.assign(fabric_count, {});
-  streams_.clear();
-  streams_.reserve(budgets.size());
-  for (StreamBudget& b : budgets) {
-    StreamState state;
-    state.prefix.reserve(b.frame_cycles.size() + 1);
-    state.prefix.push_back(0.0);
-    for (double c : b.frame_cycles) state.prefix.push_back(state.prefix.back() + c);
-    state.frames_done = b.frames_done_at_start;
-    state.budget = std::move(b);
-    streams_.push_back(std::move(state));
+void HealthMonitor::observe(const PlanRecord& plan) {
+  const auto fabrics = static_cast<std::size_t>(std::max(plan.fabrics, 0));
+  const std::vector<PlanTick>& ticks = plan.ticks;
+  // first[b]: the plan index of batch b's first job.
+  std::vector<std::size_t> first(plan.batches.size() + 1, 0);
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
+    if (plan.batches[b].jobs == 0) throw std::invalid_argument("health: an empty batch");
+    first[b + 1] = first[b] + plan.batches[b].jobs;
   }
-  epoch_ = 0;
-  prev_tick_cycles_ = 0;
+  if (first.back() != plan.jobs.size())
+    throw std::invalid_argument("health: the batches do not cover the jobs");
+
+  // Per stream: its frames' cycles, its frames finished from the start
+  // (the ones the plan has no job for were encoded before the run) and
+  // its last job's end. The compute cycles of the jobs not yet finished,
+  // by the fabrics that run them. Per fabric and tick: the busy cycles
+  // inside the tick's epoch [previous tick, tick); a job that spans
+  // several epochs credits each the cycles it overlaps.
+  std::vector<StreamWork> work(plan.streams.size());
+  for (std::size_t s = 0; s < work.size(); ++s) {
+    work[s].done = static_cast<std::size_t>(std::max(plan.streams[s].frames, 0));
+    work[s].cycles.assign(work[s].done + 1, 0.0);
+  }
+  double me_left = 0.0, transform_left = 0.0;
+  const auto left_on = [&](const PlannedJob& job) -> double& {
+    return kernel_of(job.task.stage) == kCapMotionEstimation ? me_left : transform_left;
+  };
+  std::vector<std::uint64_t> busy(ticks.size() * fabrics, 0);
+  for (const PlannedJob& job : plan.jobs) {
+    const auto f = static_cast<std::size_t>(job.fabric_id);
+    if (f >= fabrics) throw std::out_of_range("health: a job on no fabric of the record");
+    StreamWork& w = work.at(static_cast<std::size_t>(job.task.stream_id));
+    w.cycles.at(static_cast<std::size_t>(job.task.frame_index) + 1) += compute_cycles(job);
+    left_on(job) += compute_cycles(job);
+    if (completes_frame(job.task.stage) && w.done > 0) --w.done;
+    w.last_end = std::max(w.last_end, job.end_cycles);
+    const auto from_tick = std::upper_bound(
+        ticks.begin(), ticks.end(), job.start_cycles,
+        [](std::uint64_t cycle, const PlanTick& tick) { return cycle < tick.cycles; });
+    for (auto k = static_cast<std::size_t>(from_tick - ticks.begin()); k < ticks.size(); ++k) {
+      const std::uint64_t from = std::max(job.start_cycles, k == 0 ? 0 : ticks[k - 1].cycles);
+      const std::uint64_t to = std::min(job.end_cycles, ticks[k].cycles);
+      if (to > from) busy[k * fabrics + f] += to - from;
+      if (job.end_cycles <= ticks[k].cycles) break;
+    }
+  }
+  for (StreamWork& w : work) std::partial_sum(w.cycles.begin(), w.cycles.end(), w.cycles.begin());
+
+  // Batches in the order their jobs complete: at the end of the last one.
+  const auto batch_jobs = [&](std::size_t b) {
+    return plan.jobs.subspan(first[b], plan.batches[b].jobs);
+  };
+  const auto end_of = [&](std::size_t b) { return plan.jobs[first[b + 1] - 1].end_cycles; };
+  std::vector<std::size_t> by_end(plan.batches.size());
+  std::iota(by_end.begin(), by_end.end(), std::size_t{0});
+  std::sort(by_end.begin(), by_end.end(),
+            [&](std::size_t a, std::size_t b) { return end_of(a) < end_of(b); });
+
+  fabrics_ = fabrics;
+  flight_.begin_run(plan.fabrics);
+  dogs_ = Watchdogs(config_.watchdogs);
   snapshots_.clear();
   snapshots_evicted_ = 0;
   trips_.clear();
-}
-
-void HealthMonitor::on_prepare(int fabric, bool cache_hit, bool switched,
-                               std::uint64_t busy_start, std::uint64_t busy_end) {
-  if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
-  busy_[static_cast<std::size_t>(fabric)].push_back(BusyInterval{busy_start, busy_end});
-  FabricCounters& c = fabrics_[static_cast<std::size_t>(fabric)];
-  if (cache_hit) {
-    ++c.cache_hits;
-  } else {
-    ++c.cache_misses;
-  }
-  if (switched) ++c.switches;
-}
-
-void HealthMonitor::on_job_done(int fabric) {
-  if (fabric < 0 || static_cast<std::size_t>(fabric) >= fabrics_.size()) return;
-  ++fabrics_[static_cast<std::size_t>(fabric)].jobs_done;
-}
-
-void HealthMonitor::on_frame_done(int stream_index) {
-  if (stream_index < 0 || static_cast<std::size_t>(stream_index) >= streams_.size()) return;
-  ++streams_[static_cast<std::size_t>(stream_index)].frames_done;
-}
-
-HealthSnapshot HealthMonitor::assemble(std::uint64_t now_cycles, QueueHealthSample queue) {
-  HealthSnapshot snap;
-  snap.epoch = ++epoch_;
-  snap.modeled_now_cycles = now_cycles;
-  snap.queue = std::move(queue);
-
-  const std::uint64_t epoch_start = prev_tick_cycles_;
-  const auto epoch_len =
-      static_cast<double>(std::max<std::uint64_t>(now_cycles - epoch_start, 1));
-  prev_tick_cycles_ = now_cycles;
-  snap.fabrics.reserve(fabrics_.size());
-  for (std::size_t f = 0; f < fabrics_.size(); ++f) {
-    const FabricCounters& c = fabrics_[f];
-    FabricCounters& prev = at_prev_tick_[f];
-    FabricHealth fh;
-    fh.fabric = static_cast<int>(f);
-    fh.jobs_done = c.jobs_done;
-    fh.cache_hits = c.cache_hits;
-    fh.cache_misses = c.cache_misses;
-    fh.switches = c.switches;
-    // Credit the part of each acquired job's busy interval inside this
-    // epoch; keep the ones that run past it for the next tick.
-    std::uint64_t busy = 0;
-    std::vector<BusyInterval>& jobs = busy_[f];
-    std::size_t kept = 0;
-    for (const BusyInterval& b : jobs) {
-      const std::uint64_t from = std::max(b.start, epoch_start);
-      const std::uint64_t to = std::min(b.end, now_cycles);
-      if (to > from) busy += to - from;
-      if (b.end > now_cycles) jobs[kept++] = b;
-    }
-    jobs.resize(kept);
-    fh.utilization = static_cast<double>(busy) / epoch_len;
-    const std::uint64_t misses = c.cache_misses - prev.cache_misses;
-    const std::uint64_t prepares = c.cache_hits - prev.cache_hits + misses;
-    fh.cache_pressure =
-        prepares > 0 ? static_cast<double>(misses) / static_cast<double>(prepares) : 0.0;
-    prev = c;
-    snap.fabrics.push_back(fh);
+  // Admission's verdicts open the control ring, before any dispatch.
+  const int control = flight_.control_ring();
+  for (std::size_t s = 0; s < plan.streams.size(); ++s) {
+    const DegradationRung rung = plan.streams[s].rung;
+    if (rung != DegradationRung::kNone)
+      flight_.record(control, 0,
+                     rung == DegradationRung::kReject ? EventKind::kShed
+                                                      : EventKind::kRungTransition,
+                     static_cast<int>(s), -1, static_cast<std::uint64_t>(rung));
   }
 
-  const auto now = static_cast<double>(now_cycles);
-  snap.streams.reserve(streams_.size());
-  for (const StreamState& st : streams_) {
-    StreamHealth sh;
-    sh.stream_id = st.budget.stream_id;
-    sh.shed = st.budget.shed;
-    sh.frames_total = static_cast<int>(st.budget.frame_cycles.size());
-    sh.frames_done = std::min(st.frames_done, sh.frames_total);
-    sh.consumed_cycles = st.prefix[static_cast<std::size_t>(sh.frames_done)];
-    sh.total_cycles = st.prefix.back();
-    sh.deadline_cycles = st.budget.deadline_cycles;
-    if (!sh.shed && sh.deadline_cycles > 0.0 && sh.total_cycles > 0.0) {
-      if (sh.frames_done >= sh.frames_total) {
-        // Completed: the projection is exact — total work at the realised
-        // rate; keep it frozen rather than drifting with the clock.
-        sh.projected_completion_cycles = sh.total_cycles;
-      } else if (sh.consumed_cycles > 0.0) {
-        // Projected completion at the current rate: `now` cycles bought
-        // consumed_cycles of this stream's work.
-        sh.projected_completion_cycles = now * (sh.total_cycles / sh.consumed_cycles);
-      } else {
-        // Nothing finished yet: optimistic floor (start now, ideal rate).
-        // The watchdog's warmup gate keeps this from tripping early.
-        sh.projected_completion_cycles = now + sh.total_cycles;
+  std::vector<FabricHealth> fabric(fabrics);  ///< cumulative counters
+  for (std::size_t f = 0; f < fabrics; ++f) fabric[f].fabric = static_cast<int>(f);
+
+  // Walk the acquisitions in plan order, whose instants never decrease,
+  // and the completions in end order; a tick sees every event up to and
+  // including its instant.
+  std::size_t acquired = 0, ended = 0;
+  for (std::size_t k = 0; k < ticks.size(); ++k) {
+    const std::uint64_t now = ticks[k].cycles;
+    for (; acquired < plan.batches.size() && plan.batches[acquired].acquired_cycles <= now;
+         ++acquired) {
+      const PlannedBatch& batch = plan.batches[acquired];
+      const std::span<const PlannedJob> jobs = batch_jobs(acquired);
+      const std::uint64_t at = batch.acquired_cycles;
+      if (batch.steal_shard >= 0)
+        flight_.record(jobs.front().fabric_id, at, EventKind::kSteal, jobs.front().task.stream_id,
+                       jobs.front().task.frame_index,
+                       static_cast<std::uint64_t>(batch.steal_shard));
+      for (const PlannedJob& job : jobs) {
+        const FrameTask& task = job.task;
+        flight_.record(job.fabric_id, at, EventKind::kDispatch, task.stream_id, task.frame_index,
+                       static_cast<std::uint64_t>(task.stage));
+        FabricHealth& fh = fabric[static_cast<std::size_t>(job.fabric_id)];
+        ++(job.prep.cache_hit ? fh.cache_hits : fh.cache_misses);
+        if (job.prep.switched) {
+          flight_.record(job.fabric_id, at, EventKind::kReconfig, task.stream_id,
+                         task.frame_index, job.prep.total());
+          ++fh.switches;
+        }
       }
-      sh.burn_rate = sh.projected_completion_cycles / sh.deadline_cycles;
     }
-    snap.streams.push_back(sh);
-  }
-  return snap;
-}
+    for (; ended < by_end.size() && end_of(by_end[ended]) <= now; ++ended)
+      for (const PlannedJob& job : batch_jobs(by_end[ended])) {
+        ++fabric[static_cast<std::size_t>(job.fabric_id)].jobs_done;
+        left_on(job) -= compute_cycles(job);
+        StreamWork& w = work[static_cast<std::size_t>(job.task.stream_id)];
+        if (completes_frame(job.task.stage) && w.done + 1 < w.cycles.size()) ++w.done;
+      }
 
-HealthSnapshot HealthMonitor::tick(std::uint64_t now_cycles, QueueHealthSample queue) {
-  HealthSnapshot snap = assemble(now_cycles, std::move(queue));
-  const std::vector<WatchdogTrip> fired = dogs_.evaluate(snap);
-  snapshots_.push_back(snap);
-  if (snapshots_.size() > config_.max_snapshots) {
-    snapshots_.erase(snapshots_.begin());
-    ++snapshots_evicted_;
+    HealthSnapshot snap;
+    snap.epoch = k + 1;
+    snap.modeled_now_cycles = now;
+    snap.queue = ticks[k].queue;
+    const std::uint64_t since = k == 0 ? 0 : ticks[k - 1].cycles;
+    const auto epoch_len = static_cast<double>(std::max<std::uint64_t>(now - since, 1));
+    snap.fabrics = fabric;
+    for (std::size_t f = 0; f < fabrics; ++f) {
+      FabricHealth& fh = snap.fabrics[f];
+      fh.utilization = static_cast<double>(busy[k * fabrics + f]) / epoch_len;
+      // The previous snapshot holds the counters as the last tick saw them.
+      const FabricHealth before =
+          snapshots_.empty() ? FabricHealth{} : snapshots_.back().fabrics[f];
+      const std::uint64_t misses = fh.cache_misses - before.cache_misses;
+      const std::uint64_t prepares = fh.cache_hits - before.cache_hits + misses;
+      fh.cache_pressure =
+          prepares > 0 ? static_cast<double>(misses) / static_cast<double>(prepares) : 0.0;
+    }
+
+    // The pool has drained every unfinished job by `drain`, at the latest
+    // once its busiest capability has.
+    const auto t = static_cast<double>(now);
+    const double drain = t + std::max(drain_cycles(me_left, plan.me_fabrics),
+                                      drain_cycles(transform_left, plan.transform_fabrics));
+
+    snap.streams.reserve(work.size());
+    for (std::size_t s = 0; s < work.size(); ++s) {
+      const StreamBudget& b = plan.streams[s];
+      const StreamWork& w = work[s];
+      StreamHealth sh;
+      sh.stream_id = static_cast<int>(s);
+      sh.shed = b.rung == DegradationRung::kReject;
+      sh.frames_total = static_cast<int>(w.cycles.size() - 1);
+      sh.frames_done = static_cast<int>(w.done);
+      sh.consumed_cycles = w.cycles[w.done];
+      sh.total_cycles = w.cycles.back();
+      sh.deadline_cycles = b.deadline_cycles;
+      if (!sh.shed && sh.deadline_cycles > 0.0 && sh.total_cycles > 0.0) {
+        if (sh.frames_done >= sh.frames_total) {
+          sh.projected_completion_cycles = static_cast<double>(w.last_end);
+        } else if (sh.consumed_cycles > 0.0) {
+          // Projected completion at the current rate (`now` cycles bought
+          // consumed_cycles of this stream's work), but no later than the
+          // pool's drain: a stream that shared the pool early speeds up
+          // once the others finish.
+          sh.projected_completion_cycles =
+              std::min(t * (sh.total_cycles / sh.consumed_cycles), drain);
+        } else {
+          // Nothing finished yet: optimistic floor (start now, ideal rate).
+          // The watchdog's warmup gate keeps this from tripping early.
+          sh.projected_completion_cycles = t + sh.total_cycles;
+        }
+        sh.burn_rate = sh.projected_completion_cycles / sh.deadline_cycles;
+      }
+      snap.streams.push_back(sh);
+    }
+
+    const std::vector<WatchdogTrip> fired = dogs_.evaluate(snap);
+    snapshots_.push_back(std::move(snap));
+    if (snapshots_.size() > kMaxSnapshots) {
+      snapshots_.erase(snapshots_.begin());
+      ++snapshots_evicted_;
+    }
+    for (const WatchdogTrip& trip : fired) {
+      flight_.record(control, now, EventKind::kWatchdogTrip, trip.stream_id, -1,
+                     static_cast<std::uint64_t>(trip.kind));
+      trips_.push_back(trip);
+    }
   }
-  for (const WatchdogTrip& t : fired) {
-    trips_.push_back(t);
-    flight_.record(flight_.control_ring(), now_cycles, EventKind::kWatchdogTrip, t.stream_id, -1,
-                   static_cast<std::uint64_t>(t.kind));
-    if (on_trip_) on_trip_(t, snap);
-  }
-  if (!fired.empty() && !config_.dump_path.empty()) dump(config_.dump_path);
-  return snap;
 }
 
 std::string HealthMonitor::health_json(double host_wall_seconds) const {
   std::ostringstream os;
   os << "{\"schema_version\": " << kSchemaVersion << ", \"kind\": \"health\""
      << ", \"host_wall_seconds\": " << json_number(host_wall_seconds)
-     << ", \"fabrics\": " << fabrics_.size()
+     << ", \"fabrics\": " << fabrics_
      << ", \"anomalies_total\": " << anomalies_total()
      << ", \"watchdog_config\": {\"growth_epochs\": " << config_.watchdogs.growth_epochs
      << ", \"growth_min_depth\": " << config_.watchdogs.growth_min_depth

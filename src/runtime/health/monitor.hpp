@@ -1,114 +1,111 @@
-// HealthMonitor: the live-introspection front door for the runtime.
+// HealthMonitor: the runtime's health verdicts, judged from the plan.
 //
-// Owns the three health parts and wires them together:
-//   - a FlightRecorder the scheduler's planner appends scheduling events
-//     to (one ring per fabric, plus a control ring);
-//   - per-fabric and per-stream progress counters fed by the planner's
-//     hooks: on_prepare when a fabric acquires a job (with the job's
-//     modeled [start, end), which each epoch's utilization is credited
-//     from), on_job_done and on_frame_done when its batch completes at
-//     its modeled end;
-//   - epoch ticks that assemble a HealthSnapshot from those counters and
-//     the queue sample the planner passes in, and run the Watchdogs over
-//     it.
+// The scheduler plans a run in modeled array cycles before any verdict is
+// needed, so health is one pass over the plan record (observe). The pass
+// reads the planned jobs in plan order, the batches they were acquired
+// in and the queue samples the planner took at every epoch_cycles
+// boundary and at the makespan, and yields:
+//   - the FlightRecorder's rings (one per fabric, plus a control ring) of
+//     admission, dispatch, steal, reconfig and watchdog events;
+//   - one HealthSnapshot per tick: cumulative per-fabric counters, each
+//     epoch's utilization (the part of the jobs' modeled [start, end) it
+//     overlaps) and cache pressure, the queue sample, and per-stream SLA
+//     progress and burn rates;
+//   - the Watchdogs' trips over those snapshots.
 //
-// Everything runs in modeled array cycles on the planner's thread: the
-// planner ticks the monitor at every epoch_cycles boundary its clock
-// crosses and once more at the makespan, so one input gives one set of
-// snapshots, trips and flight records on any host.
+// A tick at modeled cycle t sees every event whose instant is <= t:
+// dispatch, steal and reconfig events and cache hits, misses and switches
+// happen at their batch's acquire instant, finished jobs and frames at its
+// end. One input gives one set of snapshots, trips and flight records on
+// any host, and the dump names no host time but host_wall_seconds.
 //
-// When a watchdog trips, the monitor records a kWatchdogTrip flight
-// event, counts it in anomalies_total (the run's
-// RunReport::health_anomalies, exported by telemetry::fill_metrics as
-// `health_anomalies_total`), invokes the user callback, and —
-// when a dump path is configured — writes the full health post-mortem
-// (snapshots + trips + flight recorder) as schema-stamped JSON.
-//
-// The scheduler treats the monitor exactly like the trace recorder:
-// a single null-guarded pointer, so health off is zero-cost and
-// bit-exact. The monitor is single-threaded: read its accessors after
-// run() returns, or from the trip callback, which runs on the planner's
-// thread mid-run.
+// The monitor only observes: a run with one attached plans, encodes and
+// costs exactly what it would without. Read its accessors after run()
+// returns; RunReport::health_anomalies carries the trip count, which
+// telemetry::fill_metrics exports as `health_anomalies_total`.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "runtime/executor.hpp"
 #include "runtime/health/flight_recorder.hpp"
 #include "runtime/health/snapshot.hpp"
 #include "runtime/health/watchdog.hpp"
 
 namespace dsra::runtime::health {
 
-/// Analytic SLA budget for one stream, computed by the scheduler from
-/// the admission cost model at run start. Keeping this a plain struct
-/// (ids + cycles) keeps the health layer decoupled from job/admission
-/// headers.
+/// One stream's admission verdict and SLA; stream k is the jobs'
+/// stream_id k. Its frames' cycles are the modeled compute of their
+/// planned jobs; a frame the plan has no job for was encoded before the
+/// run.
 struct StreamBudget {
-  int stream_id = 0;
-  bool shed = false;              ///< rejected by admission; no work queued
-  double deadline_cycles = 0.0;   ///< 0 = best-effort
-  int frames_done_at_start = 0;
-  std::vector<double> frame_cycles;  ///< analytic cycles per frame, all frames
+  DegradationRung rung = DegradationRung::kNone;  ///< kReject: shed, no work queued
+  double deadline_cycles = 0.0;                   ///< 0 = best-effort
+  int frames = 0;                                 ///< all its frames; 0 when shed
+};
+
+/// One batch of the plan: the jobs a fabric acquired at one instant and
+/// ran back to back. They follow the previous batch's jobs in plan order
+/// and complete together at the end of the last one.
+struct PlannedBatch {
+  std::size_t jobs = 0;
+  std::uint64_t acquired_cycles = 0;
+  int steal_shard = -1;  ///< the queue shard it was stolen from; -1 = not a steal
+};
+
+/// The queue as the planner left it at one tick.
+struct PlanTick {
+  std::uint64_t cycles = 0;
+  QueueHealthSample queue;
+};
+
+/// A planned run as the health pass reads it.
+struct PlanRecord {
+  int fabrics = 0;            ///< scheduler slots, one flight ring each
+  int me_fabrics = 0;         ///< slots with the motion-estimation capability
+  int transform_fabrics = 0;  ///< slots with the DCT/transform capability
+  std::vector<StreamBudget> streams;
+  std::span<const PlannedJob> jobs;   ///< in plan order; must outlive observe()
+  std::vector<PlannedBatch> batches;  ///< in plan order
+  /// At every epoch boundary before the makespan, then at the makespan.
+  std::vector<PlanTick> ticks;
 };
 
 struct HealthMonitorConfig {
   FlightRecorderConfig flight;
   WatchdogConfig watchdogs;
-  /// Epoch length in modeled array cycles: the scheduler's planner ticks
-  /// the monitor at every multiple of it that its clock crosses, then
-  /// once more at the makespan. 0 = only that final tick.
+  /// Epoch length in modeled array cycles: a tick at every multiple of it
+  /// before the makespan, then one at the makespan. 0 = only that tick.
   std::uint64_t epoch_cycles = 0;
-  /// When non-empty, every watchdog trip rewrites this file with the
-  /// full health post-mortem JSON.
-  std::string dump_path;
-  /// Snapshots retained in memory (oldest evicted past this); bounds
-  /// the dump size for long runs.
-  std::size_t max_snapshots = 512;
 };
 
 class HealthMonitor {
  public:
-  using TripCallback =
-      std::function<void(const WatchdogTrip&, const HealthSnapshot&)>;
-
   explicit HealthMonitor(HealthMonitorConfig config = {});
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Reset all state for a new run: per-fabric counters, flight rings,
-  /// and the stream budgets.
-  void begin_run(int fabrics, std::vector<StreamBudget> budgets);
-
-  // ---- planner hooks ------------------------------------------------
-  /// @p fabric acquired a job that keeps it busy over the modeled cycles
-  /// [@p busy_start, @p busy_end): every epoch is credited the part of
-  /// that interval it overlaps.
-  void on_prepare(int fabric, bool cache_hit, bool switched, std::uint64_t busy_start,
-                  std::uint64_t busy_end);
-  void on_job_done(int fabric);
-  void on_frame_done(int stream_index);
-
-  /// Close one epoch at modeled cycle @p now_cycles: assemble a snapshot
-  /// from the counters and @p queue, run the watchdogs, handle any
-  /// trips. Returns the snapshot.
-  HealthSnapshot tick(std::uint64_t now_cycles, QueueHealthSample queue);
-
-  void set_on_trip(TripCallback cb) { on_trip_ = std::move(cb); }
+  /// Judge one planned run, replacing the previous run's verdicts. Throws
+  /// std::invalid_argument when @p plan's batches do not cover its jobs,
+  /// std::out_of_range when a job names a fabric, stream or frame it lacks.
+  void observe(const PlanRecord& plan);
 
   [[nodiscard]] std::uint64_t epoch_cycles() const { return config_.epoch_cycles; }
 
-  // Read these after run() returns, or from the trip callback.
-  [[nodiscard]] FlightRecorder& flight() { return flight_; }
   [[nodiscard]] const FlightRecorder& flight() const { return flight_; }
 
   [[nodiscard]] std::uint64_t anomalies_total() const { return trips_.size(); }
   [[nodiscard]] const std::vector<WatchdogTrip>& trips() const { return trips_; }
   [[nodiscard]] const std::vector<HealthSnapshot>& snapshots() const { return snapshots_; }
-  [[nodiscard]] std::uint64_t epochs() const { return epoch_; }
+  [[nodiscard]] std::uint64_t epochs() const { return snapshots_evicted_ + snapshots_.size(); }
+
+  /// Snapshots retained (the oldest are evicted past this); bounds the
+  /// dump of a long run.
+  static constexpr std::size_t kMaxSnapshots = 512;
 
   /// Schema version of the health dump JSON ("kind": "health").
   static constexpr int kSchemaVersion = 3;
@@ -121,39 +118,11 @@ class HealthMonitor {
   bool dump(const std::string& path, double host_wall_seconds = 0.0) const;
 
  private:
-  struct FabricCounters {
-    std::uint64_t jobs_done = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t switches = 0;
-  };
-  struct StreamState {
-    StreamBudget budget;
-    std::vector<double> prefix;  ///< prefix[i] = cycles of first i frames
-    int frames_done = 0;
-  };
-
-  HealthSnapshot assemble(std::uint64_t now_cycles, QueueHealthSample queue);
-
   HealthMonitorConfig config_;
   FlightRecorder flight_;
   Watchdogs dogs_;
-  TripCallback on_trip_;
 
-  struct BusyInterval {
-    std::uint64_t start = 0;
-    std::uint64_t end = 0;
-  };
-
-  std::vector<FabricCounters> fabrics_;
-  std::vector<FabricCounters> at_prev_tick_;  ///< fabrics_ as the last tick saw them
-  /// Per fabric: the acquired jobs' busy intervals that end after the
-  /// last tick, so a later epoch still has cycles to credit.
-  std::vector<std::vector<BusyInterval>> busy_;
-  std::vector<StreamState> streams_;
-
-  std::uint64_t epoch_ = 0;
-  std::uint64_t prev_tick_cycles_ = 0;
+  std::size_t fabrics_ = 0;
   std::vector<HealthSnapshot> snapshots_;
   std::uint64_t snapshots_evicted_ = 0;
   std::vector<WatchdogTrip> trips_;

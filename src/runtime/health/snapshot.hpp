@@ -1,12 +1,11 @@
-// Live health snapshots: the epoch-sampled view of runtime state.
+// Health snapshots: the epoch-sampled view of runtime state.
 //
 // A HealthSnapshot is what an operator (or a watchdog) sees when they
 // ask "is this run healthy right now?": per-shard queue depth and the
 // age of the oldest queued job, cumulative steal/batch/dispatch rates,
 // per-fabric utilization and context-cache pressure, and per-stream SLA
-// burn rate. The HealthMonitor assembles one per modeled epoch from the
-// counters the planner's hooks maintain and the queue sample the planner
-// hands to each tick.
+// burn rate. The HealthMonitor's pass over the plan record assembles one
+// per modeled epoch, with the queue sample the planner took at that tick.
 //
 // This header is intentionally dependency-free (stdlib only) so the
 // queue layer can expose a QueueHealthSample without pulling scheduler
@@ -52,9 +51,8 @@ struct FabricHealth {
   std::uint64_t switches = 0;  ///< cumulative context switches
 };
 
-/// Per-stream SLA view. Budgets come from the admission cost model
-/// (analytic per-frame cycles), progress from the frames the plan has
-/// completed by the tick.
+/// Per-stream SLA view. Budgets are the analytic per-frame cycles the
+/// plan costed, progress the frames the plan has completed by the tick.
 struct StreamHealth {
   int stream_id = 0;
   bool shed = false;
@@ -69,6 +67,8 @@ struct StreamHealth {
   /// (tools/validate_trace.py enforces the range); 0 for best-effort
   /// and shed streams.
   double burn_rate = 0.0;
+  /// Modeled cycle the stream is projected to complete at, not before the
+  /// tick; once finished, the cycle its last job ended.
   double projected_completion_cycles = 0.0;
 };
 

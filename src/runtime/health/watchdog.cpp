@@ -5,15 +5,6 @@
 
 namespace dsra::runtime::health {
 
-void Watchdogs::reset() {
-  seen_any_ = false;
-  prev_depth_ = 0;
-  growth_run_ = 0;
-  growth_latched_ = false;
-  starvation_latched_ = false;
-  burn_latched_streams_.clear();
-}
-
 std::vector<WatchdogTrip> Watchdogs::evaluate(const HealthSnapshot& snap) {
   std::vector<WatchdogTrip> trips;
 

@@ -19,7 +19,7 @@
 // testable with synthetic snapshots (tests/test_health.cpp) and keeps
 // evaluation at the epoch ticks, off the per-job path. Each
 // watchdog latches: one trip per run (per stream, for SLA burn), so a
-// persistent anomaly produces one post-mortem dump, not one per epoch.
+// persistent anomaly is one trip, not one per epoch.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +79,6 @@ struct WatchdogTrip {
 class Watchdogs {
  public:
   explicit Watchdogs(WatchdogConfig config = {}) : config_(config) {}
-
-  /// Reset all state for a new run.
-  void reset();
 
   [[nodiscard]] std::vector<WatchdogTrip> evaluate(const HealthSnapshot& snap);
 

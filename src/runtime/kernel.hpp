@@ -30,6 +30,11 @@ enum class StageKind {
   return stage == StageKind::kMotionEstimation ? kCapMotionEstimation : kCapDctTransform;
 }
 
+/// Whether a job of @p stage finishes its frame.
+[[nodiscard]] constexpr bool completes_frame(StageKind stage) {
+  return stage == StageKind::kWholeFrame || stage == StageKind::kReconstructEntropy;
+}
+
 [[nodiscard]] constexpr const char* to_string(StageKind stage) {
   switch (stage) {
     case StageKind::kWholeFrame: return "frame";

@@ -27,12 +27,15 @@ struct PlannedFrame {
 };
 
 /// What plan() hands the report besides the queue and schedule totals it
-/// writes straight into it: for a traced run every job in plan order (the
-/// run's one record of its jobs; an untraced run keeps none), each
-/// fabric's modeled busy and port-wait cycles, every frame's plan (stream
-/// k's frame f at frame_offset[k] + f) and each fabric's placement skips.
+/// writes straight into it: for a traced or monitored run every job and
+/// batch in plan order (the run's record; otherwise none is kept), the
+/// queue at each health tick, each fabric's modeled busy and port-wait
+/// cycles, every frame's plan (stream k's frame f at frame_offset[k] + f)
+/// and each fabric's placement skips.
 struct Plan {
   std::vector<PlannedJob> jobs;
+  std::vector<health::PlannedBatch> batches;
+  std::vector<health::PlanTick> ticks;
   std::vector<std::uint64_t> fabric_busy_cycles;
   std::vector<std::uint64_t> port_wait_cycles;
   std::vector<std::size_t> frame_offset;
@@ -120,43 +123,6 @@ void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& po
   }
 }
 
-/// Live health: hand the monitor the analytic per-stream budgets the
-/// burn-rate detector projects against (the admission cost model is
-/// content-independent, so they are exact before any frame is encoded).
-/// Shed streams get an empty budget (they dispatch nothing) and a kShed
-/// flight record; degraded ones a kRungTransition record, both at cycle 0.
-void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& streams,
-                  const KernelLibrary& library, const FabricPool& pool,
-                  const me::SystolicParams& me_params) {
-  const AdmissionController cost_model(library, pool, me_params);
-  std::vector<health::StreamBudget> budgets;
-  budgets.reserve(streams.size());
-  for (std::size_t k = 0; k < streams.size(); ++k) {
-    const StreamJob& s = streams[k];
-    health::StreamBudget b;
-    b.stream_id = static_cast<int>(k);
-    b.shed = s.admission_rung == DegradationRung::kReject;
-    b.deadline_cycles = static_cast<double>(s.config.sla.deadline_cycles);
-    b.frames_done_at_start = b.shed ? 0 : s.next_frame;
-    if (!b.shed) {
-      b.frame_cycles.reserve(s.frames.size());
-      for (int f = 0; f < static_cast<int>(s.frames.size()); ++f)
-        b.frame_cycles.push_back(static_cast<double>(cost_model.frame_cycles(s, f)));
-    }
-    budgets.push_back(std::move(b));
-  }
-  hm.begin_run(pool.size(), std::move(budgets));
-  const int ctl = hm.flight().control_ring();
-  for (std::size_t k = 0; k < streams.size(); ++k) {
-    const DegradationRung rung = streams[k].admission_rung;
-    if (rung == DegradationRung::kNone) continue;
-    hm.flight().record(ctl, 0,
-                       rung == DegradationRung::kReject ? health::EventKind::kShed
-                                                        : health::EventKind::kRungTransition,
-                       static_cast<int>(k), -1, static_cast<std::uint64_t>(rung));
-  }
-}
-
 /// Plan the run in modeled time on the calling thread and hand each
 /// batch to the executor as it is planned. An event loop: at each
 /// instant every idle fabric, lowest id first, acquires a batch through
@@ -167,16 +133,12 @@ void begin_health(health::HealthMonitor& hm, const std::vector<StreamJob>& strea
 /// end, where every batch ending then completes and releases its
 /// successors. Throws when jobs remain that no fabric can take.
 ///
-/// The planner is the health monitor's only caller: it records dispatch,
-/// steal and reconfig flight events at the instant it decides them,
-/// reports each job's modeled busy interval when it acquires the job and
-/// the batch's jobs and frames done at the batch's end, and
-/// ticks the monitor at every epoch boundary before the clock passes it
-/// (a tick sees every event up to and including its instant) and once
-/// more at the makespan. @p keep_jobs keeps every planned job in the
-/// returned plan, for a traced run.
+/// @p keep_record keeps every planned job and batch in the returned plan.
+/// With @p epoch_cycles > 0 it samples the queue at every multiple of it
+/// before the makespan, in the state the clock leaves it there; it always
+/// samples the queue at the makespan.
 Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
-          const SchedulerConfig& config, health::HealthMonitor* hm, bool keep_jobs,
+          const SchedulerConfig& config, std::uint64_t epoch_cycles, bool keep_record,
           Executor& executor, RunReport& report) {
   JobQueue queue(streams, config.queue);
   const int lookahead = std::max(0, config.queue.pipeline_lookahead);
@@ -220,8 +182,7 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   std::vector<std::vector<CompletedTask>> running(fabrics);  ///< each fabric's batch
   std::vector<PlannedJob> handoff;
   constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t epoch = hm != nullptr ? hm->epoch_cycles() : 0;
-  std::uint64_t next_tick = epoch > 0 ? epoch : kNever;  ///< kNever without a monitor
+  std::uint64_t next_sample = epoch_cycles > 0 ? epoch_cycles : kNever;
 
   for (std::uint64_t now = 0;;) {
     for (std::size_t f = 0; f < fabrics; ++f) {
@@ -232,10 +193,9 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
           queue.acquire_batch(fabric.id(), fabric.active(), fabric.capabilities(), can_host[f],
                               config.queue.max_batch);
       if (tasks.empty()) continue;
-      if (hm != nullptr && queue.steals() != steals)
-        hm->flight().record(fabric.id(), now, health::EventKind::kSteal, tasks.front().stream_id,
-                            tasks.front().frame_index,
-                            static_cast<std::uint64_t>(queue.shard_of(tasks.front())));
+      if (keep_record)
+        out.batches.push_back(
+            {tasks.size(), now, queue.steals() != steals ? queue.shard_of(tasks.front()) : -1});
       std::uint64_t clock = now;
       handoff.clear();
       for (const FrameTask& task : tasks) {
@@ -244,13 +204,6 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         const std::string& context = queue.required_context(task);
         const PrepareResult prep = fabric.prepare_detailed(context);
         const std::uint64_t reconfig = prep.total();
-        if (hm != nullptr) {
-          hm->flight().record(fabric.id(), now, health::EventKind::kDispatch, task.stream_id,
-                              frame, static_cast<std::uint64_t>(task.stage));
-          if (prep.switched)
-            hm->flight().record(fabric.id(), now, health::EventKind::kReconfig, task.stream_id,
-                                frame, reconfig);
-        }
 
         const std::size_t at =
             out.frame_offset[static_cast<std::size_t>(task.stream_id)] +
@@ -301,16 +254,13 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         planned.end = std::max(planned.end, job.end_cycles);
         out.fabric_busy_cycles[f] += duration;
         makespan = std::max(makespan, job.end_cycles);
-        if (hm != nullptr)
-          hm->on_prepare(fabric.id(), prep.cache_hit, prep.switched, job.start_cycles,
-                         job.end_cycles);
 
         running[f].push_back(CompletedTask{task, reconfig});
         handoff.push_back(job);
       }
       free_at[f] = clock;
       executor.push(handoff);
-      if (keep_jobs) out.jobs.insert(out.jobs.end(), handoff.begin(), handoff.end());
+      if (keep_record) out.jobs.insert(out.jobs.end(), handoff.begin(), handoff.end());
     }
 
     std::uint64_t next = kNever;
@@ -319,27 +269,20 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
     if (next == kNever) break;
     // Nothing changes before `next`: every epoch boundary up to it sees
     // this state.
-    for (; next_tick < next; next_tick += epoch) hm->tick(next_tick, queue.health_sample());
+    for (; next_sample < next; next_sample += epoch_cycles)
+      out.ticks.push_back({next_sample, queue.health_sample()});
     now = next;
     for (std::size_t f = 0; f < fabrics; ++f) {
       if (running[f].empty() || free_at[f] != now) continue;
       queue.complete_batch(running[f], static_cast<int>(f));
-      if (hm != nullptr) {
-        for (const CompletedTask& done : running[f]) {
-          hm->on_job_done(static_cast<int>(f));
-          const StageKind stage = done.task.stage;
-          if (stage == StageKind::kWholeFrame || stage == StageKind::kReconstructEntropy)
-            hm->on_frame_done(done.task.stream_id);
-        }
-      }
       running[f].clear();
     }
   }
 
-  const health::QueueHealthSample left = queue.health_sample();
-  if (hm != nullptr) hm->tick(makespan, left);
-  if (left.depth > 0)
-    throw std::logic_error(std::to_string(left.depth) +
+  out.ticks.push_back({makespan, queue.health_sample()});
+  const std::uint64_t left = out.ticks.back().queue.depth;
+  if (left > 0)
+    throw std::logic_error(std::to_string(left) +
                            " ready jobs remain that no fabric in the pool can take "
                            "(pool geometries: " + pool.geometry_list() + ")");
   report.timeline = queue.timeline();
@@ -353,6 +296,30 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   for (const std::uint64_t wait : out.port_wait_cycles) report.port_contention_cycles += wait;
   out.placement_skips = queue.placement_skips();
   return out;
+}
+
+/// The run as the health pass reads it: each stream's admission verdict
+/// and deadline, the pool's capable fabrics, and the plan's record, whose
+/// batches and ticks it moves out of @p planned.
+health::PlanRecord health_record(const std::vector<StreamJob>& streams, Plan& planned,
+                                 const FabricPool& pool) {
+  health::PlanRecord record;
+  record.fabrics = pool.size();
+  for (int f = 0; f < pool.size(); ++f) {
+    record.me_fabrics += (pool.at(f).capabilities() & kCapMotionEstimation) != 0 ? 1 : 0;
+    record.transform_fabrics += (pool.at(f).capabilities() & kCapDctTransform) != 0 ? 1 : 0;
+  }
+  for (const StreamJob& s : streams)
+    record.streams.push_back(
+        {.rung = s.admission_rung,
+         .deadline_cycles = static_cast<double>(s.config.sla.deadline_cycles),
+         .frames = s.admission_rung == DegradationRung::kReject
+                       ? 0
+                       : static_cast<int>(s.frames.size())});
+  record.jobs = planned.jobs;
+  record.batches = std::move(planned.batches);
+  record.ticks = std::move(planned.ticks);
+  return record;
 }
 
 /// Encode one planned job: the stage's encoder step under the job's
@@ -467,11 +434,11 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   }
   validate_placement(streams, pool, config_.queue.mode);
 
-  health::HealthMonitor* const hm = config_.health;
-  if (hm != nullptr) begin_health(*hm, streams, library_, pool, config_.me);
-  // Null `rec` is the zero-cost-off state: the workers' recording site
-  // reduces to one untaken pointer test, and the plan keeps no jobs.
+  // Null `rec` and `hm` are the zero-cost-off state: the workers'
+  // recording site reduces to one untaken pointer test, and the plan keeps
+  // no record and samples no epoch.
   telemetry::TraceRecorder* const rec = config_.trace;
+  health::HealthMonitor* const hm = config_.health;
   // One host worker per fabric slot, plus this thread once it has planned.
   const int workers = pool.size() + 1;
   if (rec != nullptr) rec->begin_run(workers);
@@ -497,9 +464,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     if (task.stage == StageKind::kMotionEstimation ||
         (task.stage == StageKind::kTransformQuant && f == 0))
       stream.pipeline[f].first_start = start;
-    const bool frame_done =
-        task.stage == StageKind::kWholeFrame || task.stage == StageKind::kReconstructEntropy;
-    if (frame_done) {
+    if (completes_frame(task.stage)) {
       const Clock::time_point first =
           task.stage == StageKind::kWholeFrame ? start : stream.pipeline[f].first_start;
       stream.records.back().latency_ms =
@@ -516,11 +481,15 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
   Plan planned;
   {
     Executor executor(pool.size(), streams.size(), execute);
-    planned = plan(streams, pool, library_, config_, hm, rec != nullptr, executor, report);
+    planned = plan(streams, pool, library_, config_, hm != nullptr ? hm->epoch_cycles() : 0,
+                   rec != nullptr || hm != nullptr, executor, report);
     idle_since.back() = Clock::now();  // this thread is free to work from here
     executor.finish();
   }
-  if (hm != nullptr) report.health_anomalies = hm->anomalies_total();
+  if (hm != nullptr) {
+    hm->observe(health_record(streams, planned, pool));
+    report.health_anomalies = hm->anomalies_total();
+  }
   report.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
 
   // The plan equals the execution: every frame encoded here must have

@@ -83,18 +83,15 @@ struct SchedulerConfig {
   /// which telemetry::fill_metrics() derives the metrics export.
   telemetry::TraceRecorder* trace = nullptr;
 
-  /// Live health monitor. Null (the default) is zero-cost-off, same
-  /// idiom as `trace`: every hook is guarded by this one pointer test and
-  /// the monitor only observes, so modeled cycles and encoded output are
-  /// bit-exact either way. When set, run() computes analytic per-stream
-  /// SLA budgets (the admission cost model) and the planner is the
-  /// monitor's only caller, on the calling thread and in modeled cycles:
-  /// it records dispatch, steal and reconfig flight events, calls
-  /// on_prepare with the job's modeled busy interval when a fabric
-  /// acquires a job and on_job_done /
-  /// on_frame_done when the job's batch completes, and ticks the monitor
-  /// at every HealthMonitorConfig::epoch_cycles boundary and at the
-  /// makespan. The trip callback runs on that thread mid-run.
+  /// Health monitor. Null (the default) is zero-cost-off, same idiom as
+  /// `trace`: the plan keeps no record and samples no epoch. When set, the
+  /// planner keeps its record of the run (every job and batch in plan
+  /// order) and samples the queue at every
+  /// HealthMonitorConfig::epoch_cycles boundary and at the makespan; once
+  /// the run is done, run() hands the monitor that record, with each
+  /// stream's deadline and the cycles the plan costed its frames at, for
+  /// one pass (HealthMonitor::observe). The monitor only observes, so
+  /// modeled cycles and encoded output are bit-exact either way.
   /// RunReport::health_anomalies carries its trip count.
   health::HealthMonitor* health = nullptr;
 

@@ -1,18 +1,24 @@
-// Live health subsystem: flight-recorder ring semantics (wrap keeps each
+// Health subsystem: flight-recorder ring semantics (wrap keeps each
 // ring's newest records, the merge is in global order, records carry
-// their modeled cycle), watchdog trips on injected anomalies (queue
-// growth, starvation, SLA burn — each demonstrably fires, and the burn
-// detector fires *before* the deadline passes), modeled epochs (one
-// tick per epoch_cycles boundary, then the makespan), per-epoch fabric
+// their modeled cycle), watchdog trips on injected anomalies fed to the
+// monitor's pass as hand-built plan records (queue growth, starvation,
+// SLA burn — each demonstrably fires, and the burn detector fires
+// *before* the deadline passes), modeled epochs (one tick per
+// epoch_cycles boundary, then the makespan), per-epoch fabric
 // utilization credited from the jobs' modeled intervals, verdicts that
-// repeat exactly across runs, zero-cost-off bit-exactness, a clean
-// monitored run tripping nothing, and the metrics timeline epoch cap
+// repeat exactly across runs, zero-cost-off bit-exactness, clean runs
+// (admitted streams that meet their deadlines among them) tripping
+// nothing, pinned health dumps, and the metrics timeline epoch cap
 // accounting its drops.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/report.hpp"
+#include "plan_workloads.hpp"
 #include "runtime/health/flight_recorder.hpp"
 #include "runtime/health/monitor.hpp"
 #include "runtime/health/snapshot.hpp"
@@ -26,16 +32,8 @@
 namespace dsra::runtime {
 namespace {
 
-const KernelLibrary& library() {
-  static const KernelLibrary lib;
-  return lib;
-}
-
-/// Both array geometries, for pools with co-tenant 8x4 slots.
-const KernelLibrary& two_geometry_library() {
-  static const KernelLibrary lib(KernelLibraryConfig{{kDefaultGeometry, kSmallSccGeometry}});
-  return lib;
-}
+using plan_workloads::library;
+using plan_workloads::two_geometry_library;  // pools with co-tenant 8x4 slots
 
 std::vector<StreamJob> mixed_workload(int streams, int frames, int size,
                                       std::uint64_t deadline_cycles = 0) {
@@ -219,7 +217,34 @@ TEST(Watchdogs, StarvationTripsPastAgeBound) {
   EXPECT_EQ(trips[0].kind, health::WatchdogKind::kStarvation);
 }
 
-// ---- injected anomalies through the monitor ---------------------------
+// ---- injected anomalies through the pass -------------------------------
+
+/// Stream @p stream's whole frame @p frame on fabric 0 over [start, end).
+PlannedJob frame_job(int stream, int frame, std::uint64_t start, std::uint64_t end) {
+  PlannedJob job;
+  job.task = {stream, frame, StageKind::kWholeFrame};
+  job.fabric_id = 0;
+  job.ready_cycles = job.start_cycles = start;
+  job.end_cycles = end;
+  return job;
+}
+
+/// @p jobs planned on one transform fabric, each a batch acquired as it
+/// starts, with an empty queue at every @p epoch_cycles boundary (none
+/// for 0) before the last job's end and at that end.
+health::PlanRecord one_fabric_record(const std::vector<PlannedJob>& jobs,
+                                     std::vector<health::StreamBudget> streams,
+                                     std::uint64_t epoch_cycles) {
+  health::PlanRecord plan;
+  plan.fabrics = plan.transform_fabrics = 1;
+  plan.streams = std::move(streams);
+  plan.jobs = jobs;
+  for (const PlannedJob& job : jobs) plan.batches.push_back({1, job.start_cycles});
+  for (std::uint64_t t = epoch_cycles; t > 0 && t < jobs.back().end_cycles; t += epoch_cycles)
+    plan.ticks.push_back({t, {}});
+  plan.ticks.push_back({jobs.back().end_cycles, {}});
+  return plan;
+}
 
 TEST(HealthMonitor, GrowingQueueTripsGrowthWatchdog) {
   // Depth rises every epoch past the floor — arrivals outrunning service.
@@ -227,16 +252,20 @@ TEST(HealthMonitor, GrowingQueueTripsGrowthWatchdog) {
   cfg.watchdogs.growth_epochs = 3;
   cfg.watchdogs.growth_min_depth = 16;
   health::HealthMonitor monitor(cfg);
-  monitor.begin_run(/*fabrics=*/2, {});
-
+  health::PlanRecord plan;
+  plan.fabrics = 2;
   for (std::uint64_t k = 1; k <= 4; ++k) {
     health::QueueHealthSample queue;
     queue.depth = 10 * k;
-    const health::HealthSnapshot snap = monitor.tick(k * 1000, queue);
-    EXPECT_EQ(snap.modeled_now_cycles, k * 1000);
-    EXPECT_EQ(snap.queue.depth, 10 * k);
+    plan.ticks.push_back({k * 1000, queue});
   }
+  monitor.observe(plan);
 
+  ASSERT_EQ(monitor.snapshots().size(), 4u);
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    EXPECT_EQ(monitor.snapshots()[k - 1].modeled_now_cycles, k * 1000);
+    EXPECT_EQ(monitor.snapshots()[k - 1].queue.depth, 10 * k);
+  }
   const std::vector<health::WatchdogTrip>& trips = monitor.trips();
   ASSERT_EQ(trips.size(), 1u);
   EXPECT_EQ(trips[0].kind, health::WatchdogKind::kQueueGrowth);
@@ -257,58 +286,86 @@ TEST(HealthMonitor, OverloadWaveTripsBurnRateBeforeDeadline) {
   // Stream 0 holds a deadline exactly equal to its own analytic cost —
   // feasible alone, hopeless once an overload wave (stream 1's traffic)
   // soaks the pool. Stream 0 finishes 1 frame in the 500 modeled cycles
-  // the wave's 4 frames also took: projected completion 5x the deadline.
-  health::StreamBudget constrained;
-  constrained.stream_id = 0;
-  constrained.deadline_cycles = 1000.0;
-  constrained.frame_cycles.assign(10, 100.0);  // total 1000
-  health::StreamBudget wave;
-  wave.stream_id = 1;
-  wave.deadline_cycles = 0.0;  // best-effort background load
-  wave.frame_cycles.assign(10, 100.0);
+  // the wave's 4 frames also took. At that rate it would need 5x its
+  // deadline, but the one fabric drains the 1,500 cycles both streams have
+  // left by cycle 2,000: projected completion 2x the deadline.
+  const health::StreamBudget constrained{.deadline_cycles = 1000.0, .frames = 10};
+  const health::StreamBudget wave{.frames = 10};  // best-effort background load
+  // One fabric, 100 cycles a frame: stream 0's first frame, the wave's
+  // first four, then the rest of stream 0 and of the wave.
+  std::vector<PlannedJob> jobs;
+  std::uint64_t clock = 0;
+  const auto run = [&](int stream, int from, int to) {
+    for (int f = from; f < to; ++f, clock += 100)
+      jobs.push_back(frame_job(stream, f, clock, clock + 100));
+  };
+  run(0, 0, 1);
+  run(1, 0, 4);
+  run(0, 1, 10);
+  run(1, 4, 10);
 
   health::HealthMonitorConfig cfg;
   cfg.watchdogs.burn_threshold = 1.25;
   cfg.watchdogs.burn_warmup = 0.10;
   health::HealthMonitor monitor(cfg);
-  monitor.begin_run(/*fabrics=*/1, {constrained, wave});
+  monitor.observe(one_fabric_record(jobs, {constrained, wave}, 500));
 
-  monitor.on_frame_done(0);
-  for (int i = 0; i < 4; ++i) monitor.on_frame_done(1);
-  const health::HealthSnapshot snap = monitor.tick(500, {});
-
+  const health::HealthSnapshot& snap = monitor.snapshots().front();
   ASSERT_EQ(snap.streams.size(), 2u);
+  EXPECT_EQ(snap.streams[0].frames_done, 1);
+  EXPECT_EQ(snap.streams[1].frames_done, 4);
   // Tripped BEFORE the deadline passed: the detector predicts the
   // violation while there is still budget left.
   EXPECT_LT(snap.modeled_now_cycles, 1000u);
-  EXPECT_DOUBLE_EQ(snap.streams[0].burn_rate, 5.0);
+  EXPECT_DOUBLE_EQ(snap.streams[0].burn_rate, 2.0);
   const std::vector<health::WatchdogTrip>& trips = monitor.trips();
   ASSERT_FALSE(trips.empty());
   EXPECT_EQ(trips[0].kind, health::WatchdogKind::kSlaBurn);
+  EXPECT_EQ(trips[0].epoch, snap.epoch);
   EXPECT_EQ(trips[0].stream_id, 0);
   // Best-effort streams never carry a burn rate.
   EXPECT_EQ(snap.streams[1].burn_rate, 0.0);
+  // Once finished, the projection is the cycle stream 0 finished at.
+  EXPECT_DOUBLE_EQ(monitor.snapshots().back().streams[0].projected_completion_cycles, 1400.0);
 }
 
 TEST(HealthMonitor, BurnRatesAreAlwaysFiniteAndNonNegative) {
-  health::StreamBudget b;
-  b.stream_id = 0;
-  b.deadline_cycles = 500.0;
-  b.frame_cycles.assign(4, 50.0);
-  health::HealthMonitor monitor;
-  monitor.begin_run(1, {b});
   // Epochs with zero progress, partial progress, and completion: one
-  // 50-cycle frame per 50-cycle epoch.
-  for (std::uint64_t k = 0; k < 5; ++k) {
-    const health::HealthSnapshot snap = monitor.tick(50 * k, {});
-    for (const health::StreamHealth& s : snap.streams) {
-      EXPECT_GE(s.burn_rate, 0.0);
-      EXPECT_TRUE(s.burn_rate == s.burn_rate);  // not NaN
-      EXPECT_LT(s.burn_rate, 1e12);             // finite
-    }
-    monitor.on_frame_done(0);
+  // 50-cycle frame per 50-cycle epoch, from the second epoch on.
+  std::vector<PlannedJob> jobs;
+  for (int f = 0; f < 4; ++f)
+    jobs.push_back(frame_job(0, f, 50 * static_cast<std::uint64_t>(f + 1),
+                             50 * static_cast<std::uint64_t>(f + 2)));
+  health::HealthMonitor monitor;
+  const health::StreamBudget b{.deadline_cycles = 500.0, .frames = 4};
+  monitor.observe(one_fabric_record(jobs, {b}, 50));
+
+  ASSERT_EQ(monitor.snapshots().size(), 5u);
+  int frames_done = 0;
+  for (const health::HealthSnapshot& snap : monitor.snapshots()) {
+    ASSERT_EQ(snap.streams.size(), 1u);
+    EXPECT_EQ(snap.streams[0].frames_done, frames_done++);
+    const double burn = snap.streams[0].burn_rate;
+    EXPECT_GE(burn, 0.0);
+    EXPECT_TRUE(std::isfinite(burn));
   }
   EXPECT_EQ(monitor.anomalies_total(), 0u);  // on-budget throughout
+}
+
+TEST(HealthMonitor, RefusesARecordWhoseBatchesOrJobsDisagree) {
+  const std::vector<PlannedJob> jobs = {frame_job(0, 0, 0, 50), frame_job(0, 1, 50, 100)};
+  const health::StreamBudget stream{.frames = 2};
+  health::HealthMonitor monitor;
+  health::PlanRecord plan = one_fabric_record(jobs, {stream}, 0);
+  plan.batches.pop_back();  // the second job in no batch
+  EXPECT_THROW(monitor.observe(plan), std::invalid_argument);
+  plan = one_fabric_record(jobs, {stream}, 0);
+  plan.fabrics = 0;  // jobs on a fabric the record lacks
+  EXPECT_THROW(monitor.observe(plan), std::out_of_range);
+  plan = one_fabric_record(jobs, {{.frames = 1}}, 0);  // frame 1 of a 1-frame stream
+  EXPECT_THROW(monitor.observe(plan), std::out_of_range);
+  monitor.observe(one_fabric_record(jobs, {stream}, 0));
+  EXPECT_EQ(monitor.snapshots().back().streams[0].frames_done, 2);
 }
 
 // ---- scheduler integration --------------------------------------------
@@ -476,7 +533,9 @@ TEST(HealthScheduler, UtilizationCreditsEachEpochTheBusyCyclesItOverlaps) {
 struct MonitoredRun {
   std::string dump;
   std::vector<health::WatchdogTrip> trips;
+  health::HealthSnapshot last;  ///< the snapshot at the makespan
   RunReport report;
+  std::vector<StreamJob> jobs;  ///< the streams as the run left them
 };
 
 MonitoredRun run_monitored(const KernelLibrary& lib, SchedulerConfig cfg,
@@ -489,6 +548,8 @@ MonitoredRun run_monitored(const KernelLibrary& lib, SchedulerConfig cfg,
   out.report = MultiStreamScheduler(lib, cfg).run(jobs);
   out.dump = monitor.health_json(0.0);
   out.trips = monitor.trips();
+  out.last = monitor.snapshots().back();
+  out.jobs = std::move(jobs);
   return out;
 }
 
@@ -555,6 +616,94 @@ TEST(HealthScheduler, SlaBurnTripLandsOnTheSameEpochEveryRun) {
   EXPECT_EQ(second.trips[0].detail, first.trips[0].detail);
   EXPECT_EQ(first.dump, second.dump);
   EXPECT_EQ(first.report.health_anomalies, 1u);
+}
+
+TEST(HealthScheduler, AdmittedStreamsThatMeetTheirDeadlinesTripNothing) {
+  // serve_streams --sla at test size: admission on, stage mode, one ME
+  // fabric beside two transform fabrics that each hold half the library,
+  // and six phones with deadlines at 6x one phone's cost. Every admitted
+  // phone meets its deadline, though the early frames of some are served
+  // late while the pool is shared; their burn projections must not call
+  // a miss.
+  const soc::RuntimeCondition phones[] = {{1.00, 0.95}, {0.50, 0.95}, {0.90, 0.30},
+                                          {0.12, 0.80}, {0.60, 0.92}, {0.85, 0.20}};
+  std::vector<StreamJob> jobs;
+  for (int k = 0; k < 6; ++k) {
+    StreamConfig cfg;
+    cfg.name = "phone-" + std::to_string(k + 1);
+    cfg.width = 32;
+    cfg.height = 32;
+    cfg.frame_budget = 4;
+    cfg.condition = phones[k];
+    cfg.codec.me_range = 4;
+    cfg.seed = 77 + static_cast<std::uint64_t>(k) * 13;
+    jobs.push_back(make_synthetic_job(k, cfg));
+  }
+  const std::uint64_t cost = stream_cost(jobs[0], library());
+  for (StreamJob& job : jobs) job.config.sla.deadline_cycles = 6 * cost;
+
+  FabricConfig me_fabric;
+  me_fabric.capabilities = kCapMotionEstimation;
+  FabricConfig dct_fabric;
+  dct_fabric.capabilities = kCapDctTransform;
+  dct_fabric.context_capacity_bytes = library().total_bytes(kDefaultGeometry) / 2;
+  SchedulerConfig cfg;
+  cfg.fabric_configs = {me_fabric, dct_fabric, dct_fabric};
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+  cfg.admission.enabled = true;
+
+  const MonitoredRun run = run_monitored(library(), cfg, jobs, cost / 8);
+  ASSERT_EQ(run.report.admission.rejected, 0u);
+  EXPECT_EQ(run.report.sla_violations, 0u);
+  EXPECT_TRUE(run.trips.empty()) << describe(run.trips);
+  // A finished stream's projection is the cycle it finished at.
+  ASSERT_EQ(run.last.streams.size(), run.jobs.size());
+  for (const health::StreamHealth& s : run.last.streams)
+    EXPECT_EQ(s.projected_completion_cycles,
+              static_cast<double>(
+                  run.jobs[static_cast<std::size_t>(s.stream_id)].modeled_completion_cycles))
+        << "stream " << s.stream_id;
+}
+
+// ---- health dump pins -----------------------------------------------------
+
+/// @p dump without its burn projections: every stream's `burn_rate` and
+/// `projected_completion_cycles`, the last two fields of its object.
+std::string without_projections(std::string dump) {
+  const std::string projection = ", \"burn_rate\": ";
+  for (std::size_t at = dump.find(projection); at != std::string::npos;
+       at = dump.find(projection, at))
+    dump.erase(at, dump.find('}', at) - at);
+  return dump;
+}
+
+TEST(HealthPin, PlanPinDumpInBothModes) {
+  // The pinned planner workload on one fabric, 50,000-cycle epochs: the
+  // snapshots, utilization, flight records and (absent) trips must not
+  // move while health changes how it reads the plan. The burn
+  // projections are left out.
+  const std::pair<DispatchMode, const char*> cases[] = {
+      {DispatchMode::kMonolithicFrames, "cc7e02932e46f87f"},
+      {DispatchMode::kStagePipeline, "9fd12f8e48b153ff"},
+  };
+  for (const auto& [mode, want] : cases) {
+    const MonitoredRun run = run_monitored(
+        plan_workloads::library(),
+        plan_workloads::one_fabric_config(mode, SchedulingPolicy::kAffinityBatched),
+        plan_workloads::pin_workload(), 50000);
+    EXPECT_TRUE(run.trips.empty()) << to_string(mode) << describe(run.trips);
+    EXPECT_EQ(fnv1a_hex(without_projections(run.dump)), want) << to_string(mode);
+  }
+}
+
+TEST(HealthPin, TenancyAdmissionDump) {
+  // Sheds, degrades, steals and waits on a shared configuration port, with
+  // 5,000-cycle epochs: the whole dump, burn projections and trips
+  // included.
+  const MonitoredRun run = run_monitored(plan_workloads::two_geometry_library(),
+                                         plan_workloads::tenancy_admission_config(),
+                                         plan_workloads::tenancy_admission_workload(), 5000);
+  EXPECT_EQ(fnv1a_hex(run.dump), "2f3bcc4d12825bb6") << describe(run.trips);
 }
 
 // ---- metrics timeline cap ----------------------------------------------

@@ -19,6 +19,9 @@ checks it enforces the invariants the runtime promises:
   * queue completions and dispatches never move backwards across epochs;
   * SLA burn rates are finite and in [0, inf); utilization and cache
     pressure are fractions in [0, 1];
+  * an unfinished stream's projected completion lies at or after its
+    snapshot's modeled_now_cycles, a finished stream's (the cycle it
+    finished) at or before it;
   * anomalies_total equals the number of recorded trips, and every trip
     names a known watchdog;
   * flight-recorder sequence numbers strictly increase, their modeled
@@ -286,6 +289,19 @@ def validate_snapshot(snap, i, fabric_count):
                 f"{where}: stream {sid}: frame counts must be non-negative ints")
         require(s["frames_done"] <= s["frames_total"] or s["frames_total"] == 0,
                 f"{where}: stream {sid}: frames_done exceeds frames_total")
+        # A projection is a modeled cycle: an unfinished stream's lies
+        # ahead of the snapshot, a finished one's (the cycle it finished)
+        # at or before it.
+        if not s["shed"] and s["deadline_cycles"] > 0 and s["total_cycles"] > 0:
+            projected, now = s["projected_completion_cycles"], snap["modeled_now_cycles"]
+            if s["frames_done"] < s["frames_total"]:
+                require(projected >= now,
+                        f"{where}: stream {sid}: unfinished, but projected to complete at "
+                        f"{projected}, before the snapshot's {now}")
+            else:
+                require(projected <= now,
+                        f"{where}: stream {sid}: finished, but its projected completion "
+                        f"{projected} lies after the snapshot's {now}")
 
 
 def validate_flight(fr, fabric_count, last_tick):
