@@ -1,12 +1,18 @@
 // Stage-split encode pipeline: bit-exact equivalence between the
 // monolithic frame encode and the ME -> DCT/quant -> reconstruct stage
 // decomposition, across synthetic sequences, quantiser scales and DCT
-// array implementations.
+// array implementations; and the encoder's output pinned to recorded
+// digests for every DCT implementation.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/report.hpp"
 #include "me/systolic.hpp"
 #include "video/codec.hpp"
 #include "video/synthetic.hpp"
@@ -196,6 +202,83 @@ TEST(PipelineStages, InterleavedStreamsStayIsolated) {
   }
   EXPECT_EQ(a_recon.data(), a_ref_recon.data());
   EXPECT_EQ(b_recon.data(), b_ref_recon.data());
+}
+
+/// Append the object representation of @p v to a digest buffer.
+template <typename T>
+void append_bytes(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// Encode three frame shapes through @p impl (null: the double reference
+/// DCT) at three quantiser scales, four frames each, intra then open-loop
+/// inter: 64x64, plus 37x19 and 24x40 for edge blocks and partial
+/// macroblocks. Scale 16 is one admission QP bump over the default 8;
+/// 5.5 gives non-integer steps. The digest covers the bytes of every
+/// FrameStats field, every level and every reconstruction byte.
+std::string encoder_digest(const dct::DctImplementation* impl) {
+  std::string bytes;
+  for (const auto& [w, h] : {std::pair{64, 64}, std::pair{37, 19}, std::pair{24, 40}}) {
+    SyntheticConfig sc;
+    sc.width = w;
+    sc.height = h;
+    sc.frames = 4;
+    sc.seed = 2200 + static_cast<std::uint64_t>(w);
+    const auto frames = generate_sequence(sc);
+    for (const double qs : {8.0, 16.0, 5.5}) {
+      CodecConfig cfg;
+      cfg.quantiser_scale = qs;
+      cfg.me_range = 4;
+      const ToyEncoder enc(impl, me::systolic_search_fn(), cfg);
+      Frame state;
+      for (std::size_t k = 0; k < frames.size(); ++k) {
+        const Frame* search_ref = k > 0 ? &frames[k - 1] : nullptr;
+        // The levels encode_frame codes: its own stages on the same state.
+        const MotionStageResult motion = enc.run_motion_stage(frames[k], search_ref);
+        const TransformStageResult transform =
+            enc.run_transform_stage(frames[k], k > 0 ? &state : nullptr, motion);
+        const FrameStats s = enc.encode_frame(frames[k], search_ref, state);
+        append_bytes(bytes, s.psnr_db);
+        append_bytes(bytes, s.bits);
+        append_bytes(bytes, s.dct_array_cycles);
+        append_bytes(bytes, s.me_array_cycles);
+        append_bytes(bytes, s.blocks_coded);
+        append_bytes(bytes, s.mean_abs_mv);
+        for (const QBlock& levels : transform.levels)
+          for (const auto& row : levels)
+            for (const int v : row) append_bytes(bytes, v);
+        bytes.append(state.data().begin(), state.data().end());
+      }
+    }
+  }
+  return fnv1a_hex(bytes);
+}
+
+/// The encoder's output for every DCT implementation, recorded before the
+/// block path gained its integer kernels and libm-free rounding: any
+/// change to the transform, quantiser, bit estimate or reconstruction
+/// that moves one bit of output moves a digest here.
+TEST(EncoderPin, EveryImplementationEncodesAsRecorded) {
+  const std::map<std::string, std::string> recorded = {
+      {"wide/da_basic", "a152acdfc2abb135"},      {"wide/mixed_rom", "e5e300029548073d"},
+      {"wide/cordic1", "e5e300029548073d"},       {"wide/cordic2", "1de5ab950ddbcc48"},
+      {"wide/scc_even_odd", "e5e300029548073d"},  {"wide/scc_full", "a152acdfc2abb135"},
+      {"paper/da_basic", "297086baa9508903"},     {"paper/mixed_rom", "04fc4f79b56063a7"},
+      {"paper/cordic1", "04fc4f79b56063a7"},      {"paper/cordic2", "180b39e247166b1a"},
+      {"paper/scc_even_odd", "04fc4f79b56063a7"}, {"paper/scc_full", "297086baa9508903"},
+      {"fig4_exact", "fa546de81584a28f"},         {"reference", "0aa132742407ca4f"},
+  };
+  std::vector<std::pair<std::string, std::unique_ptr<dct::DctImplementation>>> impls;
+  for (auto& impl : dct::all_implementations(dct::DaPrecision::wide()))
+    impls.emplace_back("wide/" + impl->name(), std::move(impl));
+  for (auto& impl : dct::all_implementations(dct::DaPrecision::paper()))
+    impls.emplace_back("paper/" + impl->name(), std::move(impl));
+  impls.emplace_back("fig4_exact", dct::make_da_basic_fig4_exact());
+  impls.emplace_back("reference", nullptr);
+  for (const auto& [label, impl] : impls) {
+    const auto it = recorded.find(label);
+    EXPECT_EQ(encoder_digest(impl.get()), it != recorded.end() ? it->second : "") << label;
+  }
 }
 
 }  // namespace
