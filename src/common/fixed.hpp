@@ -16,6 +16,18 @@ namespace dsra {
   return static_cast<std::int64_t>(std::llround(value * static_cast<double>(1ll << frac_bits)));
 }
 
+/// std::llround without the libm call: round to nearest, ties away from
+/// zero. For every finite |x| < 2^52 the truncating conversion and the
+/// remainder x - trunc(x) are exact, so comparing that remainder with
+/// +/-0.5 gives std::llround's result (and std::lround's where long is 64
+/// bits). Larger magnitudes, infinities and NaN go to std::llround.
+[[nodiscard]] inline std::int64_t round_half_away(double x) {
+  if (!(std::fabs(x) < 0x1p52)) return std::llround(x);
+  const auto t = static_cast<std::int64_t>(x);
+  const double rem = x - static_cast<double>(t);
+  return t + (rem >= 0.5 ? 1 : 0) - (rem <= -0.5 ? 1 : 0);
+}
+
 /// Convert a fixed-point integer with @p frac_bits fractional bits to double.
 [[nodiscard]] inline double from_fixed(std::int64_t v, int frac_bits) {
   return static_cast<double>(v) / static_cast<double>(1ll << frac_bits);

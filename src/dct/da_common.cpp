@@ -32,6 +32,12 @@ DaLut build_da_lut(std::span<const std::int64_t> qcoeffs, int rom_width) {
   return lut;
 }
 
+bool all_linear(std::span<const DaLut> luts) {
+  bool linear = true;
+  for (const DaLut& lut : luts) linear = linear && lut.linear;
+  return linear;
+}
+
 std::int64_t da_eval(const DaLut& lut, std::span<const std::int64_t> values, int serial_width,
                      int acc_bits) {
   if (!lut.linear) return da_eval_serial(lut.words, values, serial_width, acc_bits);

@@ -51,6 +51,9 @@ struct DaLut {
 
 [[nodiscard]] DaLut build_da_lut(std::span<const std::int64_t> qcoeffs, int rom_width);
 
+/// True when every LUT in @p luts is linear.
+[[nodiscard]] bool all_linear(std::span<const DaLut> luts);
+
 /// Exact DA evaluation: the value the AddShift kShiftAcc cluster holds
 /// after @p serial_width MSB-first cycles over @p values (LSB of
 /// values[i] supplies address bit i). A linear LUT is evaluated as

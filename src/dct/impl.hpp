@@ -7,17 +7,45 @@
 //  * a netlist generator targeting the DA array (build_netlist), whose
 //    cluster census reproduces its Table 1 column;
 //  * scaling metadata to convert raw accumulator words to real DCT values
-//    (CORDIC #2 is a *scaled* DCT; its factors fold into quantisation).
+//    (CORDIC #2 is a *scaled* DCT; its factors fold into quantisation);
+//  * where its datapath is exact, the same transform as an int32 affine
+//    map, which the 2-D block transform runs as matrix products.
 #pragma once
 
 #include <array>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dct/da_common.hpp"
 
 namespace dsra::dct {
+
+/// How one raw output word becomes a real DCT coefficient:
+/// X = (raw - offset) / 2^frac_bits / scale.
+struct Readout {
+  std::int64_t offset = 0;  ///< constant the datapath adds (CORDIC #2's rounding)
+  int frac_bits = 0;        ///< fraction bits of the raw word
+  double scale = 1.0;       ///< scaled-DCT factor g (CORDIC #2's X0/X4), else 1
+
+  [[nodiscard]] double to_real(std::int64_t raw) const {
+    return static_cast<double>(raw - offset) / static_cast<double>(1ll << frac_bits) / scale;
+  }
+};
+
+/// An 8-point transform as an exact int32 affine map on input_bits-wide
+/// inputs: raw[u] = bias[u] + sum_i m[u][i] * x[i], where no partial sum
+/// reaches 2^31, plus the readout of every output. The matrix is stored
+/// by input, column[i][u] = m[u][i], so one input scales a whole row of
+/// outputs; its entries and the inputs fit int16, so the products
+/// vectorise.
+struct AffineKernel {
+  std::array<std::array<std::int16_t, kN>, kN> column{};
+  std::array<std::int32_t, kN> bias{};
+  std::array<Readout, kN> readout{};
+};
 
 class DctImplementation {
  public:
@@ -49,16 +77,29 @@ class DctImplementation {
   /// Clock cycles for one 8-point transform on the array.
   [[nodiscard]] int cycles_per_transform() const { return serial_width() + 1; }
 
-  /// Per-output fraction bits of the raw words (defaults to the ROM
-  /// coefficient fraction; combinational bypass outputs report 0).
-  [[nodiscard]] virtual std::array<int, kN> output_frac_bits() const;
-
-  /// Per-output scale factor g: X_true = raw / 2^frac / g. Identity for
-  /// exact implementations; CORDIC #2 returns its folded scale vector.
-  [[nodiscard]] virtual std::array<double, kN> output_scale() const;
+  /// Per-output readout of the raw words. Defaults to the ROM coefficient
+  /// fraction, no offset and scale 1; CORDIC #2 reports its bypass
+  /// outputs' 0 fraction bits and folded scale, and its odd outputs'
+  /// rounding offset.
+  [[nodiscard]] virtual std::array<Readout, kN> readout() const;
 
   /// Convert a raw output word to a real DCT coefficient.
-  [[nodiscard]] virtual double to_real(int u, std::int64_t raw) const;
+  [[nodiscard]] double to_real(int u, std::int64_t raw) const {
+    return readout()[static_cast<std::size_t>(u)].to_real(raw);
+  }
+
+  /// True when transform() is exactly affine on input_bits-wide inputs up
+  /// to accumulator wrap: every LUT it evaluates is linear and its serial
+  /// and butterfly widths cover the butterflies' growth. The
+  /// implementation owns its LUTs and widths, so it states this.
+  [[nodiscard]] virtual bool affine_datapath() const { return false; }
+
+  /// transform() as an int32 affine map, derived once on first use by
+  /// probing it at 0 and at the unit vectors. Null unless
+  /// affine_datapath() holds, no output can reach the accumulator's sign
+  /// bit (sum_i |m[u][i]| * 2^(input_bits-1) + |bias[u]| < 2^(acc_bits-1)
+  /// for every u) and the matrix entries and inputs fit int16.
+  [[nodiscard]] const AffineKernel* affine_kernel() const;
 
   /// Drive any implementation-specific constant inputs (e.g. CORDIC #2's
   /// rounding constants). Called once before run_da_transform.
@@ -71,6 +112,10 @@ class DctImplementation {
 
  protected:
   DaPrecision prec_;
+
+ private:
+  mutable std::once_flag kernel_once_;
+  mutable std::optional<AffineKernel> kernel_;
 };
 
 /// Factory helpers, one per paper figure.

@@ -60,6 +60,10 @@ class Cordic1Impl final : public DctImplementation {
     return round_up_to_element(prec_.input_bits + 2);
   }
 
+  [[nodiscard]] bool affine_datapath() const override {
+    return all_linear(luts_) && serial_width() >= prec_.input_bits + 2;
+  }
+
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {
     const int ws = serial_width();
     std::array<std::int64_t, 4> s{}, d{};

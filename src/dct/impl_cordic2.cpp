@@ -52,26 +52,22 @@ class Cordic2Impl final : public DctImplementation {
     return round_up_to_element(prec_.input_bits + 2);
   }
 
-  [[nodiscard]] std::array<int, kN> output_frac_bits() const override {
-    auto f = DctImplementation::output_frac_bits();
-    f[0] = 0;  // X0, X4 bypass the DA path (parallel butterflies)
-    f[4] = 0;
-    return f;
-  }
-
-  [[nodiscard]] std::array<double, kN> output_scale() const override {
-    std::array<double, kN> g{};
-    g.fill(1.0);
-    g[0] = 2.0 * std::sqrt(2.0);
-    g[4] = 2.0 * std::sqrt(2.0);
-    return g;
-  }
-
-  [[nodiscard]] double to_real(int u, std::int64_t raw) const override {
+  [[nodiscard]] std::array<Readout, kN> readout() const override {
+    auto r = DctImplementation::readout();
+    // X0, X4 bypass the DA path (parallel butterflies): no fraction bits,
+    // and the scale g = 2*sqrt2 folds into the quantiser.
+    r[0] = r[4] = {0, 0, 2.0 * std::sqrt(2.0)};
     // Odd outputs carry the +2^(f-1) rounding offset added by the output
     // alignment stage (for downstream truncating quantisers).
-    if (u % 2 == 1) raw -= round_const();
-    return DctImplementation::to_real(u, raw);
+    for (const std::size_t u : {1, 3, 5, 7}) r[u].offset = round_const();
+    return r;
+  }
+
+  [[nodiscard]] bool affine_datapath() const override {
+    // Butterflies grow two bits over four inputs on the serial width and
+    // three over eight on the bypass width, round_up_to_element(ws + 1).
+    return all_linear(even_luts_) && all_linear(odd_luts_) &&
+           serial_width() >= prec_.input_bits + 2;
   }
 
   void drive_constants(Simulator& sim) const override {

@@ -30,6 +30,10 @@ class DaBasicImpl final : public DctImplementation {
     return round_up_to_element(prec_.input_bits);
   }
 
+  [[nodiscard]] bool affine_datapath() const override {
+    return all_linear(luts_) && serial_width() >= prec_.input_bits;
+  }
+
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {
     IVec8 serial{};
     for (int i = 0; i < kN; ++i)
@@ -87,12 +91,12 @@ class Fig4ExactImpl final : public DctImplementation {
   }
   [[nodiscard]] int serial_width() const override { return prec_.input_bits; }
 
-  [[nodiscard]] std::array<int, kN> output_frac_bits() const override {
+  [[nodiscard]] std::array<Readout, kN> readout() const override {
     // raw = exact_DA * 2^(kAddendShift - B + 1); exact_DA carries
     // coeff_frac_bits of fraction -> effective fraction bits:
-    std::array<int, kN> f{};
-    f.fill(prec_.coeff_frac_bits + kAddendShift - prec_.input_bits + 1);
-    return f;
+    std::array<Readout, kN> r{};
+    r.fill({0, prec_.coeff_frac_bits + kAddendShift - prec_.input_bits + 1, 1.0});
+    return r;
   }
 
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {

@@ -42,6 +42,11 @@ class MixedRomImpl final : public DctImplementation {
     return round_up_to_element(prec_.input_bits + 1);
   }
 
+  [[nodiscard]] bool affine_datapath() const override {
+    return all_linear(even_luts_) && all_linear(odd_luts_) &&
+           serial_width() >= prec_.input_bits + 1;
+  }
+
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {
     const int ws = serial_width();
     std::array<std::int64_t, 4> s{}, d{};

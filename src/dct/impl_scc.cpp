@@ -52,6 +52,11 @@ class SccEvenOddImpl final : public DctImplementation {
     return round_up_to_element(prec_.input_bits + 1);
   }
 
+  [[nodiscard]] bool affine_datapath() const override {
+    return all_linear(even_luts_) && all_linear(odd_luts_) &&
+           serial_width() >= prec_.input_bits + 1;
+  }
+
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {
     const Scc4Tables& t = scc4_tables();
     const int ws = serial_width();
@@ -162,6 +167,10 @@ class SccFullImpl final : public DctImplementation {
   }
   [[nodiscard]] int serial_width() const override {
     return round_up_to_element(prec_.input_bits);
+  }
+
+  [[nodiscard]] bool affine_datapath() const override {
+    return all_linear(luts_) && serial_width() >= prec_.input_bits;
   }
 
   [[nodiscard]] IVec8 transform(const IVec8& x) const override {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+
+#include "common/fixed.hpp"
 
 namespace dsra::video {
 
@@ -10,8 +13,21 @@ namespace {
 
 using PixelBlock = dct::PixelBlock;
 
+/// True when the 8x8 block at (bx, by) lies inside @p f, so its rows are
+/// read directly instead of pixel by pixel through clamped_at.
+bool interior(const Frame& f, int bx, int by) {
+  return bx >= 0 && by >= 0 && bx + 8 <= f.width() && by + 8 <= f.height();
+}
+
 PixelBlock extract_block(const Frame& f, int bx, int by, int offset) {
   PixelBlock b{};
+  if (interior(f, bx, by)) {
+    for (std::size_t y = 0; y < 8; ++y) {
+      const std::uint8_t* row = f.row(by + static_cast<int>(y)) + bx;
+      for (std::size_t x = 0; x < 8; ++x) b[y][x] = static_cast<int>(row[x]) - offset;
+    }
+    return b;
+  }
   for (int y = 0; y < 8; ++y)
     for (int x = 0; x < 8; ++x)
       b[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] =
@@ -21,12 +37,30 @@ PixelBlock extract_block(const Frame& f, int bx, int by, int offset) {
 
 PixelBlock residual_block(const Frame& cur, const Frame& pred, int bx, int by) {
   PixelBlock b{};
+  if (interior(cur, bx, by) && interior(pred, bx, by)) {
+    for (std::size_t y = 0; y < 8; ++y) {
+      const std::uint8_t* c = cur.row(by + static_cast<int>(y)) + bx;
+      const std::uint8_t* p = pred.row(by + static_cast<int>(y)) + bx;
+      for (std::size_t x = 0; x < 8; ++x) b[y][x] = static_cast<int>(c[x]) - static_cast<int>(p[x]);
+    }
+    return b;
+  }
   for (int y = 0; y < 8; ++y)
     for (int x = 0; x < 8; ++x)
       b[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] =
           static_cast<int>(cur.clamped_at(bx + x, by + y)) -
           static_cast<int>(pred.clamped_at(bx + x, by + y));
   return b;
+}
+
+/// Copy @p n pixels of row @p y from column @p x0 on, edge-clamped: one
+/// direct copy when the span lies inside the frame.
+void read_row(const Frame& f, int x0, int y, int n, std::uint8_t* dst) {
+  if (x0 >= 0 && x0 + n <= f.width() && y >= 0 && y < f.height()) {
+    std::memcpy(dst, f.row(y) + x0, static_cast<std::size_t>(n));
+    return;
+  }
+  for (int x = 0; x < n; ++x) dst[x] = f.clamped_at(x0 + x, y);
 }
 
 bool is_intra_ref(const Frame* ref) { return ref == nullptr || ref->width() == 0; }
@@ -55,7 +89,7 @@ void ToyEncoder::reconstruct_block(const QBlock& levels,
   for (int y = 0; y < 8; ++y)
     for (int x = 0; x < 8; ++x)
       rb[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] = static_cast<int>(
-          std::lround(recon_real[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)]));
+          round_half_away(recon_real[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)]));
 }
 
 MotionStageResult ToyEncoder::run_motion_stage(const Frame& frame,
@@ -117,11 +151,9 @@ TransformStageResult ToyEncoder::run_transform_stage(const Frame& frame, const F
       // residual reads stay inside the macroblock (a border macroblock
       // reaches the frame edge), so one shared prediction frame matches
       // the per-macroblock prediction bit for bit.
-      for (int y = 0; y < mb; ++y)
-        for (int x = 0; x < mb; ++x)
-          if (bx + x < frame.width() && by + y < frame.height())
-            out.prediction.set(bx + x, by + y,
-                               mc_ref->clamped_at(bx + x + mv.dx, by + y + mv.dy));
+      const int w = std::min(mb, frame.width() - bx);
+      for (int y = 0; y < mb && by + y < frame.height(); ++y)
+        read_row(*mc_ref, bx + mv.dx, by + y + mv.dy, w, out.prediction.row(by + y) + bx);
 
       for (int sy = 0; sy < mb; sy += 8)
         for (int sx = 0; sx < mb; sx += 8)

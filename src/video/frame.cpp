@@ -1,6 +1,5 @@
 #include "video/frame.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -10,12 +9,6 @@ Frame::Frame(int width, int height, std::uint8_t fill)
     : width_(width), height_(height),
       data_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), fill) {
   if (width <= 0 || height <= 0) throw std::invalid_argument("frame dimensions must be positive");
-}
-
-std::uint8_t Frame::clamped_at(int x, int y) const {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return at(x, y);
 }
 
 void Frame::save_pgm(const std::string& path) const {

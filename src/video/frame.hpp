@@ -5,6 +5,7 @@
 // to frame borders reads clamped pixels, the usual convention).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,8 +29,18 @@ class Frame {
           static_cast<std::size_t>(x)] = v;
   }
 
+  /// Row @p y's pixels, contiguous from x = 0.
+  [[nodiscard]] const std::uint8_t* row(int y) const {
+    return data_.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(width_);
+  }
+  [[nodiscard]] std::uint8_t* row(int y) {
+    return data_.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(width_);
+  }
+
   /// Edge-clamped read (coordinates outside the frame clamp to the border).
-  [[nodiscard]] std::uint8_t clamped_at(int x, int y) const;
+  [[nodiscard]] std::uint8_t clamped_at(int x, int y) const {
+    return at(std::clamp(x, 0, width_ - 1), std::clamp(y, 0, height_ - 1));
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return data_; }
   [[nodiscard]] std::vector<std::uint8_t>& data() { return data_; }

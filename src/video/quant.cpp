@@ -1,6 +1,9 @@
 #include "video/quant.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <bit>
+
+#include "common/fixed.hpp"
 
 namespace dsra::video {
 
@@ -39,11 +42,9 @@ QuantMatrix QuantMatrix::folded(const std::array<double, 8>& g_row,
 
 QBlock quantize(const RBlock& coeffs, const QuantMatrix& q) {
   QBlock out{};
-  for (int u = 0; u < 8; ++u)
-    for (int v = 0; v < 8; ++v)
-      out[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] = static_cast<int>(
-          std::lround(coeffs[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] /
-                      q.step[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)]));
+  for (std::size_t u = 0; u < 8; ++u)
+    for (std::size_t v = 0; v < 8; ++v)
+      out[u][v] = static_cast<int>(round_half_away(coeffs[u][v] / q.step[u][v]));
   return out;
 }
 
@@ -74,23 +75,35 @@ const std::array<std::pair<int, int>, 64>& zigzag_order() {
 }
 
 double estimate_block_bits(const QBlock& levels) {
+  // Exp-Golomb length of n >= 1: 2 * floor(log2 n) + 1, with floor(log2 n)
+  // = bit_width(n) - 1. Every term is a small integer, so the integer sum
+  // is the double sum of the same terms.
+  const auto golomb_bits = [](std::uint64_t n) {
+    return 2 * (static_cast<std::int64_t>(std::bit_width(n)) - 1) + 1;
+  };
+  // The levels in zig-zag order and a mask of the nonzero ones: the cost
+  // loop visits only coded levels, with no per-level branch to mispredict.
   const auto& order = zigzag_order();
-  double bits = 0.0;
-  int run = 0;
-  for (const auto& [r, c] : order) {
-    const int v = levels[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
-    if (v == 0) {
-      ++run;
-      continue;
-    }
-    // Exp-Golomb cost of the zero run, then of the magnitude, plus sign.
-    bits += 2.0 * std::floor(std::log2(run + 1.0)) + 1.0;
-    bits += 2.0 * std::floor(std::log2(std::abs(v) + 1.0)) + 1.0;
-    bits += 1.0;
-    run = 0;
+  std::array<int, 64> scan{};
+  std::uint64_t coded = 0;
+  for (std::size_t k = 0; k < 64; ++k) {
+    scan[k] = levels[static_cast<std::size_t>(order[k].first)]
+                    [static_cast<std::size_t>(order[k].second)];
+    coded |= static_cast<std::uint64_t>(scan[k] != 0) << k;
   }
-  bits += 4.0;  // end-of-block marker
-  return bits;
+  std::int64_t bits = 4;  // end-of-block marker
+  int prev = -1;
+  for (; coded != 0; coded &= coded - 1) {
+    const int k = std::countr_zero(coded);
+    // The zero run before the level, then its magnitude, plus sign.
+    const int v = scan[static_cast<std::size_t>(k)];
+    const std::uint64_t magnitude =
+        v < 0 ? 0 - static_cast<std::uint64_t>(static_cast<std::int64_t>(v))
+              : static_cast<std::uint64_t>(v);
+    bits += golomb_bits(static_cast<std::uint64_t>(k - prev)) + golomb_bits(magnitude + 1) + 1;
+    prev = k;
+  }
+  return static_cast<double>(bits);
 }
 
 }  // namespace dsra::video
