@@ -12,8 +12,9 @@ int main(int argc, char** argv) {
   auto impl = dct::make_cordic2();
 
   // Scale-folding demonstration.
+  const auto readout = impl->readout();
   std::array<double, 8> g{};
-  for (std::size_t u = 0; u < 8; ++u) g[u] = impl->readout()[u].scale;
+  for (std::size_t u = 0; u < 8; ++u) g[u] = readout[u].scale;
   video::QuantMatrix base = video::QuantMatrix::mpeg_intra(8.0);
   std::array<double, 8> ones{};
   ones.fill(1.0);

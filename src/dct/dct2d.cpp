@@ -60,15 +60,22 @@ Block8x8 forward_2d_kernel(const AffineKernel& k, int in_bits, const PixelBlock&
   std::array<KernelReadout, kN> ro;
   for (std::size_t u = 0; u < kN; ++u) ro[u] = KernelReadout(k.readout[u]);
 
+  // raw[u] = bias[u] + sum_i m[u][i] * x[i]: one input scales a row of
+  // outputs, so the inner loop vectorises over u.
+  const auto raw_of = [&k](const auto& x) {
+    std::array<std::int32_t, kN> raw = k.bias;
+    for (std::size_t i = 0; i < kN; ++i) {
+      const auto xi = static_cast<std::int16_t>(x[i]);
+      for (std::size_t u = 0; u < kN; ++u) raw[u] += k.column[i][u] * xi;
+    }
+    return raw;
+  };
+
   // Pass 1: rows. t[u][r] is the transpose buffer's word for row r's
   // output u, saturated to the input width.
   std::array<std::array<std::int32_t, kN>, kN> t{};
   for (std::size_t r = 0; r < kN; ++r) {
-    std::array<std::int32_t, kN> raw = k.bias;
-    for (std::size_t c = 0; c < kN; ++c) {
-      const std::int16_t x = static_cast<std::int16_t>(block[r][c]);
-      for (std::size_t u = 0; u < kN; ++u) raw[u] += k.column[c][u] * x;
-    }
+    const std::array<std::int32_t, kN> raw = raw_of(block[r]);
     for (std::size_t u = 0; u < kN; ++u)
       t[u][r] = static_cast<std::int32_t>(saturate_to_width(ro[u].to_pass2(raw[u]), in_bits));
   }
@@ -76,11 +83,7 @@ Block8x8 forward_2d_kernel(const AffineKernel& k, int in_bits, const PixelBlock&
   // Pass 2: columns; column c's inputs are t[c][0..7].
   Block8x8 out{};
   for (std::size_t c = 0; c < kN; ++c) {
-    std::array<std::int32_t, kN> raw = k.bias;
-    for (std::size_t r = 0; r < kN; ++r) {
-      const std::int16_t x = static_cast<std::int16_t>(t[c][r]);
-      for (std::size_t u = 0; u < kN; ++u) raw[u] += k.column[r][u] * x;
-    }
+    const std::array<std::int32_t, kN> raw = raw_of(t[c]);
     for (std::size_t u = 0; u < kN; ++u) out[u][c] = ro[u].to_output(raw[u]);
   }
   return out;
