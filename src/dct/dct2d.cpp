@@ -13,10 +13,9 @@ namespace {
 constexpr double kPass2Scale = 1 << kPass2FracBits;
 
 bool fits_input(const PixelBlock& block, int in_bits) {
-  const std::int64_t lo = -(1ll << (in_bits - 1)), hi = (1ll << (in_bits - 1)) - 1;
   bool fits = true;
   for (const auto& row : block)
-    for (const int v : row) fits &= v >= lo && v <= hi;
+    for (const int v : row) fits &= fits_signed(v, in_bits);
   return fits;
 }
 
