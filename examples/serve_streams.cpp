@@ -293,6 +293,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),
               static_cast<unsigned long long>(report.cache.evictions));
+  std::printf("host: %.3f s wall, planning %.1f ms, execute tail %.1f ms\n",
+              report.wall_seconds, static_cast<double>(report.plan_ns) / 1e6,
+              static_cast<double>(report.execute_tail_ns) / 1e6);
   if (dynamic)
     std::printf("conditions drifted mid-stream %llu times; the queue re-bucketed those "
                 "streams onto their new bitstreams without dropping a frame.\n",

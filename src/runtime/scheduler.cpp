@@ -17,6 +17,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
 /// One frame as planned: its kernel cycles and its modeled span, from
 /// its first stage's readiness to its last stage's end.
 struct PlannedFrame {
@@ -480,11 +485,15 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
 
   Plan planned;
   {
+    const auto executor_start = Clock::now();
     Executor executor(pool.size(), streams.size(), execute);
     planned = plan(streams, pool, library_, config_, hm != nullptr ? hm->epoch_cycles() : 0,
                    rec != nullptr || hm != nullptr, executor, report);
-    idle_since.back() = Clock::now();  // this thread is free to work from here
+    const auto planned_all = Clock::now();
+    idle_since.back() = planned_all;  // this thread is free to work from here
     executor.finish();
+    report.plan_ns = elapsed_ns(executor_start, planned_all);
+    report.execute_tail_ns = elapsed_ns(planned_all, Clock::now());
   }
   if (hm != nullptr) {
     hm->observe(health_record(streams, planned, pool));

@@ -115,6 +115,11 @@ struct RunReport {
   int physical_fabrics = 0;
   std::vector<StreamSummary> streams;
   double wall_seconds = 0.0;
+  /// Host phases of the run, in steady-clock nanoseconds: plan_ns from
+  /// the executor's start to the plan's last hand-off, execute_tail_ns
+  /// from there to the workers' join. Their sum is at most wall_seconds.
+  std::uint64_t plan_ns = 0;
+  std::uint64_t execute_tail_ns = 0;
   std::uint64_t total_frames = 0;
   double frames_per_second = 0.0;
   std::uint64_t total_array_cycles = 0;

@@ -291,5 +291,18 @@ TEST(SchedulerPipeline, MonolithicJobsOnlyUseDctCapableFabrics) {
   EXPECT_EQ(report.me_reconfig_cycles, 0u);
 }
 
+TEST(SchedulerPipeline, HostPhasesFitInsideTheWallTime) {
+  SchedulerConfig cfg;
+  cfg.fabric_configs = {fabric_with(kCapMotionEstimation), fabric_with(kCapDctTransform)};
+  cfg.queue.mode = DispatchMode::kStagePipeline;
+  auto jobs = mixed_workload(3, 3, 32);
+  const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+
+  EXPECT_GT(report.plan_ns, 0u);
+  EXPECT_GT(report.execute_tail_ns, 0u);
+  EXPECT_LE(static_cast<double>(report.plan_ns + report.execute_tail_ns),
+            report.wall_seconds * 1e9);
+}
+
 }  // namespace
 }  // namespace dsra::runtime
