@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -299,6 +300,103 @@ std::vector<StreamJob> scc_workload(int streams, int frames) {
     jobs.push_back(make_synthetic_job(k, cfg));
   }
   return jobs;
+}
+
+/// Everything a prepare could change on a fabric, besides its active
+/// context.
+struct PrepareView {
+  ContextCacheStats stats;
+  std::vector<std::string> lru;
+  std::size_t resident_bytes = 0;
+  std::size_t bypass_bytes = 0;
+  int switches = 0;
+  std::uint64_t region_deltas = 0;
+  std::uint64_t region_blits = 0;
+  std::vector<ConfigFrame> composite;
+};
+
+PrepareView view_of(const Fabric& fabric) {
+  return {fabric.cache().stats(),        fabric.cache().lru_order(),
+          fabric.cache().resident_bytes(), fabric.cache().bypass_bytes(),
+          fabric.reconfig().switches_performed(), fabric.region_deltas(),
+          fabric.region_blits(),         fabric.composite_image().frames};
+}
+
+auto counters(const ContextCacheStats& s) {
+  return std::tuple(s.hits, s.misses, s.evictions, s.bytes_fetched, s.bytes_inserted,
+                    s.bytes_evicted, s.fetch_cycles, s.oversize_fetches, s.bytes_bypassed,
+                    s.delta_fetches, s.bytes_saved);
+}
+
+/// Prepare @p fabric's active context again: a free cache hit that
+/// changes nothing but the hit count.
+void expect_free_hit_on_active(Fabric& fabric) {
+  ASSERT_TRUE(fabric.active().has_value());
+  const std::string context = *fabric.active();
+  const PrepareView before = view_of(fabric);
+
+  const PrepareResult hit = fabric.prepare_detailed(context);
+  EXPECT_EQ(hit.fetch_cycles, 0u);
+  EXPECT_EQ(hit.switch_cycles, 0u);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.switched);
+  EXPECT_FALSE(hit.partial);
+
+  const PrepareView after = view_of(fabric);
+  ContextCacheStats expected = before.stats;
+  ++expected.hits;
+  EXPECT_EQ(counters(after.stats), counters(expected));
+  EXPECT_EQ(after.lru, before.lru);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  EXPECT_EQ(after.bypass_bytes, before.bypass_bytes);
+  EXPECT_EQ(after.switches, before.switches);
+  EXPECT_EQ(after.region_deltas, before.region_deltas);
+  EXPECT_EQ(after.region_blits, before.region_blits);
+  EXPECT_EQ(after.composite, before.composite);
+  EXPECT_TRUE(fabric.cache().byte_balance_ok());
+  EXPECT_EQ(fabric.active(), context);
+}
+
+TEST(FabricPrepare, HitOnTheActiveContextOnlyCountsTheHit) {
+  // An exclusive fabric under a bounded, partial-reconfiguration cache.
+  FabricConfig whole;
+  whole.partial_reconfig = true;
+  whole.context_capacity_bytes = shared_library().total_bytes(kDefaultGeometry) / 2;
+  Fabric exclusive(0, shared_library(), whole);
+  for (const char* context :
+       {"cordic1", "scc_full", "mixed_rom", "cordic2", "da_basic", "cordic1"})
+    (void)exclusive.prepare(context);
+  ASSERT_GT(exclusive.cache().stats().evictions, 0u);
+  expect_free_hit_on_active(exclusive);
+  EXPECT_EQ(exclusive.cache().lru_order().back(), "cordic1");
+
+  // A co-tenant slot: its neighbour's programming stays as it was.
+  FabricConfig tenant;
+  tenant.geometry = kDefaultGeometry;
+  tenant.partitions = static_partition_plan(kDefaultGeometry);
+  tenant.partial_reconfig = true;
+  FabricPool pool({tenant}, shared_library());
+  ASSERT_FALSE(pool.at(0).exclusive());
+  (void)pool.at(0).prepare("scc_full");
+  (void)pool.at(1).prepare("mixed_rom");
+  (void)pool.at(0).prepare("mixed_rom");
+  const PrepareView neighbour = view_of(pool.at(1));
+  expect_free_hit_on_active(pool.at(0));
+  EXPECT_EQ(counters(view_of(pool.at(1)).stats), counters(neighbour.stats));
+  EXPECT_EQ(view_of(pool.at(1)).lru, neighbour.lru);
+
+  // An active context larger than the whole capacity is bypass-stored:
+  // the hit leaves it outside the LRU set.
+  FabricConfig tight;
+  tight.context_capacity_bytes = shared_library().bitstream("cordic1").size();
+  ASSERT_GT(shared_library().bitstream("scc_full").size(), tight.context_capacity_bytes);
+  Fabric bypass(0, shared_library(), tight);
+  (void)bypass.prepare("cordic1");
+  (void)bypass.prepare("scc_full");
+  ASSERT_EQ(bypass.cache().stats().oversize_fetches, 1u);
+  ASSERT_GT(bypass.cache().bypass_bytes(), 0u);
+  expect_free_hit_on_active(bypass);
+  EXPECT_EQ(bypass.cache().lru_order(), std::vector<std::string>{"cordic1"});
 }
 
 RunReport run_scc(const std::vector<FabricConfig>& fabrics, std::vector<StreamJob>& jobs) {
