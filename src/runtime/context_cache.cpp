@@ -110,9 +110,12 @@ std::uint64_t ContextCache::touch(const std::string& name) {
     ++stats_.hits;
     // Bypass-stored contexts live outside the LRU set; refreshing their
     // recency would smuggle them under the capacity bound.
-    if (bypass_.count(name) == 0) {
-      lru_.remove(name);
-      lru_.push_back(name);
+    if ((lru_.empty() || lru_.back() != name) && bypass_.count(name) == 0) {
+      const auto at = std::find(lru_.begin(), lru_.end(), name);
+      if (at == lru_.end())
+        lru_.push_back(name);
+      else
+        lru_.splice(lru_.end(), lru_, at);
     }
     return 0;
   }

@@ -45,6 +45,7 @@ KernelLibrary::KernelLibrary(KernelLibraryConfig config)
   if (geometries_.empty())
     throw std::invalid_argument("kernel library needs at least one array geometry");
   impls_ = dct::all_implementations(config.precision);
+  for (const auto& impl : impls_) impl_names_.push_back(impl->name());
 
   std::vector<Netlist> dct_netlists;
   for (const auto& impl : impls_) dct_netlists.push_back(impl->build_netlist());
@@ -80,7 +81,7 @@ KernelLibrary::KernelLibrary(KernelLibraryConfig config)
     const ArrayArch array =
         ArrayArch::distributed_arithmetic(geometry.width, geometry.height);
     for (std::size_t i = 0; i < impls_.size(); ++i)
-      jobs.push_back({geometry, impls_[i]->name(), &dct_netlists[i], array, 17});
+      jobs.push_back({geometry, impl_names_[i], &dct_netlists[i], array, 17});
     jobs.push_back({geometry, kMeContextName, &me_netlist, me_arch_for(geometry), 11});
   }
 
@@ -164,8 +165,8 @@ const KernelLibrary::GeometryEntry& KernelLibrary::entry_of(
 }
 
 const dct::DctImplementation* KernelLibrary::impl(const std::string& name) const {
-  for (const auto& impl : impls_)
-    if (impl->name() == name) return impl.get();
+  for (std::size_t i = 0; i < impl_names_.size(); ++i)
+    if (impl_names_[i] == name) return impls_[i].get();
   return nullptr;
 }
 
@@ -204,12 +205,7 @@ std::string KernelLibrary::kernel_of(const std::string& name) const {
   return name == kMeContextName ? "me" : "dct";
 }
 
-std::vector<std::string> KernelLibrary::names() const {
-  std::vector<std::string> out;
-  out.reserve(impls_.size());
-  for (const auto& impl : impls_) out.push_back(impl->name());
-  return out;
-}
+std::vector<std::string> KernelLibrary::names() const { return impl_names_; }
 
 std::vector<std::string> KernelLibrary::context_names() const {
   std::vector<std::string> out = names();
@@ -363,6 +359,13 @@ std::uint64_t Fabric::prepare(const std::string& impl_name) {
 }
 
 PrepareResult Fabric::prepare_detailed(const std::string& impl_name) {
+  // Already running it: the active context is always stored, so this is a
+  // hit that fetches and switches nothing. Nothing trim() reads has
+  // changed since the prepare that activated it trimmed.
+  if (reconfig_.active() == impl_name) {
+    (void)cache_.touch(impl_name);
+    return {.cache_hit = true};
+  }
   if (!hosts(impl_name)) {
     const std::string& reason = library_.unfit_reason(impl_name, geometry_);
     throw std::invalid_argument(

@@ -146,6 +146,7 @@ class KernelLibrary {
   [[nodiscard]] const GeometryEntry& entry_of(const ArrayGeometry& geometry) const;
 
   std::vector<std::unique_ptr<dct::DctImplementation>> impls_;
+  std::vector<std::string> impl_names_;  ///< impls_[i]->name(), kept for impl(name)
   std::vector<ArrayGeometry> geometries_;
   std::map<ArrayGeometry, GeometryEntry> entries_;
 };
