@@ -1,18 +1,16 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dsra::runtime {
 
-namespace {
-
-/// Heap order of the runnable jobs: the earliest-planned one on top.
-constexpr auto planned_later = [](const auto& a, const auto& b) { return a->seq > b->seq; };
-
-}  // namespace
-
-Executor::Executor(int threads, std::size_t streams, Run run)
-    : run_(std::move(run)), streams_(streams) {
+Executor::Executor(int threads, std::size_t streams, Run run, std::size_t jobs)
+    : run_(std::move(run)), streams_(streams), tail_(streams, kNone) {
+  if (jobs >= kClosed)
+    throw std::length_error("executor: a plan of " + std::to_string(jobs) + " jobs");
+  plan_.resize(jobs);
+  next_.resize(jobs, kNone);
   threads_.reserve(static_cast<std::size_t>(std::max(threads, 0)));
   try {
     for (int worker = 0; worker < threads; ++worker)
@@ -23,100 +21,86 @@ Executor::Executor(int threads, std::size_t streams, Run run)
   }
 }
 
-Executor::~Executor() {
-  abort_and_join();
-  // Unlink each left-over chain from its head: destroying a long chain
-  // through nested unique_ptrs would recurse once per node.
-  for (Stream& s : streams_)
-    while (s.waiting) s.waiting = std::move(s.waiting->next);
-}
+Executor::~Executor() { abort_and_join(); }
 
 void Executor::push(const std::vector<PlannedJob>& jobs) {
-  std::lock_guard lock(m_);
-  if (abort_) return;  // a job failed: nothing more will run
+  if (jobs.size() > plan_.size() - pushed_)
+    throw std::logic_error("executor: " + std::to_string(pushed_ + jobs.size()) +
+                           " jobs pushed to a plan of " + std::to_string(plan_.size()));
   for (const PlannedJob& job : jobs) {
-    std::unique_ptr<Node> node(new Node{next_seq_++, job, nullptr});
-    Stream& s = streams_[static_cast<std::size_t>(job.task.stream_id)];
-    if (!s.in_flight) {
-      s.in_flight = true;
-      make_runnable(std::move(node));
-      wake_.notify_one();
-    } else if (s.last == nullptr) {
-      s.waiting = std::move(node);
-      s.last = s.waiting.get();
-    } else {
-      s.last->next = std::move(node);
-      s.last = s.last->next.get();
-    }
+    const std::size_t index = pushed_++;
+    plan_[index] = job;
+    const auto stream = static_cast<std::size_t>(job.task.stream_id);
+    std::size_t& tail = tail_[stream];
+    if (tail == kNone)
+      streams_[stream].first = index;
+    else
+      next_[tail] = index;
+    tail = index;
   }
+  published_.fetch_add(static_cast<std::uint32_t>(jobs.size()), std::memory_order_release);
+  published_.notify_all();
 }
 
 void Executor::finish() {
-  {
-    std::lock_guard lock(m_);
-    planned_all_ = true;
-  }
-  wake_.notify_all();
+  close();
   work(threads());
   for (std::thread& t : threads_) t.join();
   if (error_) std::rethrow_exception(error_);
 }
 
+void Executor::close() {
+  published_.fetch_or(kClosed, std::memory_order_release);
+  published_.notify_all();
+}
+
 void Executor::abort_and_join() {
-  {
-    std::lock_guard lock(m_);
-    abort_ = true;
-  }
-  wake_.notify_all();
+  abort_.store(true, std::memory_order_relaxed);
+  close();
   for (std::thread& t : threads_)
     if (t.joinable()) t.join();
 }
 
-void Executor::make_runnable(std::unique_ptr<Node> node) {
-  runnable_.push_back(std::move(node));
-  std::push_heap(runnable_.begin(), runnable_.end(), planned_later);
+void Executor::work(int worker) {
+  for (;;) {
+    const std::size_t index = next_claim_.fetch_add(1, std::memory_order_relaxed);
+    if (!wait_published(index)) return;  // every published job is claimed
+    Stream& stream = streams_[static_cast<std::size_t>(plan_[index].task.stream_id)];
+    // A busy stream's running worker takes the job over.
+    if (stream.pending.fetch_add(1, std::memory_order_acq_rel) != 0) continue;
+    if (!run_stream(worker, stream)) return;
+  }
 }
 
-void Executor::work(int worker) {
-  std::unique_lock lock(m_);
+bool Executor::wait_published(std::size_t index) {
   for (;;) {
-    wake_.wait(lock,
-               [&] { return abort_ || !runnable_.empty() || (planned_all_ && running_ == 0); });
-    if (abort_ || runnable_.empty()) return;  // aborted, or every job has run
-    std::pop_heap(runnable_.begin(), runnable_.end(), planned_later);
-    std::unique_ptr<Node> node = std::move(runnable_.back());
-    runnable_.pop_back();
-    ++running_;
-    // A job its stream's completion made runnable may be left behind
-    // when this worker took an earlier-planned one: pass it on.
-    if (!runnable_.empty()) wake_.notify_one();
-    lock.unlock();
+    const std::uint32_t word = published_.load(std::memory_order_acquire);
+    if (index < (word & ~kClosed)) return true;
+    if ((word & kClosed) != 0) return false;
+    published_.wait(word, std::memory_order_acquire);
+  }
+}
 
-    const auto stream = static_cast<std::size_t>(node->job.task.stream_id);
+bool Executor::run_stream(int worker, Stream& stream) {
+  // The stream's next unrun job: the claims counted in pending cover it,
+  // and the last runner's decrement to 0 ordered its last_run before our
+  // increment.
+  std::size_t job = stream.last_run == kNone ? stream.first : next_[stream.last_run];
+  for (;;) {
+    if (abort_.load(std::memory_order_relaxed)) return false;
     try {
-      run_(worker, node->seq, node->job);
+      run_(worker, job, plan_[job]);
     } catch (...) {
-      lock.lock();
-      --running_;
-      if (!error_) error_ = std::current_exception();
-      abort_ = true;
-      wake_.notify_all();
-      return;
+      if (!abort_.exchange(true)) error_ = std::current_exception();
+      close();
+      return false;  // pending stays above 0: no one runs the stream again
     }
-    node.reset();
-
-    lock.lock();
-    --running_;
-    Stream& s = streams_[stream];
-    if (s.waiting) {
-      std::unique_ptr<Node> next = std::move(s.waiting);
-      s.waiting = std::move(next->next);
-      if (!s.waiting) s.last = nullptr;
-      make_runnable(std::move(next));
-    } else {
-      s.in_flight = false;
-    }
-    if (planned_all_ && running_ == 0 && runnable_.empty()) wake_.notify_all();
+    stream.last_run = job;
+    if (stream.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) return true;
+    // Read the next link only after the decrement: the claim that kept
+    // pending above 0 acquired a publish covering the next job, and its
+    // increment is what orders the planner's link write before this read.
+    job = next_[job];
   }
 }
 

@@ -56,9 +56,13 @@ JobQueue::JobQueue(std::vector<StreamJob>& streams, JobQueueConfig config)
     const int stream_id = static_cast<int>(k);
     // A stream may arrive partially encoded (e.g. a second scheduler run
     // over the same jobs); only the frames still ahead count.
+    const auto frames = static_cast<int>(s.frames.size());
     if (config_.mode == DispatchMode::kMonolithicFrames) {
+      job_count_ += static_cast<std::size_t>(frames - s.next_frame);
       seed.push_back(make_ready(stream_id, StageKind::kWholeFrame, s.next_frame));
     } else {
+      job_count_ += static_cast<std::size_t>(2 * (frames - s.next_frame) +
+                                             frames - std::max(1, s.next_frame));
       s.pipeline.assign(s.frames.size(), FramePipelineState{});
       Lane& lane = lanes_[k];
       lane.dct_frame = s.next_frame;

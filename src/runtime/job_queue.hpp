@@ -137,6 +137,10 @@ class JobQueue {
   /// stream re-buckets onto the new configuration in both dispatch modes.
   [[nodiscard]] const std::string& required_context(const FrameTask& task) const;
 
+  /// Jobs the queue hands out over the run: every frame still ahead, as
+  /// one job, or as its ME (inter frames), DCT/quant and reconstruct jobs.
+  [[nodiscard]] std::size_t job_count() const { return job_count_; }
+
   [[nodiscard]] std::uint64_t dispatches() const { return dispatch_seq_; }
   [[nodiscard]] std::uint64_t max_wait_dispatches() const { return max_wait_; }
   /// Dispatches in which @p fabric_id passed over at least one
@@ -217,6 +221,7 @@ class JobQueue {
   std::vector<std::deque<Ready>> shards_;
   std::vector<Lane> lanes_;
 
+  std::size_t job_count_ = 0;
   std::uint64_t dispatch_seq_ = 0;
   std::uint64_t completions_ = 0;
   std::uint64_t max_wait_ = 0;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "runtime/executor.hpp"
@@ -31,14 +32,13 @@ struct PlannedFrame {
   std::uint64_t end = 0;
 };
 
-/// What plan() hands the report besides the queue and schedule totals it
-/// writes straight into it: for a traced or monitored run every job and
-/// batch in plan order (the run's record; otherwise none is kept), the
+/// What plan() hands the report besides the jobs, which the executor
+/// records, and the queue and schedule totals it writes straight into the
+/// report: for a traced or monitored run every batch in plan order, the
 /// queue at each health tick, each fabric's modeled busy and port-wait
 /// cycles, every frame's plan (stream k's frame f at frame_offset[k] + f)
 /// and each fabric's placement skips.
 struct Plan {
-  std::vector<PlannedJob> jobs;
   std::vector<health::PlannedBatch> batches;
   std::vector<health::PlanTick> ticks;
   std::vector<std::uint64_t> fabric_busy_cycles;
@@ -128,24 +128,23 @@ void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& po
   }
 }
 
-/// Plan the run in modeled time on the calling thread and hand each
-/// batch to the executor as it is planned. An event loop: at each
-/// instant every idle fabric, lowest id first, acquires a batch through
-/// the queue policy and runs it back to back from that instant — each
+/// Plan the run in modeled time on the calling thread, through @p queue's
+/// policy, and hand each planning instant's jobs to the executor at once.
+/// An event loop: at each instant every idle fabric, lowest id first,
+/// acquires a batch and runs it back to back from that instant — each
 /// job paying Fabric::prepare_detailed's fetch + switch cycles (waiting
 /// for the physical configuration port when a co-tenant holds it) plus
 /// its stage's modeled compute — and time advances to the earliest batch
 /// end, where every batch ending then completes and releases its
 /// successors. Throws when jobs remain that no fabric can take.
 ///
-/// @p keep_record keeps every planned job and batch in the returned plan.
-/// With @p epoch_cycles > 0 it samples the queue at every multiple of it
-/// before the makespan, in the state the clock leaves it there; it always
+/// @p keep_record keeps every planned batch in the returned plan. With
+/// @p epoch_cycles > 0 it samples the queue at every multiple of it before
+/// the makespan, in the state the clock leaves it there; it always
 /// samples the queue at the makespan.
-Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary& library,
-          const SchedulerConfig& config, std::uint64_t epoch_cycles, bool keep_record,
-          Executor& executor, RunReport& report) {
-  JobQueue queue(streams, config.queue);
+Plan plan(std::vector<StreamJob>& streams, JobQueue& queue, FabricPool& pool,
+          const KernelLibrary& library, const SchedulerConfig& config,
+          std::uint64_t epoch_cycles, bool keep_record, Executor& executor, RunReport& report) {
   const int lookahead = std::max(0, config.queue.pipeline_lookahead);
   const auto fabrics = static_cast<std::size_t>(pool.size());
 
@@ -190,6 +189,7 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
   std::uint64_t next_sample = epoch_cycles > 0 ? epoch_cycles : kNever;
 
   for (std::uint64_t now = 0;;) {
+    handoff.clear();
     for (std::size_t f = 0; f < fabrics; ++f) {
       if (!running[f].empty()) continue;
       Fabric& fabric = pool.at(static_cast<int>(f));
@@ -202,7 +202,6 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         out.batches.push_back(
             {tasks.size(), now, queue.steals() != steals ? queue.shard_of(tasks.front()) : -1});
       std::uint64_t clock = now;
-      handoff.clear();
       for (const FrameTask& task : tasks) {
         StreamJob& stream = streams[static_cast<std::size_t>(task.stream_id)];
         const int frame = task.frame_index;
@@ -264,9 +263,8 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
         handoff.push_back(job);
       }
       free_at[f] = clock;
-      executor.push(handoff);
-      if (keep_record) out.jobs.insert(out.jobs.end(), handoff.begin(), handoff.end());
     }
+    if (!handoff.empty()) executor.push(handoff);
 
     std::uint64_t next = kNever;
     for (std::size_t f = 0; f < fabrics; ++f)
@@ -304,10 +302,10 @@ Plan plan(std::vector<StreamJob>& streams, FabricPool& pool, const KernelLibrary
 }
 
 /// The run as the health pass reads it: each stream's admission verdict
-/// and deadline, the pool's capable fabrics, and the plan's record, whose
-/// batches and ticks it moves out of @p planned.
+/// and deadline, the pool's capable fabrics, and the plan's record: its
+/// @p jobs, and the batches and ticks it moves out of @p planned.
 health::PlanRecord health_record(const std::vector<StreamJob>& streams, Plan& planned,
-                                 const FabricPool& pool) {
+                                 std::span<const PlannedJob> jobs, const FabricPool& pool) {
   health::PlanRecord record;
   record.fabrics = pool.size();
   for (int f = 0; f < pool.size(); ++f) {
@@ -321,7 +319,7 @@ health::PlanRecord health_record(const std::vector<StreamJob>& streams, Plan& pl
          .frames = s.admission_rung == DegradationRung::kReject
                        ? 0
                        : static_cast<int>(s.frames.size())});
-  record.jobs = planned.jobs;
+  record.jobs = jobs;
   record.batches = std::move(planned.batches);
   record.ticks = std::move(planned.ticks);
   return record;
@@ -483,20 +481,19 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     idle_since[w] = end;
   };
 
-  Plan planned;
-  {
-    const auto executor_start = Clock::now();
-    Executor executor(pool.size(), streams.size(), execute);
-    planned = plan(streams, pool, library_, config_, hm != nullptr ? hm->epoch_cycles() : 0,
-                   rec != nullptr || hm != nullptr, executor, report);
-    const auto planned_all = Clock::now();
-    idle_since.back() = planned_all;  // this thread is free to work from here
-    executor.finish();
-    report.plan_ns = elapsed_ns(executor_start, planned_all);
-    report.execute_tail_ns = elapsed_ns(planned_all, Clock::now());
-  }
+  JobQueue queue(streams, config_.queue);
+  const auto executor_start = Clock::now();
+  Executor executor(pool.size(), streams.size(), execute, queue.job_count());
+  Plan planned = plan(streams, queue, pool, library_, config_,
+                      hm != nullptr ? hm->epoch_cycles() : 0, rec != nullptr || hm != nullptr,
+                      executor, report);
+  const auto planned_all = Clock::now();
+  idle_since.back() = planned_all;  // this thread is free to work from here
+  executor.finish();
+  report.plan_ns = elapsed_ns(executor_start, planned_all);
+  report.execute_tail_ns = elapsed_ns(planned_all, Clock::now());
   if (hm != nullptr) {
-    hm->observe(health_record(streams, planned, pool));
+    hm->observe(health_record(streams, planned, executor.jobs(), pool));
     report.health_anomalies = hm->anomalies_total();
   }
   report.wall_seconds = std::chrono::duration<double>(Clock::now() - wall_start).count();
@@ -621,7 +618,7 @@ RunReport MultiStreamScheduler::run(std::vector<StreamJob>& streams) {
     // host stamps: the rows, and spans bounded by the plan's cycles. The
     // attribution then decomposes each stream's end-to-end modeled
     // latency exactly.
-    report.spans = rec->join(planned.jobs);
+    report.spans = rec->join(executor.jobs());
     report.attribution = telemetry::attribute_streams(report.spans);
   }
   return report;

@@ -63,7 +63,7 @@ void sort_spans(std::vector<Span>& spans) {
 
 }  // namespace
 
-std::vector<Span> TraceRecorder::join(const std::vector<PlannedJob>& plan) {
+std::vector<Span> TraceRecorder::join(std::span<const PlannedJob> plan) {
   rows_.assign(plan.size(), JobTrace{});
   for (std::size_t w = 0; w < buffers_.size(); ++w)
     for (const HostStamp& stamp : buffers_[w]) {

@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,7 +149,7 @@ class TraceRecorder {
   /// plan order, with the stamps its worker recorded under its plan
   /// index. Keeps the rows merged() returns and returns the run's spans,
   /// built as build_spans() builds them, on the plan's modeled cycles.
-  [[nodiscard]] std::vector<Span> join(const std::vector<PlannedJob>& plan);
+  [[nodiscard]] std::vector<Span> join(std::span<const PlannedJob> plan);
 
   /// Every job's row of the last joined run, in plan order.
   [[nodiscard]] const std::vector<JobTrace>& merged() const { return rows_; }
