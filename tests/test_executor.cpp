@@ -1,9 +1,12 @@
-// Work-conserving executor: an idle worker takes another fabric's job,
-// each stream's jobs run in plan order and one at a time under host
-// jitter, each under its plan index, a failing job stops its stream and
-// surfaces from finish(), and
-// the thread that calls finish() works once the plan is complete. The
-// jobs here are fakes: the executor only sees stream ids and plan order.
+// Lock-free executor: an idle worker takes another fabric's job, each
+// stream's jobs run in plan order and one at a time under host jitter,
+// each under its plan index, a failing job stops its stream and surfaces
+// from finish(), the thread that calls finish() works once the plan is
+// complete, a busy stream never blocks the worker that claimed its job,
+// destruction without finish() starts no further job, the plan array
+// records every job once in push order, and it refuses jobs past its
+// size. The jobs here are fakes: the executor only sees stream ids and
+// plan order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +16,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -153,6 +157,121 @@ TEST(Executor, CallingThreadWorksOnceThePlanIsComplete) {
   EXPECT_EQ(executor.threads(), 1);
   EXPECT_TRUE(caller_ran);
   EXPECT_TRUE(thread_saw_caller);
+}
+
+TEST(Executor, ABusyStreamNeverBlocksTheClaimer) {
+  // Two workers. Stream 0's first job waits until stream 1's job has
+  // started. The worker that claims stream 0's second job must leave it
+  // to the stream's running worker and go on to stream 1's job; one that
+  // blocked until its stream's previous job finished would stall here
+  // until kHandOffBound.
+  std::mutex m;
+  std::condition_variable cv;
+  bool other_started = false;
+  bool first_saw_other = false;
+  std::vector<int> stream0_frames;
+  Executor executor(1, 2, [&](int, std::size_t, const PlannedJob& job) {
+    std::unique_lock lock(m);
+    if (job.task.stream_id == 1) {
+      other_started = true;
+      cv.notify_all();
+      return;
+    }
+    stream0_frames.push_back(job.task.frame_index);
+    if (job.task.frame_index == 0)
+      first_saw_other = cv.wait_for(lock, kHandOffBound, [&] { return other_started; });
+  });
+  executor.push({job_of(0, 0, 0), job_of(0, 1, 0), job_of(1, 0, 1)});
+  executor.finish();
+  EXPECT_TRUE(first_saw_other);
+  EXPECT_EQ(stream0_frames, (std::vector<int>{0, 1}));
+}
+
+/// Counts the threads that ran a job and have since exited.
+struct ExitCounter {
+  std::atomic<int>* exited = nullptr;
+  ~ExitCounter() {
+    if (exited != nullptr) exited->fetch_add(1);
+  }
+};
+
+TEST(Executor, DestroyingWithoutFinishStartsNoFurtherJob) {
+  // Stream 0's first job runs until a worker thread has exited, which only
+  // destruction makes one do; stream 0's two later jobs wait behind it,
+  // and stream 1's job lets the other worker run a job first. The plan is
+  // then dropped without finish(), as when the planner throws.
+  std::atomic<int> exited{0};
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> other_ran{false};
+  std::atomic<bool> first_saw_exit{false};
+  std::atomic<int> later_started{0};
+  {
+    Executor executor(2, 2, [&](int, std::size_t, const PlannedJob& job) {
+      thread_local ExitCounter counter;
+      counter.exited = &exited;
+      if (job.task.stream_id == 1) {
+        other_ran = true;
+        return;
+      }
+      if (job.task.frame_index > 0) {
+        ++later_started;
+        return;
+      }
+      first_started = true;
+      const auto deadline = std::chrono::steady_clock::now() + kHandOffBound;
+      while (exited.load() == 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(1ms);
+      first_saw_exit = exited.load() > 0;
+    });
+    executor.push({job_of(0, 0, 0), job_of(0, 1, 0), job_of(0, 2, 0), job_of(1, 0, 1)});
+    const auto deadline = std::chrono::steady_clock::now() + kHandOffBound;
+    while (!(first_started && other_ran) && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_TRUE(first_started && other_ran);
+  }
+  EXPECT_TRUE(first_saw_exit);
+  EXPECT_EQ(later_started.load(), 0);
+  EXPECT_EQ(exited.load(), 2) << "destruction joins every worker thread";
+}
+
+TEST(Executor, TheRecordListsEveryPushedJobOnceInPushOrder) {
+  std::atomic<int> ran{0};
+  Executor executor(3, 5, [&](int, std::size_t, const PlannedJob&) { ++ran; });
+  std::mt19937 rng(77);
+  std::vector<PlannedJob> pushed;
+  std::vector<int> frames(5, 0);
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<PlannedJob> jobs;
+    const int size = std::uniform_int_distribution<int>(1, 6)(rng);
+    for (int j = 0; j < size; ++j) {
+      const int s = std::uniform_int_distribution<int>(0, 4)(rng);
+      jobs.push_back(job_of(s, frames[static_cast<std::size_t>(s)]++, s % 2));
+      jobs.back().task.wait_dispatches = pushed.size() + jobs.size();
+    }
+    executor.push(jobs);
+    pushed.insert(pushed.end(), jobs.begin(), jobs.end());
+  }
+  executor.finish();
+  EXPECT_EQ(ran.load(), static_cast<int>(pushed.size()));
+  const std::span<const PlannedJob> record = executor.jobs();
+  ASSERT_EQ(record.size(), pushed.size());
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    EXPECT_EQ(record[i].task.stream_id, pushed[i].task.stream_id) << i;
+    EXPECT_EQ(record[i].task.frame_index, pushed[i].task.frame_index) << i;
+    EXPECT_EQ(record[i].task.wait_dispatches, pushed[i].task.wait_dispatches) << i;
+    EXPECT_EQ(record[i].fabric_id, pushed[i].fabric_id) << i;
+  }
+}
+
+TEST(Executor, PushingPastTheSizedJobCountThrows) {
+  std::atomic<int> ran{0};
+  Executor executor(1, 2, [&](int, std::size_t, const PlannedJob&) { ++ran; }, 3);
+  executor.push({job_of(0, 0, 0), job_of(1, 0, 0)});
+  EXPECT_THROW(executor.push({job_of(0, 1, 0), job_of(1, 1, 0)}), std::logic_error);
+  executor.push({job_of(0, 1, 0)});
+  executor.finish();
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(executor.jobs().size(), 3u);
 }
 
 }  // namespace

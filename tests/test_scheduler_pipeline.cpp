@@ -291,6 +291,33 @@ TEST(SchedulerPipeline, MonolithicJobsOnlyUseDctCapableFabrics) {
   EXPECT_EQ(report.me_reconfig_cycles, 0u);
 }
 
+TEST(SchedulerPipeline, QueueJobCountCoversEveryDispatch) {
+  // The executor's plan array is sized from the queue's job count: every
+  // frame still ahead, as one job or as its stage jobs. Stream 0 resumes
+  // after an already-encoded frame 0.
+  for (const DispatchMode mode :
+       {DispatchMode::kMonolithicFrames, DispatchMode::kStagePipeline}) {
+    auto jobs = mixed_workload(3, 4, 32);
+    StreamJob& resumed = jobs[0];
+    const video::ToyEncoder enc(library().impl(resumed.impl_name), me::systolic_search_fn(),
+                                resumed.config.codec);
+    FrameRecord rec;
+    rec.stats = enc.encode_frame(resumed.frames[0], nullptr, resumed.recon_state);
+    resumed.records.push_back(rec);
+    resumed.next_frame = 1;
+
+    SchedulerConfig cfg;
+    cfg.fabric_configs.assign(2, FabricConfig{});
+    cfg.queue.mode = mode;
+    std::vector<StreamJob> probe = jobs;
+    const std::size_t count = JobQueue(probe, cfg.queue).job_count();
+    const RunReport report = MultiStreamScheduler(library(), cfg).run(jobs);
+    EXPECT_EQ(count, report.dispatches) << to_string(mode);
+    EXPECT_EQ(count, mode == DispatchMode::kMonolithicFrames ? 11u : 3u * 11u - 2u)
+        << to_string(mode);
+  }
+}
+
 TEST(SchedulerPipeline, HostPhasesFitInsideTheWallTime) {
   SchedulerConfig cfg;
   cfg.fabric_configs = {fabric_with(kCapMotionEstimation), fabric_with(kCapDctTransform)};
