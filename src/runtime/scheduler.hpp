@@ -11,15 +11,17 @@
 //    plus its stage's analytic compute cycles, and the batch completes at
 //    its modeled end. The plan is the run's modeled schedule: the same
 //    inputs give the same timeline, makespan and latencies on any host.
-//  * execute — a work-conserving executor (executor.hpp) encodes the
-//    planned jobs on host workers: one thread per fabric slot, joined by
-//    the planning thread once the plan is complete. A job is runnable
-//    once its stream's previous planned job has finished, and any idle
-//    worker takes the earliest-planned runnable job, whatever fabric it
-//    was planned on — the encoded bits depend only on each stream's job
-//    order. Workers never decide anything; the frame records name the
-//    planned fabrics, and run() checks that every frame charged exactly
-//    the cycles the plan costed.
+//  * execute — a lock-free executor (executor.hpp) encodes the planned
+//    jobs on host workers: one thread per fabric slot, joined by the
+//    planning thread once the plan is complete. The planner publishes
+//    each planning instant's jobs into one plan array, the run's record
+//    of its jobs. Workers claim plan indices in order, whatever fabric a
+//    job was planned on; a job whose stream is busy is left to the
+//    stream's running worker, so each stream's jobs run one at a time in
+//    plan order — the encoded bits depend only on that order. Workers
+//    never decide anything; the frame records name the planned fabrics,
+//    and run() checks that every frame charged exactly the cycles the
+//    plan costed.
 //
 // Two dispatch modes:
 //
@@ -76,17 +78,17 @@ struct SchedulerConfig {
   AdmissionConfig admission;
 
   /// Span tracing. Null (the default) is the zero-cost-off state: the
-  /// workers' recording site is guarded by this one pointer test and the
-  /// plan keeps no per-job record; modeled-cycle results are bit-exact
+  /// workers' recording site is guarded by this one pointer test and no
+  /// span is built; modeled-cycle results are bit-exact
   /// either way — the recorder only observes. When set, the RunReport
   /// carries the typed span stream and per-stream stall attribution, from
   /// which telemetry::fill_metrics() derives the metrics export.
   telemetry::TraceRecorder* trace = nullptr;
 
   /// Health monitor. Null (the default) is zero-cost-off, same idiom as
-  /// `trace`: the plan keeps no record and samples no epoch. When set, the
-  /// planner keeps its record of the run (every job and batch in plan
-  /// order) and samples the queue at every
+  /// `trace`: the plan keeps no batch record and samples no epoch. When
+  /// set, the planner keeps every batch in plan order (the executor's plan
+  /// array holds the jobs) and samples the queue at every
   /// HealthMonitorConfig::epoch_cycles boundary and at the makespan; once
   /// the run is done, run() hands the monitor that record, with each
   /// stream's deadline and the cycles the plan costed its frames at, for
