@@ -1,25 +1,17 @@
 // Lock-free executor for a planned run.
 //
-// The scheduler's planner decides every job's fabric and modeled cycles;
-// the executor only runs the encode work on host threads. The encoded
-// bits depend on nothing but each stream's job order, so a host thread is
-// not tied to a fabric, and the plan is run in plan order:
-//
-//  * The planner writes each planning instant's jobs into one plan array,
-//    sized once for the run, and publishes them with one atomic add. The
-//    array is the run's record of its jobs.
-//  * Workers claim the next plan index with one fetch_add. If the claimed
-//    job's stream is idle, the claimer runs it. If the stream is busy,
-//    the claimer leaves the job to the worker running the stream, through
-//    the stream's pending counter, and claims again.
-//  * The worker that raises a stream's pending count from 0 runs the
-//    stream's next unrun job, and keeps running the stream's jobs while
-//    its decrement leaves claims pending.
-//
-// So each stream's jobs run one at a time in plan order, no worker idles
-// while a published job could run, and a worker waits (std::atomic::wait)
-// only once it has caught up with the planner. The job path takes no lock
-// and allocates nothing.
+// The planner decides every job's fabric and modeled cycles; the executor
+// only runs the encode work on host threads. The encoded bits depend on
+// nothing but each stream's job order, so any host thread may run any
+// job. The planner writes each planning instant's jobs into one plan
+// array, sized once for the run (the run's record of its jobs), and
+// publishes them with one atomic add. Workers claim plan indices in order
+// with one fetch_add: a claimer runs its job when the job's stream is
+// idle, and otherwise leaves it to the stream's running worker through
+// the stream's pending counter and claims again. So each stream's jobs
+// run one at a time in plan order, no worker idles while a published job
+// could run, and a worker waits only once it has caught up with the
+// planner. The job path takes no lock and allocates nothing.
 //
 // Workers are numbered 0..threads(): `threads()` host threads start with
 // the executor, and the thread that calls finish() joins them as worker

@@ -10,11 +10,8 @@
 // further split into ME -> DCT/quant -> reconstruct stage jobs, and the
 // per-frame FramePipelineState carries the intermediate results (motion
 // vectors, prediction, quantised levels) between the fabrics that run
-// them. The executor runs a stream's jobs one at a time in plan order,
-// on whichever host worker holds the stream: a worker that claims a job
-// of a busy stream passes it to the stream's running worker through the
-// stream's pending counter, whose acquire-release updates order one
-// job's writes to the stream state before the next job's reads.
+// them. The executor (executor.hpp) runs a stream's jobs one at a time in
+// plan order and orders each job's writes before the next one's reads.
 #pragma once
 
 #include <chrono>
@@ -99,8 +96,7 @@ struct FrameRecord {
 };
 
 /// In-flight stage state of one frame. The executor runs one stream's
-/// jobs one at a time in plan order and orders each job's writes before
-/// the next one's reads (see above), so the fields need no locking of
+/// jobs one at a time in plan order, so the fields need no locking of
 /// their own.
 struct FramePipelineState {
   video::MotionStageResult motion;
