@@ -114,7 +114,8 @@ int main() {
   }
 
   const int workers = kThreads + 1;
-  const int parallel = std::min(workers, static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  const int parallel =
+      std::min(workers, static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   const double ideal_ms = static_cast<double>(kJobs) *
                           std::chrono::duration<double, std::milli>(kSpin).count() / parallel;
   const double noop_us_per_job = 1000.0 * noop_ms / static_cast<double>(kJobs);
