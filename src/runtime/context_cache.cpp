@@ -5,24 +5,16 @@
 
 namespace dsra::runtime {
 
-soc::PartialReloadCost delta_reload_cost(const ConfigDelta& delta) {
-  const std::size_t bytes = encode_config_delta(delta).size();
-  return {static_cast<std::uint64_t>(bytes) * 8,
-          static_cast<std::uint64_t>(delta.frame_count()),
-          static_cast<std::uint64_t>(bytes)};
-}
-
 ContextCache::ContextCache(soc::ReconfigManager& manager, soc::Bus& bus, FetchFn fetch,
-                           ContextCacheConfig config, KernelFn kernel_of, ImageFn image_of,
+                           ContextCacheConfig config, KernelFn kernel_of,
                            DeltaBytesFn delta_bytes_of)
     : manager_(manager), bus_(bus), fetch_(std::move(fetch)),
-      kernel_of_(std::move(kernel_of)), image_of_(std::move(image_of)),
-      delta_bytes_of_(std::move(delta_bytes_of)), config_(config) {
+      kernel_of_(std::move(kernel_of)), delta_bytes_of_(std::move(delta_bytes_of)),
+      config_(config) {
   // Pre-existing contexts (e.g. a manager seeded by hand) count as resident
   // in arbitrary recency order.
   for (const auto& name : manager_.names()) {
     lru_.push_back(name);
-    retain_image(name);
     // Seeded contexts enter the conservation ledger here — they can be
     // evicted later, and an insert the ledger never saw would make
     // byte_balance_ok() report phantom drift.
@@ -59,16 +51,6 @@ void ContextCache::evict_down_to(std::size_t budget) {
 void ContextCache::trim() {
   drop_stale_bypass();
   if (config_.capacity_bytes > 0) evict_down_to(config_.capacity_bytes);
-  // Prune frame images whose context neither sits in the store nor runs
-  // on the fabric: they can no longer serve as a partial-reload base.
-  for (auto it = images_.begin(); it != images_.end();) {
-    const bool stored = manager_.has(it->first);
-    const bool resident = manager_.resident() && *manager_.resident() == it->first;
-    if (stored || resident)
-      ++it;
-    else
-      it = images_.erase(it);
-  }
 }
 
 void ContextCache::drop_stale_bypass() {
@@ -82,27 +64,6 @@ void ContextCache::drop_stale_bypass() {
       manager_.evict(victim);
     }
   }
-}
-
-void ContextCache::retain_image(const std::string& name) {
-  if (!image_of_ || images_.count(name) != 0) return;
-  if (const ConfigFrameImage* image = image_of_(name)) images_.emplace(name, *image);
-}
-
-const ConfigFrameImage* ContextCache::frame_image(const std::string& name) const {
-  const auto it = images_.find(name);
-  return it == images_.end() ? nullptr : &it->second;
-}
-
-std::optional<soc::PartialReloadCost> ContextCache::delta_cost(
-    const std::string& base, const std::string& target) const {
-  const ConfigFrameImage* base_image = frame_image(base);
-  const ConfigFrameImage* target_image = frame_image(target);
-  if (base_image == nullptr || target_image == nullptr) return std::nullopt;
-  if (base_image->width != target_image->width ||
-      base_image->height != target_image->height)
-    return std::nullopt;  // different array geometries: no partial path
-  return delta_reload_cost(diff_config_frames(*base_image, *target_image));
 }
 
 std::uint64_t ContextCache::touch(const std::string& name) {
@@ -131,25 +92,18 @@ std::uint64_t ContextCache::touch(const std::string& name) {
     evict_down_to(budget);
   }
 
-  // Delta-aware fetch (PR 4 follow-on): the resident configuration's
-  // frame image is pinned on the fabric, so when the backing store also
-  // knows the target's image on the same grid, the bus only has to move
-  // the encoded frame delta — the controller replays it on the resident
-  // image to rebuild the full context locally. The full stream is still
-  // what gets stored (capacity accounting and full reloads unchanged).
-  // Library pairs answer from the precomputed delta table; only pairs
-  // outside it pay the on-demand diff over the retained images.
+  // Delta-aware fetch: the silicon still holds the resident
+  // configuration, so when the backing store's delta table has a delta
+  // from it to the target, the bus only has to move the encoded frame
+  // delta — the controller replays it on the resident programming to
+  // rebuild the full context locally. Without a delta (e.g. the DCT <-> ME
+  // pair, which spans two grids) the full stream moves. The full stream is
+  // still what gets stored (capacity accounting and full reloads
+  // unchanged).
   std::size_t transfer_bytes = bits.size();
-  if (config_.delta_fetch && manager_.resident() && *manager_.resident() != name) {
-    std::optional<std::size_t> delta_bytes =
-        delta_bytes_of_ ? delta_bytes_of_(*manager_.resident(), name) : std::nullopt;
-    if (!delta_bytes) {
-      const ConfigFrameImage* base = frame_image(*manager_.resident());
-      const ConfigFrameImage* target = image_of_ ? image_of_(name) : nullptr;
-      if (base != nullptr && target != nullptr && base->width == target->width &&
-          base->height == target->height)
-        delta_bytes = encode_config_delta(diff_config_frames(*base, *target)).size();
-    }
+  if (config_.delta_fetch && delta_bytes_of_ && manager_.resident() &&
+      *manager_.resident() != name) {
+    const std::optional<std::size_t> delta_bytes = delta_bytes_of_(*manager_.resident(), name);
     if (delta_bytes && *delta_bytes < bits.size()) {
       transfer_bytes = *delta_bytes;
       ++stats_.delta_fetches;
@@ -162,7 +116,6 @@ std::uint64_t ContextCache::touch(const std::string& name) {
   stats_.bytes_inserted += bits.size();  // the store always holds the full stream
   stats_.fetch_cycles += cycles;
   manager_.store(name, bits, kernel_of_ ? kernel_of_(name) : "dct");
-  retain_image(name);
   if (oversize) {
     // Larger than the whole capacity: the working context must exist, but
     // it bypasses the LRU set (instead of emptying it) and is dropped as
@@ -185,11 +138,6 @@ bool ContextCache::release(const std::string& name) {
   // place for the byte ledger to drift. The active-context pin does not
   // apply: the caller is cancelling the work that kept it active.
   if (stored) manager_.evict(name);
-  // The eviction hook pins the image of the configuration the silicon
-  // still runs (it may serve as a partial-reload base). A shed stream's
-  // context is not coming back, so the pin would leak the image forever
-  // — drop it regardless.
-  images_.erase(name);
   // Defensive cleanup for a context the manager never stored (or that
   // was evicted before the hook was installed): no recency state may
   // linger once the stream is gone.
@@ -218,10 +166,6 @@ void ContextCache::on_eviction(const std::string& name, std::size_t freed_bytes)
   stats_.bytes_evicted += freed_bytes;
   lru_.remove(name);
   bypass_.erase(name);
-  // The image of the configuration the silicon still runs is pinned: a
-  // partial reload must be able to diff against it even though the store
-  // entry just went away (the eviction-race case).
-  if (!manager_.resident() || *manager_.resident() != name) images_.erase(name);
 }
 
 }  // namespace dsra::runtime

@@ -18,27 +18,22 @@
 #include <string>
 #include <vector>
 
-#include "core/config_codec.hpp"
 #include "soc/bus.hpp"
 #include "soc/reconfig.hpp"
 
 namespace dsra::runtime {
 
-/// Configuration-port cost of replaying @p delta: one encode pass
-/// derives the {bits, frames, bytes} triple every partial-reload
-/// charging site (library table, cache fallback) must agree on.
-[[nodiscard]] soc::PartialReloadCost delta_reload_cost(const ConfigDelta& delta);
-
 struct ContextCacheConfig {
   std::size_t capacity_bytes = 0;  ///< 0 = unbounded
-  /// Delta-aware fetch: on a miss where the fabric's resident frame
-  /// image is retained and the backing store knows the target's image on
-  /// the same grid, only the encoded delta bytes cross the bus — the
-  /// controller rebuilds the full context locally from the pinned
-  /// resident image. The stored context is still the full stream, so
-  /// capacity accounting and later full reloads are unchanged; with this
-  /// enabled, bytes_fetched counts actual bus bytes and no longer
-  /// balances against bytes_evicted.
+  /// Delta-aware fetch: on a miss where the backing store's delta table
+  /// (the kernel library's) holds a delta from the fabric's resident
+  /// configuration to the target, only the encoded delta bytes cross the
+  /// bus — the controller rebuilds the full context locally from the
+  /// programming the silicon still holds. Without a delta the full stream
+  /// moves. The stored context is still the full stream, so capacity
+  /// accounting and later full reloads are unchanged; with this enabled,
+  /// bytes_fetched counts actual bus bytes and no longer balances against
+  /// bytes_evicted.
   bool delta_fetch = false;
 };
 
@@ -87,15 +82,9 @@ class ContextCache {
   /// so fetched contexts are stored with the right per-kernel charging tag.
   using KernelFn = std::function<std::string(const std::string&)>;
 
-  /// Resolves a context's frame-addressable configuration image (null
-  /// when the backing store has none). Fetched images are retained by
-  /// the cache — see frame_image().
-  using ImageFn = std::function<const ConfigFrameImage*(const std::string&)>;
-
-  /// Precomputed encoded-delta byte size of base -> target (nullopt when
-  /// the backing store has no delta for the pair). Lets the delta-aware
-  /// fetch answer the common case from the library's table instead of
-  /// re-diffing full frame images on every miss.
+  /// Precomputed encoded-delta byte size of base -> target from the
+  /// backing store's delta table (nullopt when it has no delta for the
+  /// pair) — the only source the delta-aware fetch reads.
   using DeltaBytesFn =
       std::function<std::optional<std::size_t>(const std::string& base,
                                                const std::string& target)>;
@@ -105,7 +94,7 @@ class ContextCache {
   /// context "dct" (the historical default).
   ContextCache(soc::ReconfigManager& manager, soc::Bus& bus, FetchFn fetch,
                ContextCacheConfig config = {}, KernelFn kernel_of = nullptr,
-               ImageFn image_of = nullptr, DeltaBytesFn delta_bytes_of = nullptr);
+               DeltaBytesFn delta_bytes_of = nullptr);
   ~ContextCache();
 
   ContextCache(const ContextCache&) = delete;
@@ -130,13 +119,12 @@ class ContextCache {
 
   /// Shed-path unpin: fully release @p name when the stream that needed
   /// it was rejected or degraded mid-flight. Unlike eviction, release
-  /// ignores every pin — the active-context pin (the scheduler is
-  /// cancelling the work that kept it active) and the retained frame
-  /// image (a shed context will not serve as a partial-reload base) —
-  /// so the bytes actually leave the ledger instead of staying resident
-  /// forever under a pin nobody will clear. byte_balance_ok() holds
-  /// across the call; releasing a context the cache never saw is a
-  /// no-op. Returns true when a stored context was evicted.
+  /// ignores the active-context pin (the scheduler is cancelling the work
+  /// that kept it active), so the bytes actually leave the ledger instead
+  /// of staying resident forever under a pin nobody will clear.
+  /// byte_balance_ok() holds across the call; releasing a context the
+  /// cache never saw is a no-op. Returns true when a stored context was
+  /// evicted.
   bool release(const std::string& name);
 
   /// Re-establish the capacity bound after the fabric switched contexts:
@@ -168,20 +156,6 @@ class ContextCache {
   /// Resident contexts, least-recently-used first.
   [[nodiscard]] std::vector<std::string> lru_order() const;
 
-  /// Frame image of @p name if the cache holds one; null otherwise. The
-  /// image of the configuration *resident on the fabric* is pinned: it
-  /// survives the context's eviction from the byte-bounded store, so a
-  /// later partial reload can still diff against what the silicon runs
-  /// even when the eviction raced the switch.
-  [[nodiscard]] const ConfigFrameImage* frame_image(const std::string& name) const;
-
-  /// Cluster-frame delta cost between two retained images, computed on
-  /// demand; nullopt when either image is missing or the grids differ.
-  /// Backs the fabric's partial-reload path for context pairs outside
-  /// the library's precomputed table.
-  [[nodiscard]] std::optional<soc::PartialReloadCost> delta_cost(
-      const std::string& base, const std::string& target) const;
-
  private:
   void on_eviction(const std::string& name, std::size_t freed_bytes);
 
@@ -196,20 +170,14 @@ class ContextCache {
   /// Drop bypass-stored contexts the fabric is no longer running.
   void drop_stale_bypass();
 
-  /// Retain @p name's frame image (no-op without an ImageFn or when the
-  /// backing store knows no image for it).
-  void retain_image(const std::string& name);
-
   soc::ReconfigManager& manager_;
   soc::Bus& bus_;
   FetchFn fetch_;
   KernelFn kernel_of_;
-  ImageFn image_of_;
   DeltaBytesFn delta_bytes_of_;
   ContextCacheConfig config_;
   std::list<std::string> lru_;  ///< front = LRU, back = MRU
   std::map<std::string, std::size_t> bypass_;  ///< oversize residents, name -> bytes
-  std::map<std::string, ConfigFrameImage> images_;  ///< name -> retained frame image
   ContextCacheStats stats_;
 };
 

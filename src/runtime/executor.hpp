@@ -50,9 +50,6 @@ struct PlannedJob {
   std::uint64_t ready_cycles = 0;
   std::uint64_t start_cycles = 0;
   std::uint64_t end_cycles = 0;
-  /// Cycles the job waited for the physical configuration port while a
-  /// co-tenant slot was loading a context (part of ready..start).
-  std::uint64_t port_wait_cycles = 0;
 };
 
 class Executor {
@@ -62,12 +59,9 @@ class Executor {
   /// finish() rethrows it.
   using Run = std::function<void(int worker, std::size_t index, const PlannedJob& job)>;
 
-  /// Plan array size when the caller does not give the run's job count.
-  static constexpr std::size_t kDefaultJobs = 4096;
-
   /// Start @p threads worker threads for a run of at most @p jobs jobs of
   /// @p streams streams.
-  Executor(int threads, std::size_t streams, Run run, std::size_t jobs = kDefaultJobs);
+  Executor(int threads, std::size_t streams, Run run, std::size_t jobs);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 

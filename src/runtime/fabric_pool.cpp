@@ -38,6 +38,16 @@ ArrayArch me_arch_for(const ArrayGeometry& geometry) {
   return ArrayArch::motion_estimation(pe_cols, pe_rows, ChannelSpec{6, 12});
 }
 
+/// Configuration-port cost of replaying @p delta: one encode pass
+/// derives the {bits, frames, bytes} triple a partial switch charges and
+/// a delta-aware fetch moves.
+soc::PartialReloadCost delta_reload_cost(const ConfigDelta& delta) {
+  const std::size_t bytes = encode_config_delta(delta).size();
+  return {static_cast<std::uint64_t>(bytes) * 8,
+          static_cast<std::uint64_t>(delta.frame_count()),
+          static_cast<std::uint64_t>(bytes)};
+}
+
 }  // namespace
 
 KernelLibrary::KernelLibrary(KernelLibraryConfig config)
@@ -197,10 +207,6 @@ const std::vector<std::uint8_t>& KernelLibrary::bitstream(
   throw std::invalid_argument("unknown implementation '" + name + "'");
 }
 
-const std::vector<std::uint8_t>& KernelLibrary::bitstream(const std::string& name) const {
-  return bitstream(name, primary_geometry());
-}
-
 std::string KernelLibrary::kernel_of(const std::string& name) const {
   return name == kMeContextName ? "me" : "dct";
 }
@@ -243,10 +249,6 @@ const ConfigFrameImage& KernelLibrary::frame_image(const std::string& name,
   throw std::invalid_argument("unknown implementation '" + name + "'");
 }
 
-const ConfigFrameImage& KernelLibrary::frame_image(const std::string& name) const {
-  return frame_image(name, primary_geometry());
-}
-
 const ConfigDelta* KernelLibrary::delta(const ArrayGeometry& geometry,
                                         const std::string& base,
                                         const std::string& target) const {
@@ -254,11 +256,6 @@ const ConfigDelta* KernelLibrary::delta(const ArrayGeometry& geometry,
   if (entry == entries_.end()) return nullptr;
   const auto it = entry->second.deltas.find(std::pair(base, target));
   return it == entry->second.deltas.end() ? nullptr : &it->second.delta;
-}
-
-const ConfigDelta* KernelLibrary::delta(const std::string& base,
-                                        const std::string& target) const {
-  return delta(primary_geometry(), base, target);
 }
 
 std::optional<soc::PartialReloadCost> KernelLibrary::delta_cost(
@@ -269,11 +266,6 @@ std::optional<soc::PartialReloadCost> KernelLibrary::delta_cost(
   const auto it = entry->second.deltas.find(std::pair(base, target));
   if (it == entry->second.deltas.end()) return std::nullopt;
   return it->second.cost;
-}
-
-std::optional<soc::PartialReloadCost> KernelLibrary::delta_cost(
-    const std::string& base, const std::string& target) const {
-  return delta_cost(primary_geometry(), base, target);
 }
 
 namespace {
@@ -308,13 +300,6 @@ Fabric::Fabric(int id, const KernelLibrary& library, const FabricConfig& config,
           },
           ContextCacheConfig{config.context_capacity_bytes, config.delta_fetch},
           [this](const std::string& name) { return library_.kernel_of(name); },
-          [this](const std::string& name) -> const ConfigFrameImage* {
-            try {
-              return &library_.frame_image(name, geometry_);
-            } catch (const std::invalid_argument&) {
-              return nullptr;
-            }
-          },
           [this](const std::string& base,
                  const std::string& target) -> std::optional<std::size_t> {
             if (auto cost = library_.delta_cost(geometry_, base, target))
@@ -332,18 +317,10 @@ Fabric::Fabric(int id, const KernelLibrary& library, const FabricConfig& config,
                                 ": kernel library was not built for array geometry " +
                                 to_string(config.geometry) +
                                 "; list it in KernelLibraryConfig.geometries");
-  if (config.partial_reconfig) {
-    // Library pairs come from the precomputed per-geometry table;
-    // anything else (e.g. a context whose store entry was replaced by
-    // hand) falls back to an on-demand diff over the cache's retained
-    // frame images.
-    reconfig_.enable_partial_reconfig(
-        [this](const std::string& base,
-               const std::string& target) -> std::optional<soc::PartialReloadCost> {
-          if (auto cost = library_.delta_cost(geometry_, base, target)) return cost;
-          return cache_.delta_cost(base, target);
-        });
-  }
+  if (config.partial_reconfig)
+    reconfig_.enable_partial_reconfig([this](const std::string& base, const std::string& target) {
+      return library_.delta_cost(geometry_, base, target);
+    });
 }
 
 bool Fabric::hosts(const std::string& impl_name) const {
@@ -354,11 +331,7 @@ bool Fabric::release_context(const std::string& context) {
   return cache_.release(context);
 }
 
-std::uint64_t Fabric::prepare(const std::string& impl_name) {
-  return prepare_detailed(impl_name).total();
-}
-
-PrepareResult Fabric::prepare_detailed(const std::string& impl_name) {
+PrepareResult Fabric::prepare(const std::string& impl_name) {
   // Already running it: the active context is always stored, so this is a
   // hit that fetches and switches nothing. Nothing trim() reads has
   // changed since the prepare that activated it trimmed.
@@ -394,36 +367,36 @@ void Fabric::record_region_programming(const std::optional<std::string>& previou
   const ConfigRegion region = partition_.region();
   const int fw = site_->composite.width;
   const int fh = site_->composite.height;
-  const ConfigFrameImage& target_local = library_.frame_image(target, geometry_);
-  const bool target_on_grid =
-      target_local.width == geometry_.width && target_local.height == geometry_.height;
-  if (partial && previous && target_on_grid) {
-    const ConfigFrameImage& prev_local = library_.frame_image(*previous, geometry_);
-    if (prev_local.width == geometry_.width && prev_local.height == geometry_.height) {
-      const ConfigDelta* lib_delta = library_.delta(geometry_, *previous, target);
-      const ConfigDelta local =
-          lib_delta != nullptr ? *lib_delta : diff_config_frames(prev_local, target_local);
-      const ConfigDelta fabric_delta = translate_config_delta(local, region, fw, fh);
-      // Round-trip through the sealed codec so every runtime partial
-      // switch exercises the CRC and containment checks the tenant
-      // isolation guarantee rests on, not just the unit tests.
-      const RegionDelta sealed =
-          decode_region_delta(encode_region_delta(fabric_delta, region));
-      site_->composite = apply_region_delta(site_->composite, sealed.delta, sealed.region);
-      ++site_->region_deltas;
-      ++region_deltas_;
-      return;
-    }
+  if (partial && previous) {
+    // The switch was partial because the library's table holds this
+    // pair's delta (both contexts on this slot's grid); no entry means
+    // that invariant broke.
+    const ConfigDelta* local = library_.delta(geometry_, *previous, target);
+    if (local == nullptr)
+      throw std::logic_error("fabric " + std::to_string(id_) + ": partial switch " +
+                             *previous + " -> " + target + " on geometry " +
+                             to_string(geometry_) + " has no library delta");
+    const ConfigDelta fabric_delta = translate_config_delta(*local, region, fw, fh);
+    // Round-trip through the sealed codec so every runtime partial
+    // switch exercises the CRC and containment checks the tenant
+    // isolation guarantee rests on, not just the unit tests.
+    const RegionDelta sealed = decode_region_delta(encode_region_delta(fabric_delta, region));
+    site_->composite = apply_region_delta(site_->composite, sealed.delta, sealed.region);
+    ++site_->region_deltas;
+    ++region_deltas_;
+    return;
   }
   // Full reload — or a context compiled onto a different array grid (the
   // systolic ME context lives on its PE grid, not the cluster grid):
   // replace the slot's rectangle wholesale. An off-grid context clears
   // the rectangle, since its programming is not addressable in
   // cluster-grid frames.
+  const ConfigFrameImage& target_local = library_.frame_image(target, geometry_);
   ConfigFrameImage translated;
   translated.width = fw;
   translated.height = fh;
-  if (target_on_grid) translated = translate_frame_image(target_local, region, fw, fh);
+  if (target_local.width == geometry_.width && target_local.height == geometry_.height)
+    translated = translate_frame_image(target_local, region, fw, fh);
   site_->composite = blit_region(site_->composite, translated, region);
   ++site_->region_blits;
   ++region_blits_;

@@ -37,8 +37,7 @@ namespace dsra::runtime {
 
 struct KernelLibraryConfig {
   /// Distinct array geometries the library compiles for. Every fabric's
-  /// geometry must be listed here; the first entry is the *primary*
-  /// geometry the single-argument lookups resolve against.
+  /// geometry must be listed here.
   std::vector<ArrayGeometry> geometries{kDefaultGeometry};
   dct::DaPrecision precision = dct::DaPrecision::wide();
 };
@@ -51,7 +50,8 @@ struct KernelLibraryConfig {
 /// and the precomputed fits() matrix is what dispatch, validation and
 /// Fabric::prepare consult. Per geometry the library also keeps the
 /// frame-addressable configuration images and the pairwise delta table
-/// partial reconfiguration charges against.
+/// partial reconfiguration and delta-aware fetches charge against: it is
+/// the one owner of every context artifact, and fabrics only read it.
 class KernelLibrary {
  public:
   explicit KernelLibrary(KernelLibraryConfig config = {});
@@ -79,9 +79,6 @@ class KernelLibrary {
   [[nodiscard]] const std::vector<std::uint8_t>& bitstream(
       const std::string& name, const ArrayGeometry& geometry) const;
 
-  /// bitstream(name, primary geometry).
-  [[nodiscard]] const std::vector<std::uint8_t>& bitstream(const std::string& name) const;
-
   /// Kernel tag of @p name's context: "me" for kMeContextName, "dct"
   /// otherwise.
   [[nodiscard]] std::string kernel_of(const std::string& name) const;
@@ -95,7 +92,6 @@ class KernelLibrary {
 
   [[nodiscard]] const std::vector<ArrayGeometry>& geometries() const { return geometries_; }
   [[nodiscard]] bool has_geometry(const ArrayGeometry& geometry) const;
-  [[nodiscard]] const ArrayGeometry& primary_geometry() const { return geometries_.front(); }
 
   /// Compiled bitstream bytes across every geometry / the one geometry.
   [[nodiscard]] std::size_t total_bytes() const;
@@ -106,7 +102,6 @@ class KernelLibrary {
   /// as bitstream().
   [[nodiscard]] const ConfigFrameImage& frame_image(const std::string& name,
                                                     const ArrayGeometry& geometry) const;
-  [[nodiscard]] const ConfigFrameImage& frame_image(const std::string& name) const;
 
   /// Precomputed minimal frame rewrite turning @p base's cluster
   /// programming into @p target's on @p geometry. Null when the pair has
@@ -114,8 +109,6 @@ class KernelLibrary {
   /// onto different array grids such as a DCT <-> ME switch).
   [[nodiscard]] const ConfigDelta* delta(const ArrayGeometry& geometry,
                                          const std::string& base,
-                                         const std::string& target) const;
-  [[nodiscard]] const ConfigDelta* delta(const std::string& base,
                                          const std::string& target) const;
 
   /// Configuration-port cost of delta(geometry, base, target); nullopt
@@ -125,8 +118,6 @@ class KernelLibrary {
   [[nodiscard]] std::optional<soc::PartialReloadCost> delta_cost(
       const ArrayGeometry& geometry, const std::string& base,
       const std::string& target) const;
-  [[nodiscard]] std::optional<soc::PartialReloadCost> delta_cost(
-      const std::string& base, const std::string& target) const;
 
  private:
   struct DeltaEntry {
@@ -158,18 +149,19 @@ struct FabricConfig {
   unsigned capabilities = kCapAllKernels;  ///< KernelCapability mask
   /// Partial reconfiguration: a bitstream switch rewrites only the
   /// cluster frames that differ from the fabric's resident programming
-  /// (library delta table, context-cache images as fallback) instead of
-  /// reloading the full stream through the configuration port.
+  /// (the library's delta table) instead of reloading the full stream
+  /// through the configuration port.
   bool partial_reconfig = false;
   /// Array grid of this fabric's silicon. The library must be built for
   /// it, and only contexts that place and route on it can be prepared —
   /// dispatch filters by fits(context, geometry) before handing this
   /// fabric a job.
   ArrayGeometry geometry = kDefaultGeometry;
-  /// Delta-aware context fetch: on a cache miss where the fabric's
-  /// resident frame image is known, only the delta bytes cross the bus
-  /// (the controller rebuilds the full context locally from the pinned
-  /// resident image) instead of the full bitstream.
+  /// Delta-aware context fetch: on a cache miss where the library's delta
+  /// table holds a delta from the fabric's resident configuration to the
+  /// target, only the delta bytes cross the bus (the controller rebuilds
+  /// the full context locally from the resident programming) instead of
+  /// the full bitstream.
   bool delta_fetch = false;
   /// Spatial multi-tenancy: rectangular partitions this fabric's grid is
   /// split into. The pool expands each partition into one scheduler-
@@ -192,7 +184,7 @@ struct FabricSiteState {
   std::uint64_t region_blits = 0;   ///< full reloads blitted into a rectangle
 };
 
-/// What one Fabric::prepare_detailed() call charged and decided —
+/// What one Fabric::prepare() call charged and decided —
 /// telemetry's view of a context activation, split into the bus (cache
 /// fetch) and configuration-port (bitstream switch) components a stall
 /// attribution must keep apart.
@@ -224,20 +216,15 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Ensure @p impl_name is resident and active; returns the cycles
-  /// charged (context-fetch bus cycles + configuration-port switch
-  /// cycles; 0 when the fabric already runs this bitstream). Throws
+  /// Ensure @p impl_name is resident and active, and report the charge:
+  /// context-fetch bus cycles and configuration-port switch cycles (both
+  /// 0 when the fabric already runs this bitstream), plus what happened
+  /// (cache hit, switch taken, full vs delta reload). Throws
   /// std::invalid_argument — naming the fabric, its geometry and the
   /// place/route failure — when @p impl_name does not fit this fabric's
   /// geometry: the scheduler's feasibility filter must never hand such a
   /// job to this fabric.
-  std::uint64_t prepare(const std::string& impl_name);
-
-  /// prepare() with the charge broken down for telemetry: bus fetch vs
-  /// port switch cycles, plus what happened (cache hit, switch taken,
-  /// full vs delta reload). Same cost model and same error contract —
-  /// prepare() is this call's total().
-  PrepareResult prepare_detailed(const std::string& impl_name);
+  PrepareResult prepare(const std::string& impl_name);
 
   /// Placement feasibility of @p impl_name on this fabric's geometry —
   /// the predicate dispatch filters candidates by (alongside the kernel
@@ -246,10 +233,9 @@ class Fabric {
 
   /// Shed-path unpin: release @p context from this fabric's cache and
   /// store when the stream that needed it was rejected or degraded
-  /// mid-flight — cancelled jobs must not leave a pinned context (or its
-  /// retained frame image) resident forever. Returns true when a stored
-  /// context was actually evicted; a context this fabric never loaded is
-  /// a no-op.
+  /// mid-flight — cancelled jobs must not leave a pinned context resident
+  /// forever. Returns true when a stored context was actually evicted; a
+  /// context this fabric never loaded is a no-op.
   bool release_context(const std::string& context);
 
   [[nodiscard]] int id() const { return id_; }
@@ -280,10 +266,12 @@ class Fabric {
 
  private:
   /// Mirror a completed bitstream switch into the shared composite image:
-  /// partial switches replay a CRC-sealed region delta, full reloads (and
-  /// contexts living on a different array grid, like the systolic ME
-  /// context) blit the slot's rectangle. Never touches a byte outside
-  /// partition().region() — the code paths it calls enforce that.
+  /// partial switches replay the library's delta as a CRC-sealed region
+  /// delta, full reloads (and contexts living on a different array grid,
+  /// like the systolic ME context) blit the slot's rectangle. Never
+  /// touches a byte outside partition().region() — the code paths it
+  /// calls enforce that. Throws std::logic_error when a partial switch
+  /// has no library delta.
   void record_region_programming(const std::optional<std::string>& previous,
                                  const std::string& target, bool partial);
 

@@ -67,6 +67,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/health/snapshot.hpp"
@@ -147,8 +148,10 @@ class JobQueue {
   /// capability-eligible ready job because its context does not place on
   /// the fabric's geometry (indexed by fabric id; missing = 0).
   [[nodiscard]] std::vector<std::uint64_t> placement_skips() const;
-  /// Dispatch and completion events in the order they happened.
-  [[nodiscard]] const std::vector<StageEvent>& timeline() const { return events_; }
+  /// Dispatch and completion events in the order they happened; a
+  /// finished queue hands its log over instead of copying it.
+  [[nodiscard]] const std::vector<StageEvent>& timeline() const& { return events_; }
+  [[nodiscard]] std::vector<StageEvent> timeline() && { return std::move(events_); }
 
   /// Ready-set shards: one per context.
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }

@@ -106,11 +106,11 @@ void validate_placement(const std::vector<StreamJob>& streams, const FabricPool&
         std::string(kMeContextName) + "' (pool geometries: " + pool.geometry_list() + ")");
 }
 
-/// Shed streams must not leave contexts (or their pinned frame images)
-/// resident in any fabric cache: release every context only rejected
-/// streams would have used. The pool is freshly built, so this is usually
-/// a no-op — but a pre-warmed cache (seeded manager) would otherwise keep
-/// the dead context pinned for the whole run.
+/// Shed streams must not leave contexts resident in any fabric cache:
+/// release every context only rejected streams would have used. The pool
+/// is freshly built, so this is usually a no-op — but a pre-warmed cache
+/// (seeded manager) would otherwise keep the dead context pinned for the
+/// whole run.
 void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& pool) {
   std::set<std::string> live;
   for (const StreamJob& s : streams) {
@@ -132,7 +132,7 @@ void release_shed_contexts(const std::vector<StreamJob>& streams, FabricPool& po
 /// policy, and hand each planning instant's jobs to the executor at once.
 /// An event loop: at each instant every idle fabric, lowest id first,
 /// acquires a batch and runs it back to back from that instant — each
-/// job paying Fabric::prepare_detailed's fetch + switch cycles (waiting
+/// job paying Fabric::prepare's fetch + switch cycles (waiting
 /// for the physical configuration port when a co-tenant holds it) plus
 /// its stage's modeled compute — and time advances to the earliest batch
 /// end, where every batch ending then completes and releases its
@@ -206,7 +206,7 @@ Plan plan(std::vector<StreamJob>& streams, JobQueue& queue, FabricPool& pool,
         StreamJob& stream = streams[static_cast<std::size_t>(task.stream_id)];
         const int frame = task.frame_index;
         const std::string& context = queue.required_context(task);
-        const PrepareResult prep = fabric.prepare_detailed(context);
+        const PrepareResult prep = fabric.prepare(context);
         const std::uint64_t reconfig = prep.total();
 
         const std::size_t at =
@@ -245,10 +245,9 @@ Plan plan(std::vector<StreamJob>& streams, JobQueue& queue, FabricPool& pool,
           // configuration port a co-tenant slot may be holding.
           std::uint64_t& port = port_free[static_cast<std::size_t>(physical_of[f])];
           const std::uint64_t port_start = std::max(job.start_cycles, port);
-          job.port_wait_cycles = port_start - job.start_cycles;
+          out.port_wait_cycles[f] += port_start - job.start_cycles;
           job.start_cycles = port_start;
           port = port_start + reconfig;
-          out.port_wait_cycles[f] += job.port_wait_cycles;
         }
         const std::uint64_t duration = stage_cycles(task.stage, planned.cycles) + reconfig;
         job.end_cycles = job.start_cycles + duration;
@@ -288,7 +287,6 @@ Plan plan(std::vector<StreamJob>& streams, JobQueue& queue, FabricPool& pool,
     throw std::logic_error(std::to_string(left) +
                            " ready jobs remain that no fabric in the pool can take "
                            "(pool geometries: " + pool.geometry_list() + ")");
-  report.timeline = queue.timeline();
   report.dispatches = queue.dispatches();
   report.max_wait_dispatches = queue.max_wait_dispatches();
   report.queue_shards = queue.shard_count();
@@ -298,6 +296,8 @@ Plan plan(std::vector<StreamJob>& streams, JobQueue& queue, FabricPool& pool,
   report.sim_utilization = mean_utilization(out.fabric_busy_cycles, makespan);
   for (const std::uint64_t wait : out.port_wait_cycles) report.port_contention_cycles += wait;
   out.placement_skips = queue.placement_skips();
+  // The queue's last use: its dispatch log moves into the report.
+  report.timeline = std::move(queue).timeline();
   return out;
 }
 

@@ -55,7 +55,7 @@ TEST(Executor, IdleWorkerTakesAJobPlannedOnABusyFabric) {
       return;
     }
     first_saw_second = cv.wait_for(lock, kHandOffBound, [&] { return second_started; });
-  });
+  }, 2);
   executor.push({job_of(0, 0, 0), job_of(1, 0, 0)});
   executor.finish();
   EXPECT_TRUE(first_saw_second);
@@ -82,7 +82,7 @@ TEST(Executor, EachStreamRunsInPlanOrderOneJobAtATime) {
     next_frame[s].store(job.task.frame_index + 1);
     running[s].store(false);
     ++ran;
-  });
+  }, kStreams * kJobs);
 
   // The plan interleaves the streams at random and arrives in batches of
   // 1-8 jobs on random fabrics, with pauses, as a planner hands it over.
@@ -121,7 +121,7 @@ TEST(Executor, AThrowingJobStopsItsStreamAndFinishRethrows) {
       throw std::runtime_error("encode failed");
     std::lock_guard lock(m);
     ran.emplace(job.task.stream_id, job.task.frame_index);
-  });
+  }, 12);
   std::vector<PlannedJob> plan;
   for (int f = 0; f < 4; ++f)
     for (int s = 0; s < 3; ++s) plan.push_back(job_of(s, f, s));
@@ -151,7 +151,7 @@ TEST(Executor, CallingThreadWorksOnceThePlanIsComplete) {
     }
     EXPECT_EQ(worker, 0);
     if (!cv.wait_for(lock, kHandOffBound, [&] { return caller_ran; })) thread_saw_caller = false;
-  });
+  }, 2);
   executor.push({job_of(0, 0, 0), job_of(1, 0, 1)});
   executor.finish();
   EXPECT_EQ(executor.threads(), 1);
@@ -180,7 +180,7 @@ TEST(Executor, ABusyStreamNeverBlocksTheClaimer) {
     stream0_frames.push_back(job.task.frame_index);
     if (job.task.frame_index == 0)
       first_saw_other = cv.wait_for(lock, kHandOffBound, [&] { return other_started; });
-  });
+  }, 3);
   executor.push({job_of(0, 0, 0), job_of(0, 1, 0), job_of(1, 0, 1)});
   executor.finish();
   EXPECT_TRUE(first_saw_other);
@@ -222,7 +222,7 @@ TEST(Executor, DestroyingWithoutFinishStartsNoFurtherJob) {
       while (exited.load() == 0 && std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(1ms);
       first_saw_exit = exited.load() > 0;
-    });
+    }, 4);
     executor.push({job_of(0, 0, 0), job_of(0, 1, 0), job_of(0, 2, 0), job_of(1, 0, 1)});
     const auto deadline = std::chrono::steady_clock::now() + kHandOffBound;
     while (!(first_started && other_ran) && std::chrono::steady_clock::now() < deadline)
@@ -236,13 +236,16 @@ TEST(Executor, DestroyingWithoutFinishStartsNoFurtherJob) {
 
 TEST(Executor, TheRecordListsEveryPushedJobOnceInPushOrder) {
   std::atomic<int> ran{0};
-  Executor executor(3, 5, [&](int, std::size_t, const PlannedJob&) { ++ran; });
+  constexpr int kBatches = 40;
+  constexpr int kMaxBatch = 6;
+  Executor executor(3, 5, [&](int, std::size_t, const PlannedJob&) { ++ran; },
+                    kBatches * kMaxBatch);
   std::mt19937 rng(77);
   std::vector<PlannedJob> pushed;
   std::vector<int> frames(5, 0);
-  for (int batch = 0; batch < 40; ++batch) {
+  for (int batch = 0; batch < kBatches; ++batch) {
     std::vector<PlannedJob> jobs;
-    const int size = std::uniform_int_distribution<int>(1, 6)(rng);
+    const int size = std::uniform_int_distribution<int>(1, kMaxBatch)(rng);
     for (int j = 0; j < size; ++j) {
       const int s = std::uniform_int_distribution<int>(0, 4)(rng);
       jobs.push_back(job_of(s, frames[static_cast<std::size_t>(s)]++, s % 2));

@@ -92,7 +92,7 @@ TEST(FeasibilityMatrix, EveryFeasiblePairRoundTripsToABitstreamAndFrameImage) {
       // A fabric of this geometry can actually prepare (fetch + switch
       // onto) the context.
       Fabric fabric(0, library(), fabric_with_geometry(geometry));
-      EXPECT_GT(fabric.prepare(name), 0u) << name << " @ " << to_string(geometry);
+      EXPECT_GT(fabric.prepare(name).total(), 0u) << name << " @ " << to_string(geometry);
       ASSERT_TRUE(fabric.active().has_value());
       EXPECT_EQ(*fabric.active(), name);
     }
@@ -144,6 +144,48 @@ TEST(FeasibilityMatrix, DeltaTablesAreScopedPerGeometry) {
   EXPECT_EQ(library().delta(kSmallSccGeometry, "scc_full", "cordic1"), nullptr);
   // The ME context lives on its own grid: no delta against DCT contexts.
   EXPECT_EQ(library().delta(kDefaultGeometry, "scc_full", kMeContextName), nullptr);
+
+  // The table is the fabrics' only delta source, so sweep all of it: on
+  // every geometry, every ordered pair of distinct contexts (the ME
+  // context included) has a delta exactly when both sides fit and their
+  // frame images share a grid, and each delta replays bit-exactly with a
+  // cost that matches it.
+  int with_delta = 0;
+  int without_delta = 0;
+  for (const ArrayGeometry& geometry : library().geometries()) {
+    for (const std::string& base : library().context_names()) {
+      for (const std::string& target : library().context_names()) {
+        if (base == target) continue;
+        SCOPED_TRACE(base + " -> " + target + " on " + to_string(geometry));
+        bool same_grid = false;
+        if (library().fits(base, geometry) && library().fits(target, geometry)) {
+          const ConfigFrameImage& from = library().frame_image(base, geometry);
+          const ConfigFrameImage& to = library().frame_image(target, geometry);
+          same_grid = from.width == to.width && from.height == to.height;
+        }
+        const ConfigDelta* delta = library().delta(geometry, base, target);
+        const auto cost = library().delta_cost(geometry, base, target);
+        ASSERT_EQ(delta != nullptr, same_grid);
+        ASSERT_EQ(cost.has_value(), same_grid);
+        if (delta == nullptr) {
+          ++without_delta;
+          continue;
+        }
+        ++with_delta;
+        EXPECT_EQ(apply_config_delta(library().frame_image(base, geometry), *delta),
+                  library().frame_image(target, geometry));
+        const std::size_t bytes = encode_config_delta(*delta).size();
+        EXPECT_EQ(cost->delta_bits, config_delta_bits(*delta));
+        EXPECT_EQ(cost->delta_bits, static_cast<std::uint64_t>(bytes) * 8);
+        EXPECT_EQ(cost->delta_bytes, bytes);
+        EXPECT_EQ(cost->frames, delta->frame_count());
+      }
+    }
+  }
+  // Both outcomes occur: same-grid DCT pairs, and pairs across grids or
+  // with a side that does not fit.
+  EXPECT_GT(with_delta, 0);
+  EXPECT_GT(without_delta, 0);
 }
 
 TEST(FeasibilityMatrix, ConcurrentLibraryBuildsAreByteIdentical) {
@@ -442,7 +484,7 @@ TEST(DeltaFetch, CacheMissMovesOnlyDeltaBytesWhenResidentImageIsKnown) {
   FabricConfig cfg;
   cfg.delta_fetch = true;
   Fabric fabric(0, library(), cfg);
-  const std::uint64_t first_fetch_plus_switch = fabric.prepare("scc_full");
+  const std::uint64_t first_fetch_plus_switch = fabric.prepare("scc_full").total();
   EXPECT_GT(first_fetch_plus_switch, 0u);
   (void)fabric.prepare("da_basic");
 
@@ -450,8 +492,8 @@ TEST(DeltaFetch, CacheMissMovesOnlyDeltaBytesWhenResidentImageIsKnown) {
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.delta_fetches, 1u) << "the second miss had a resident image to diff";
   EXPECT_GT(stats.bytes_saved, 0u);
-  const std::size_t full_bytes = library().bitstream("scc_full").size() +
-                                 library().bitstream("da_basic").size();
+  const std::size_t full_bytes = library().bitstream("scc_full", kDefaultGeometry).size() +
+                                 library().bitstream("da_basic", kDefaultGeometry).size();
   EXPECT_LT(stats.bytes_fetched, full_bytes);
   EXPECT_EQ(stats.bytes_fetched + stats.bytes_saved, full_bytes);
   // A delta fetch moves fewer bus bytes but still inserts the full
@@ -481,8 +523,8 @@ TEST(DeltaFetch, FallsBackToTheFullStreamAcrossGrids) {
   const ContextCacheStats& stats = fabric.cache().stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.delta_fetches, 0u);
-  EXPECT_EQ(stats.bytes_fetched, library().bitstream("scc_full").size() +
-                                     library().bitstream(kMeContextName).size());
+  EXPECT_EQ(stats.bytes_fetched, library().bitstream("scc_full", kDefaultGeometry).size() +
+                                     library().bitstream(kMeContextName, kDefaultGeometry).size());
   EXPECT_TRUE(fabric.cache().byte_balance_ok());
 }
 

@@ -1,8 +1,9 @@
 // Partial reconfiguration: the ConfigDelta round-trip property over
 // random images and over every library context pair, the ReconfigManager
 // delta path (charging, fallback, resident-survives-eviction), the
-// context cache's pinned frame images, and end-to-end bit-exactness of a
-// dynamic scheduler run under partial vs full reloads.
+// library delta an eviction race still switches and fetches through, and
+// end-to-end bit-exactness of a dynamic scheduler run under partial vs
+// full reloads.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,6 +18,7 @@
 namespace dsra {
 namespace {
 
+using runtime::kDefaultGeometry;
 using runtime::KernelLibrary;
 
 // The compiled library (six DCT place-and-route runs plus the ME context)
@@ -109,33 +111,33 @@ TEST(ConfigDelta, LibraryPairwiseTableRoundTripsBitExactly) {
   for (const std::string& base : names) {
     for (const std::string& target : names) {
       if (base == target) {
-        EXPECT_EQ(lib.delta(base, target), nullptr);
+        EXPECT_EQ(lib.delta(kDefaultGeometry, base, target), nullptr);
         continue;
       }
-      const ConfigDelta* delta = lib.delta(base, target);
+      const ConfigDelta* delta = lib.delta(kDefaultGeometry, base, target);
       ASSERT_NE(delta, nullptr) << base << " -> " << target;
-      EXPECT_EQ(apply_config_delta(lib.frame_image(base), *delta),
-                lib.frame_image(target))
+      EXPECT_EQ(apply_config_delta(lib.frame_image(base, kDefaultGeometry), *delta),
+                lib.frame_image(target, kDefaultGeometry))
           << base << " -> " << target;
 
-      const auto cost = lib.delta_cost(base, target);
+      const auto cost = lib.delta_cost(kDefaultGeometry, base, target);
       ASSERT_TRUE(cost.has_value());
       EXPECT_EQ(cost->delta_bits, config_delta_bits(*delta));
       EXPECT_EQ(cost->frames, delta->frame_count());
       // The delta is never dearer than the full stream for the library's
       // own contexts (the manager would fall back if it were).
       EXPECT_LE(cost->delta_bits,
-                static_cast<std::uint64_t>(lib.bitstream(target).size()) * 8)
+                static_cast<std::uint64_t>(lib.bitstream(target, kDefaultGeometry).size()) * 8)
           << base << " -> " << target;
     }
   }
   // The ME context sits on a different array geometry: no delta, by
   // design — a DCT <-> ME pair must fall back to a full reload.
-  EXPECT_EQ(lib.delta("cordic1", runtime::kMeContextName), nullptr);
-  EXPECT_FALSE(lib.delta_cost(runtime::kMeContextName, "cordic1").has_value());
+  EXPECT_EQ(lib.delta(kDefaultGeometry, "cordic1", runtime::kMeContextName), nullptr);
+  EXPECT_FALSE(lib.delta_cost(kDefaultGeometry, runtime::kMeContextName, "cordic1").has_value());
   // scc_full shares da_basic's complete cluster programming (its ROMs
   // are the same DA LUTs): the delta is pure header, zero frames.
-  EXPECT_EQ(lib.delta("da_basic", "scc_full")->frame_count(), 0u);
+  EXPECT_EQ(lib.delta(kDefaultGeometry, "da_basic", "scc_full")->frame_count(), 0u);
 }
 
 TEST(PartialReconfig, ManagerChargesDeltaAndFallsBack) {
@@ -198,43 +200,55 @@ TEST(PartialReconfig, ResidentConfigurationSurvivesEviction) {
   EXPECT_EQ(mgr.partial_reloads(), 1u);
 }
 
-TEST(PartialReconfig, CachePinsTheResidentFrameImage) {
+TEST(PartialReconfig, EvictionRaceStillTakesTheLibraryDelta) {
+  // The eviction race: the store drops the context the fabric is
+  // running. Its bytes are gone (a re-activation must re-store and pay),
+  // but the silicon still holds the programming, so the next switch
+  // starts from it: the miss moves only the library's delta bytes, and
+  // the switch is partial at the library's delta cost.
   const KernelLibrary& lib = library();
   soc::ReconfigManager mgr;
+  mgr.enable_partial_reconfig([&](const std::string& base, const std::string& target) {
+    return lib.delta_cost(kDefaultGeometry, base, target);
+  });
   soc::Bus bus;
   runtime::ContextCache cache(
-      mgr, bus, [&](const std::string& name) -> const std::vector<std::uint8_t>& {
-        return lib.bitstream(name);
+      mgr, bus,
+      [&](const std::string& name) -> const std::vector<std::uint8_t>& {
+        return lib.bitstream(name, kDefaultGeometry);
       },
-      runtime::ContextCacheConfig{}, nullptr,
-      [&](const std::string& name) -> const ConfigFrameImage* {
-        return &lib.frame_image(name);
+      runtime::ContextCacheConfig{.delta_fetch = true}, nullptr,
+      [&](const std::string& base, const std::string& target) -> std::optional<std::size_t> {
+        if (const auto cost = lib.delta_cost(kDefaultGeometry, base, target))
+          return cost->delta_bytes;
+        return std::nullopt;
       });
 
   (void)cache.touch("cordic1");
-  (void)mgr.activate("cordic1");
-  ASSERT_NE(cache.frame_image("cordic1"), nullptr);
-
-  // The eviction race: the store drops the context the fabric is
-  // running. Its bytes are gone (a re-activation must re-store and pay),
-  // but the silicon still holds the programming, so the frame image is
-  // pinned as the delta base for the *next* switch.
+  EXPECT_GT(mgr.activate("cordic1"), 0u);
   EXPECT_TRUE(mgr.evict("cordic1"));
   EXPECT_FALSE(cache.resident("cordic1"));
-  ASSERT_NE(cache.frame_image("cordic1"), nullptr) << "resident image must be pinned";
+  ASSERT_EQ(mgr.resident(), "cordic1");
 
-  (void)cache.touch("cordic2");
-  const auto cost = cache.delta_cost("cordic1", "cordic2");
-  ASSERT_TRUE(cost.has_value());
-  EXPECT_EQ(cost->delta_bits, lib.delta_cost("cordic1", "cordic2")->delta_bits);
+  const auto delta = lib.delta_cost(kDefaultGeometry, "cordic1", "cordic2");
+  ASSERT_TRUE(delta.has_value());
+  const std::size_t full_bytes = lib.bitstream("cordic2", kDefaultGeometry).size();
+  ASSERT_LT(delta->delta_bytes, full_bytes);
+  const runtime::ContextCacheStats before = cache.stats();
+  EXPECT_GT(cache.touch("cordic2"), 0u);
+  EXPECT_EQ(cache.stats().delta_fetches, before.delta_fetches + 1);
+  EXPECT_EQ(cache.stats().bytes_fetched - before.bytes_fetched, delta->delta_bytes);
+  EXPECT_EQ(cache.stats().bytes_saved - before.bytes_saved, full_bytes - delta->delta_bytes);
+  EXPECT_TRUE(cache.byte_balance_ok());
 
-  // Once the fabric switches away and trim() runs, the stale image is
-  // dropped with its context: it can no longer be anyone's delta base.
-  (void)mgr.activate("cordic2");
-  cache.trim();
-  EXPECT_EQ(cache.frame_image("cordic1"), nullptr);
-  EXPECT_FALSE(cache.delta_cost("cordic1", "cordic2").has_value());
-  ASSERT_NE(cache.frame_image("cordic2"), nullptr);
+  const soc::ReconfigPortConfig port;
+  const auto width = static_cast<std::uint64_t>(port.width_bits);
+  EXPECT_EQ(mgr.activate("cordic2"), (delta->delta_bits + width - 1) / width +
+                                         static_cast<std::uint64_t>(port.overhead_cycles));
+  EXPECT_TRUE(mgr.last_activation_partial());
+  EXPECT_EQ(mgr.partial_reloads(), 1u);
+  EXPECT_EQ(mgr.frames_rewritten(), delta->frames);
+  EXPECT_EQ(mgr.delta_bytes_loaded(), delta->delta_bytes);
 }
 
 /// A draining/fading mixed workload whose impls change mid-flight.

@@ -188,18 +188,18 @@ TEST(Library, CompilesAllSixImplementations) {
   EXPECT_EQ(library().names().size(), 6u);
   EXPECT_NE(library().impl("cordic1"), nullptr);
   EXPECT_EQ(library().impl("nope"), nullptr);
-  EXPECT_THROW((void)library().bitstream("nope"), std::invalid_argument);
+  EXPECT_THROW((void)library().bitstream("nope", kDefaultGeometry), std::invalid_argument);
   EXPECT_GT(library().total_bytes(), 0u);
 }
 
 TEST(Fabric, PrepareChargesFetchPlusSwitchOnceThenNothing) {
   FabricConfig cfg;
   Fabric fabric(0, library(), cfg);
-  const std::uint64_t first = fabric.prepare("cordic1");
+  const std::uint64_t first = fabric.prepare("cordic1").total();
   EXPECT_GT(first, 0u);
-  EXPECT_EQ(fabric.prepare("cordic1"), 0u);  // resident and active
+  EXPECT_EQ(fabric.prepare("cordic1").total(), 0u);  // resident and active
   EXPECT_EQ(fabric.active(), "cordic1");
-  EXPECT_GT(fabric.prepare("scc_full"), 0u);
+  EXPECT_GT(fabric.prepare("scc_full").total(), 0u);
   EXPECT_EQ(fabric.cache().stats().misses, 2u);
   EXPECT_EQ(fabric.cache().stats().hits, 1u);  // second cordic1 prepare
 }
@@ -290,7 +290,7 @@ TEST(Scheduler, BoundedContextCacheEvictsAndStillCompletes) {
   SchedulerConfig cfg;
   FabricConfig fabric;
   // Room for roughly one and a half contexts -> every switch evicts.
-  fabric.context_capacity_bytes = library().bitstream("scc_full").size() * 3 / 2;
+  fabric.context_capacity_bytes = library().bitstream("scc_full", kDefaultGeometry).size() * 3 / 2;
   cfg.fabric_configs = {fabric};
   cfg.queue.policy = SchedulingPolicy::kAffinityBatched;
   cfg.queue.max_affinity_run = 2;  // force frequent switching
@@ -616,11 +616,11 @@ TEST(QueuePolicy, RunCapHoldsInsideABatch) {
 }
 
 TEST(ContextCache, ReleaseUnpinsShedStreamContextAndKeepsLedgerBalanced) {
-  // Shed-mid-stream regression: a cancelled stream's context is pinned
-  // twice — the active-context pin (the fabric was running its job) and
-  // the resident-image pin — and no eviction path may clear either. Until
-  // release() existed, those bytes stayed resident forever and the shed
-  // path leaked them against the capacity bound.
+  // Shed-mid-stream regression: a cancelled stream's context is pinned by
+  // the active-context pin (the fabric was running its job), and no
+  // eviction path may clear it. Until release() existed, those bytes
+  // stayed resident forever and the shed path leaked them against the
+  // capacity bound.
   soc::ReconfigManager mgr(soc::ReconfigPortConfig{32, 16});
   soc::Bus bus;
   const std::map<std::string, std::vector<std::uint8_t>> backing{
@@ -643,7 +643,6 @@ TEST(ContextCache, ReleaseUnpinsShedStreamContextAndKeepsLedgerBalanced) {
   // instead of staying resident under a pin nobody will ever clear.
   EXPECT_TRUE(cache.release("a"));
   EXPECT_FALSE(cache.resident("a"));
-  EXPECT_EQ(cache.frame_image("a"), nullptr);
   EXPECT_TRUE(cache.byte_balance_ok());
   EXPECT_EQ(cache.lru_order(), (std::vector<std::string>{"b"}));
 
@@ -657,7 +656,7 @@ TEST(ContextCache, ReleaseUnpinsShedStreamContextAndKeepsLedgerBalanced) {
 TEST(Fabric, ReleaseContextDropsShedStreamFromCacheAndStore) {
   FabricConfig cfg;
   Fabric fabric(0, library(), cfg);
-  (void)fabric.prepare("cordic1");  // resident, active, image retained
+  (void)fabric.prepare("cordic1");  // resident and active
   EXPECT_TRUE(fabric.cache().resident("cordic1"));
   EXPECT_TRUE(fabric.release_context("cordic1"));
   EXPECT_FALSE(fabric.cache().resident("cordic1"));

@@ -335,7 +335,7 @@ void expect_free_hit_on_active(Fabric& fabric) {
   const std::string context = *fabric.active();
   const PrepareView before = view_of(fabric);
 
-  const PrepareResult hit = fabric.prepare_detailed(context);
+  const PrepareResult hit = fabric.prepare(context);
   EXPECT_EQ(hit.fetch_cycles, 0u);
   EXPECT_EQ(hit.switch_cycles, 0u);
   EXPECT_TRUE(hit.cache_hit);
@@ -388,8 +388,9 @@ TEST(FabricPrepare, HitOnTheActiveContextOnlyCountsTheHit) {
   // An active context larger than the whole capacity is bypass-stored:
   // the hit leaves it outside the LRU set.
   FabricConfig tight;
-  tight.context_capacity_bytes = shared_library().bitstream("cordic1").size();
-  ASSERT_GT(shared_library().bitstream("scc_full").size(), tight.context_capacity_bytes);
+  tight.context_capacity_bytes = shared_library().bitstream("cordic1", kDefaultGeometry).size();
+  ASSERT_GT(shared_library().bitstream("scc_full", kDefaultGeometry).size(),
+            tight.context_capacity_bytes);
   Fabric bypass(0, shared_library(), tight);
   (void)bypass.prepare("cordic1");
   (void)bypass.prepare("scc_full");
